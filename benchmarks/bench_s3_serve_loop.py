@@ -2,12 +2,12 @@
 
 PR 1/2 made one document cheap for N queries; this experiment measures what
 *staying alive* across documents is worth.  A fleet of M standing queries
-serves a stream of N documents four ways:
+serves a stream of N documents three ways:
 
 * **recreate** (the baseline this PR removes): a fresh ``QueryService`` —
   fresh plan cache, fresh compilations — per document, the way a one-shot
   process would be scripted;
-* **serve/inline** and **serve/threads**: one long-lived service,
+* **serve/inline**: one long-lived service,
   :meth:`~repro.service.QueryService.serve` looping over the stream —
   plans compile once at registration and only the per-query runtimes are
   fresh per document;
@@ -67,7 +67,7 @@ def _run_recreate(specs, documents) -> dict:
     outputs, events, misses = [], 0, 0
     started = time.perf_counter()
     for document in documents:
-        service = QueryService(BIB_DTD_STRONG, execution="inline")
+        service = QueryService(BIB_DTD_STRONG)
         for spec in specs:
             service.register(spec.xquery, key=spec.key)
         results = service.run_pass(document)
@@ -83,8 +83,8 @@ def _run_recreate(specs, documents) -> dict:
     }
 
 
-def _run_serve(specs, documents, execution: str) -> dict:
-    service = QueryService(BIB_DTD_STRONG, execution=execution)
+def _run_serve(specs, documents) -> dict:
+    service = QueryService(BIB_DTD_STRONG)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     outputs = []
@@ -132,14 +132,13 @@ def test_s3_serve_loop_vs_recreation(benchmark, document_stream):
     holder = {}
 
     def target():
-        holder["serve_inline"] = _run_serve(specs, document_stream, "inline")
+        holder["serve_inline"] = _run_serve(specs, document_stream)
         return holder["serve_inline"]
 
     benchmark.pedantic(target, rounds=1, iterations=1)
     modes = {
         "recreate": _run_recreate(specs, document_stream),
         "serve_inline": holder["serve_inline"],
-        "serve_threads": _run_serve(specs, document_stream, "threads"),
         "serve_async": _run_serve_async(specs, document_stream),
     }
 
@@ -149,7 +148,7 @@ def test_s3_serve_loop_vs_recreation(benchmark, document_stream):
 
     # The point of the loop: one compilation per query, not per (query, doc).
     assert modes["recreate"]["plan_compilations"] == len(specs) * len(document_stream)
-    for mode in ("serve_inline", "serve_threads", "serve_async"):
+    for mode in ("serve_inline", "serve_async"):
         assert modes[mode]["plan_compilations"] == len(specs), mode
 
     entry = {
@@ -198,7 +197,7 @@ def report_s3():
         lines.append(
             f"{'mode':<16}{'elapsed ms':>12}{'compilations':>14}{'parser events':>15}"
         )
-        for mode in ("recreate", "serve_threads", "serve_inline", "serve_async"):
+        for mode in ("recreate", "serve_inline", "serve_async"):
             run = entry["modes"][mode]
             lines.append(
                 f"{mode:<16}{run['elapsed_seconds'] * 1000:>12.1f}"

@@ -1,15 +1,19 @@
 """Experiment S6 — observability overhead: what watching the service costs.
 
-The observability layer (``src/repro/obs``) promises a near-zero-cost
-disabled path: with ``obs=None`` every hook collapses to an attribute
-check per *pass*, never per event, and the per-event hot loop
-(``SharedProjectionIndex.route``) is untouched.  This experiment prices
-that promise, and the enabled tiers above it, in events/second on the
-same serve loops the S-series measures:
+Every pass runs the same dispatch loop and always takes its stage
+seconds (a clock pair per parser call and per routed chunk, on the pass's
+``PassMetrics``); an attached ``repro.obs`` hub only decides where those
+numbers — and the pass counters, spans and log events — are published,
+with a check per *pass*, never per event.  This experiment prices the
+publishing tiers in events/second on the same serve loops the S-series
+measures:
 
-* **baseline** — ``obs=None``, the default code path;
+* **baseline** — ``obs=None``, the default;
 * **disabled** — an :class:`~repro.obs.Observability` hub attached but
-  with every component off (each hook fires, finds nothing to do);
+  with every component off (each hook fires, finds nothing to do) — the
+  same per-event code as baseline, so the 3% bar on this row is held at
+  A/A precision (the always-on clock itself is priced against the parent
+  commit by ``benchmarks/layered``, not here);
 * **metrics** — a live :class:`~repro.obs.MetricsRegistry` (pass
   counters, per-stage latency histograms);
 * **metrics+tracing** — metrics plus a :class:`~repro.obs.Tracer`
@@ -261,7 +265,7 @@ def _summarize(runs_by_mode: Dict[str, List[dict]],
 
 def _run_inline(name: str, dtd, specs, documents, solo) -> dict:
     """All tiers on ONE service instance, hub swapped per timed run."""
-    service = QueryService(dtd, execution="inline")
+    service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     hubs = {mode: _make_obs(mode) for mode in MODES}

@@ -1,11 +1,11 @@
 """Shared fixtures and helpers for the benchmark suite.
 
 Every benchmark file regenerates one table or figure of the reproduced
-evaluation (see ``DESIGN.md`` §4 and ``EXPERIMENTS.md``).  Benchmarks are run
-with ``pytest benchmarks/ --benchmark-only``; in addition to the
-pytest-benchmark timing table, each experiment writes its memory/runtime
-table to ``benchmarks/results/<experiment>.txt`` so the numbers quoted in
-``EXPERIMENTS.md`` can be regenerated verbatim.
+evaluation (the committed benchmark is ``benchmarks/layered/README.md``).
+Benchmarks are run by naming their files (``pytest benchmarks/bench_<x>.py``);
+in addition to the pytest-benchmark timing table, each experiment writes its
+memory/runtime table to ``benchmarks/results/<experiment>.txt`` so the
+numbers can be regenerated verbatim.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Runs every catalogued bibliography query (XMP-style Q1–Q6) on a generated
 bibliography with the FluX engine, the projection baseline and the DOM
 baseline, checks that all three produce identical results, and prints the
 memory/runtime comparison tables — a small-scale version of experiments
-T1/T2 from EXPERIMENTS.md.
+T1/T2 (``benchmarks/bench_t1_memory_by_query.py``, ``bench_t2_runtime_by_query.py``).
 """
 
 import sys

@@ -18,9 +18,8 @@ document can arrive in arbitrary chunks.  The example shows:
    document arriving in 1 kB chunks,
 4. that every result is byte-identical to a solo ``FluxEngine`` run,
 5. per-query routing — each query receives only the events *its* profile
-   admits, not the fleet union — and the threadless inline scheduler
-   (``execution="inline"``) producing the same bytes with zero worker
-   threads,
+   admits, not the fleet union — with the re-entrant evaluators
+   round-robined on the feeding thread (a pass starts no thread),
 6. the long-lived serving loop (``serve``): one service over a stream of
    documents with a query registered mid-loop, and the same loop driven by
    the asyncio front end (:class:`repro.AsyncQueryService`).
@@ -81,26 +80,20 @@ def main() -> None:
         assert results[spec.key].output == solo.output
     print("every shared result is byte-identical to its solo FluxEngine run")
 
-    # 5. The inline scheduler: same pass, no worker threads — the
-    #    re-entrant evaluators are round-robined on this very thread.
+    # 5. One driver: the re-entrant evaluators are round-robined on this
+    #    very thread — a pass starts no thread of its own.
     import threading
 
-    inline_service = QueryService(dtd, execution="inline")
-    for spec in specs:
-        inline_service.register(spec.xquery, key=spec.key)
     threads_before = threading.active_count()
-    inline_results = inline_service.run_pass(document)
+    again = service.run_pass(document)
     assert threading.active_count() == threads_before
-    assert all(
-        inline_results[key].output == results[key].output
-        for key in inline_results
-    )
-    print("inline execution (zero worker threads) produced identical results")
+    assert all(again[key].output == results[key].output for key in again)
+    print("the pass ran entirely on the feeding thread (zero worker threads)")
 
     # 6. The serving loop: one long-lived service, many documents, plans
     #    compiled once; registrations may change between passes.
     stream = [generate_bibliography(num_books=n, seed=n) for n in (20, 30, 40)]
-    loop_service = QueryService(dtd, execution="inline")
+    loop_service = QueryService(dtd)
     loop_service.register(specs[0].xquery, key=specs[0].key)
     for served in loop_service.serve(stream):
         print(f"\nserved document {served.index}: "
@@ -115,7 +108,7 @@ def main() -> None:
           f"{loop_service.plan_cache.stats.misses} compilations total")
 
     # ...and the same loop asyncio-native: coroutine ingestion over the
-    # inline scheduler, one await point per chunk, no worker threads.
+    # same pass, one await point per chunk.
     async_service = AsyncQueryService(dtd)
     for spec in specs:
         async_service.register(spec.xquery, key=spec.key)

@@ -7,8 +7,8 @@ This package reproduces the system described in
     VLDB 2004 (demonstration),
 
 together with the scheduling and buffer-minimization machinery of its
-companion paper.  See ``DESIGN.md`` for the system inventory and
-``EXPERIMENTS.md`` for the reproduced evaluation.
+companion paper.  See ``docs/ARCHITECTURE.md`` for the system inventory and
+``benchmarks/layered/README.md`` for the benchmark.
 
 Quickstart
 ----------

@@ -17,8 +17,9 @@ answers three questions the paper's whole approach revolves around:
    calibrated by observed pass metrics persisted with the plan-cache
    snapshot (:class:`repro.runtime.plan_cache.PlanObservations`).
 3. **How should the fleet run?**  :mod:`.modes` maps predicted cost ×
-   document size × fleet shape to ``inline | threads | processes`` plus a
-   worker count — the policy behind ``--execution auto``.
+   document size × fleet shape to a pool backend (none, ``threads``,
+   ``processes``) plus a worker count — the policy behind ``--execution
+   auto`` / ``--backend auto``.
 
 :mod:`.explain` renders all three for ``repro explain``.
 """

@@ -151,7 +151,7 @@ def render_cost(estimate: CostEstimate) -> str:
 
 
 def render_mode(decision: ModeDecision) -> str:
-    """The chosen execution mode plus the policy's reasoning."""
+    """The chosen serving configuration plus the policy's reasoning."""
     lines = ["chosen: {0}".format(decision.describe())]
     for reason in decision.reasons:
         lines.append("    - {0}".format(reason))

@@ -1,10 +1,10 @@
-"""Execution-mode selection policy (``--execution auto``).
+"""Serving-configuration policy (``--execution auto`` / ``--backend auto``).
 
 Maps predicted fleet cost × document size × document count × available
 cores to one of the existing serving configurations:
 
-* ``inline`` scheduler, no pool — the fastest single-core path (bench S2)
-  and the only sensible choice for a single document or a single core;
+* no pool — serve in the driver: the only sensible choice for a single
+  document or a single core;
 * ``threads`` pool — moderate multi-document workloads on multi-core
   hosts: shards overlap ingestion and isolate per-document faults while
   plans stay shared in-process;
@@ -41,9 +41,8 @@ MAX_THREAD_WORKERS = 4
 
 @dataclass(frozen=True)
 class ModeDecision:
-    """A resolved execution configuration plus the policy's reasoning."""
+    """A resolved serving configuration plus the policy's reasoning."""
 
-    execution: str  # "inline" | "threads" | "async"
     backend: str  # "threads" | "processes"
     workers: Optional[int]  # None = no pool, serve in the driver
     reasons: Tuple[str, ...]
@@ -54,9 +53,7 @@ class ModeDecision:
 
     def describe(self) -> str:
         workers = str(self.workers) if self.workers is not None else "none"
-        return "execution={0} backend={1} workers={2}".format(
-            self.execution, self.backend, workers
-        )
+        return "backend={0} workers={1}".format(self.backend, workers)
 
 
 def select_mode(
@@ -66,7 +63,7 @@ def select_mode(
     document_count: int = 1,
     cpu_count: Optional[int] = None,
 ) -> ModeDecision:
-    """Pick an execution configuration for a fleet of compiled queries.
+    """Pick a serving configuration for a fleet of compiled queries.
 
     ``costs`` holds one estimate per registered query (duplicates fine —
     structural dedup happens below this layer).  ``document_bytes`` is
@@ -87,17 +84,17 @@ def select_mode(
 
     if document_count <= 1:
         reasons.append("single document: sharding has nothing to parallelize")
-        return _inline(reasons)
+        return _unpooled(reasons)
     if cpus < 2:
         reasons.append("single usable core: a pool only adds handoff overhead")
-        return _inline(reasons)
+        return _unpooled(reasons)
     if per_document < POOL_WORK_CUTOFF:
         reasons.append(
             "light documents (<{0:.0f} units each): pool handoff would dominate".format(
                 POOL_WORK_CUTOFF
             )
         )
-        return _inline(reasons)
+        return _unpooled(reasons)
     if total >= PROCESS_WORK_CUTOFF:
         workers = min(cpus, document_count, MAX_PROCESS_WORKERS)
         reasons.append(
@@ -105,15 +102,14 @@ def select_mode(
                 PROCESS_WORK_CUTOFF
             )
         )
-        return ModeDecision("inline", "processes", workers, tuple(reasons))
+        return ModeDecision("processes", workers, tuple(reasons))
     workers = min(cpus, document_count, MAX_THREAD_WORKERS)
     reasons.append(
         "multi-document, multi-core, moderate cost: thread shards overlap"
         " ingestion and isolate per-document faults"
     )
-    return ModeDecision("inline", "threads", workers, tuple(reasons))
+    return ModeDecision("threads", workers, tuple(reasons))
 
 
-def _inline(reasons: "list[str]") -> ModeDecision:
-    reasons.append("inline scheduler: no per-query worker handoff (bench S2)")
-    return ModeDecision("inline", "threads", None, tuple(reasons))
+def _unpooled(reasons: "list[str]") -> ModeDecision:
+    return ModeDecision("threads", None, tuple(reasons))

@@ -3,7 +3,7 @@
 :mod:`repro.bench.harness` runs (engine, query, document) combinations and
 collects :class:`~repro.bench.harness.Measurement` rows;
 :mod:`repro.bench.reporting` renders them as the tables and series the
-experiments in ``EXPERIMENTS.md`` report;
+``benchmarks/bench_*.py`` experiments print;
 :mod:`repro.bench.fleets` is the differential fleet-testing harness behind
 the S7 fleet-scaling bench and the multi-tenancy test suite (parameterized
 alias fleets, shared-vs-solo byte comparison).

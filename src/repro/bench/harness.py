@@ -4,7 +4,7 @@ The harness executes (engine, query, document) combinations, checks that all
 engines produce identical output for the same (query, document) pair — the
 qualitative precondition for any performance comparison — and returns flat
 :class:`Measurement` rows that the reporting module formats into the tables
-and figures of ``EXPERIMENTS.md``.
+and figures the ``benchmarks/bench_*.py`` experiments print.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper's evaluation is presented as tables (memory / runtime per engine
 per query) and figures (memory / runtime as a function of document size).
 The helpers here turn the flat :class:`~repro.bench.harness.Measurement`
 rows into exactly those two shapes, as plain text that the benchmark scripts
-print and that ``EXPERIMENTS.md`` quotes.
+print.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ Installed as the ``fluxrepro`` console script, or run as a module::
   multi-query :class:`~repro.service.QueryService`, so each document is
   parsed and validated once, not once per query; each query receives only
   the events the shared router deems relevant to *it*.  ``--execution``
-  picks the driver: per-query worker threads, the round-robin in-thread
-  scheduler (``inline``), or the asyncio front end over it (``async``).
+  picks the front end: the sync serve loop (``inline``, the default) or
+  the asyncio one (``async``) over the same pass.
   ``--workers N`` upgrades the serve loop to a fault-isolated
   :class:`~repro.service.ServicePool`: N mirrored services sharing one
   plan cache shard the document stream, a document that fails mid-pass is
@@ -156,7 +156,7 @@ def _command_explain(args: argparse.Namespace) -> int:
     Sections, in order: the optimizer's own ``describe()`` stages, the
     buffer description forest, safety, the scheduler's buffering
     decisions, the analyzer's plan DAG / buffer bounds / predicted cost /
-    chosen execution mode, and (last, so golden tests can truncate the
+    chosen serving configuration, and (last, so golden tests can truncate the
     only nondeterministic part) the optimizer timings.
     """
     from repro.analysis.query import explain_compiled
@@ -474,20 +474,18 @@ def _command_multi(args: argparse.Namespace) -> int:
     if args.backend == "processes" and args.workers is None:
         print("multi: --backend processes requires --workers N", file=sys.stderr)
         return 2
-    # The per-query driver *inside* each serving pass.  Unset means the
-    # backend's own default: worker threads in-process, but "inline" inside
-    # process-pool workers — there per-query threads buy no overlap, only
-    # handoff cost on top of the process parallelism.
-    if args.execution is None:
-        if args.backend == "auto":
-            args.execution = "auto"
-        else:
-            args.execution = "inline" if args.backend == "processes" else "threads"
+    if args.execution == "threads":
+        print(
+            "multi: --execution threads is deprecated (the worker-thread "
+            "driver was removed); running the inline driver",
+            file=sys.stderr,
+        )
+    if args.execution != "async":
+        args.execution = "inline"  # unset, auto and the deprecated alias
     if args.backend == "processes" and args.execution == "async":
         print(
-            "multi: --backend processes drives workers with the inline or "
-            "threads scheduler; --execution async is the asyncio front end "
-            "of the in-process backend",
+            "multi: --execution async is the asyncio front end of the "
+            "in-process backend; --backend processes cannot use it",
             file=sys.stderr,
         )
         return 2
@@ -570,8 +568,6 @@ def _command_multi(args: argparse.Namespace) -> int:
             document_bytes=max(sizes) if sizes else None,
             document_count=len(paths),
         )
-        if args.execution == "auto":
-            args.execution = decision.execution
         if args.backend == "auto":
             # async is the front end of the in-process backend; an auto
             # backend under it can only mean that backend's thread pool.
@@ -652,21 +648,14 @@ def _command_multi(args: argparse.Namespace) -> int:
         )
     elif args.backend == "processes":
         service = ProcessServicePool(
-            dtd,
-            workers=workers,
-            validate=validate,
-            execution=args.execution,
-            plan_cache=plan_cache,
-            obs=obs,
+            dtd, workers=workers, validate=validate, plan_cache=plan_cache, obs=obs
         )
     elif pooled:
         service = ServicePool(
-            dtd, workers=workers, validate=validate, execution=args.execution,
-            plan_cache=plan_cache, obs=obs,
+            dtd, workers=workers, validate=validate, plan_cache=plan_cache, obs=obs
         )
     else:
-        service = QueryService(dtd, validate=validate, execution=args.execution,
-                               plan_cache=plan_cache, obs=obs)
+        service = QueryService(dtd, validate=validate, plan_cache=plan_cache, obs=obs)
     for key, text in queries:
         service.register(text, key=key)
 
@@ -771,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_parser = subparsers.add_parser(
         "explain",
         help="show the optimizer stages, buffer-bound classes, predicted "
-        "cost, and chosen execution mode for a query",
+        "cost, and chosen serving configuration for a query",
     )
     explain_parser.add_argument("--query", "-q", required=True)
     explain_parser.add_argument("--dtd", "-d", help="DTD file")
@@ -846,13 +835,12 @@ def build_parser() -> argparse.ArgumentParser:
         "-x",
         choices=["threads", "inline", "async", "auto"],
         default=None,
-        help="per-query runtime driver: worker threads (the default, "
-        "except inside --backend processes workers, where inline is the "
-        "default — per-query threads there only add handoff cost), the "
-        "inline round-robin scheduler on the dispatch thread, the "
-        "asyncio front end over the inline scheduler, or auto — let the "
-        "static cost model pick from the fleet's predicted per-event "
-        "cost, the document sizes, and the machine's CPU count",
+        help="serving front end: inline (the default) drives each pass on "
+        "the feeding thread, async is the asyncio front end over the same "
+        "pass, auto lets the static cost model fill in --backend/--workers "
+        "from the fleet's predicted per-event cost, the document sizes, "
+        "and the machine's CPU count; threads is a deprecated alias of "
+        "inline",
     )
     multi_parser.add_argument(
         "--workers",

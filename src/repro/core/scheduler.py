@@ -5,8 +5,8 @@ pre-optimized XQuery is rewritten into FluX, with process-stream extensions
 enabling a streaming execution of the query.  The key idea here is to exploit
 order constraints defined by the DTD."
 
-Scheduling algorithm (reconstructed; see DESIGN.md §5.2)
----------------------------------------------------------
+Scheduling algorithm (reconstructed)
+-----------------------------------
 
 The scheduler walks the query top-down, always knowing the *active stream
 variable* — the innermost variable whose element's children are currently

@@ -159,7 +159,10 @@ class FluxQuerySession:
     The session is started eagerly; callers push parser events with
     :meth:`feed` and collect the :class:`~repro.engines.base.QueryResult`
     with :meth:`finish`.  Output is byte-identical to the one-shot
-    :meth:`CompiledFluxQuery.execute` over the same event stream.
+    :meth:`CompiledFluxQuery.execute` over the same event stream.  The
+    evaluation runs on the caller's thread inside ``feed``, so an
+    evaluation error surfaces from the ``feed`` that triggers it (and
+    again from ``finish``), not only at ``finish``.
     """
 
     def __init__(self, compiled: CompiledFluxQuery, validate: Optional[bool] = None):

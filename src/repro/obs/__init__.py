@@ -6,8 +6,10 @@ The :class:`Observability` hub bundles up to four independent components
 :class:`~repro.obs.trace.Tracer`, a :class:`~repro.obs.logs.JsonLogger`,
 a :class:`~repro.obs.profiling.StageProfiler`), each of which may be
 ``None``.  Instrumented code takes ``obs=None`` and checks *once per
-pass / document* which components are live — never per event — so the
-default path is the pre-observability code, byte for byte.
+pass / document* which components are live — never per event.  Stage
+seconds are always taken (a clock pair per parser call and per routed
+chunk, on the pass's :class:`~repro.service.metrics.PassMetrics`); the
+hub only decides where they are published.
 
 This package is stdlib-only and imports nothing from the rest of
 ``repro``: it sits below ``runtime`` and ``service`` in the layering, so
@@ -62,8 +64,7 @@ class Observability:
 
     ``Observability()`` with no arguments is a fully inert hub — useful
     as an explicit "off" — but the conventional off-switch is passing
-    ``obs=None``, which keeps instrumented call sites on their original
-    code path entirely.
+    ``obs=None``.
 
     Helpers (:meth:`log`, :meth:`observe_stage`) are no-op-safe: callers
     that already hold a non-``None`` hub can use them without checking
@@ -83,11 +84,6 @@ class Observability:
         self.tracer = tracer
         self.logger = logger
         self.profiler = profiler
-
-    @property
-    def timing_enabled(self) -> bool:
-        """Whether per-stage timing must be collected during a pass."""
-        return self.metrics is not None or self.tracer is not None
 
     def log(self, event: str, **fields) -> None:
         if self.logger is not None:

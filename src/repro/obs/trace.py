@@ -5,7 +5,7 @@ dependency: ``{"trace_id", "span_id", "parent_id", "name", "start",
 "duration_s", ...attrs}``.  The taxonomy is small and fixed:
 
 * pass stages: ``pass``, ``pass.parse``, ``pass.route``,
-  ``pass.dispatch``, ``pass.evaluate``, ``pass.emit``;
+  ``pass.evaluate``, ``pass.emit``;
 * pool stages: ``pool.shard``, ``pool.ship``, ``pool.respawn``.
 
 A *trace id* names one document's journey through the system.  The pool

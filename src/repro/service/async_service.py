@@ -1,14 +1,12 @@
-"""Asyncio ingestion front end over the inline scheduler.
+"""Asyncio ingestion front end over the shared pass.
 
-PR 2 rewrote the streamed evaluator as re-entrant generators: a per-query
-runtime *suspends* when its input starves instead of blocking a worker
+The streamed evaluator is a set of re-entrant generators: a per-query
+runtime *suspends* when its input starves and is resumed on the feeding
 thread.  That makes a coroutine driver mechanical — there is no thread to
 hand events to, so ``await``-ing between feeds is all the cooperation an
 event loop needs.  :class:`AsyncQueryService` packages that:
 
-* it owns an inline-mode :class:`~repro.service.service.QueryService`
-  (``execution="inline"`` is forced: the threads mode would block the event
-  loop on channel back-pressure, exactly what asyncio must never do);
+* it owns a :class:`~repro.service.service.QueryService`;
 * :meth:`AsyncQueryService.open_pass` returns an :class:`AsyncSharedPass`
   whose ``await feed(chunk)`` parses, routes, and round-robins the
   suspended evaluations synchronously — the work is CPU-bound and brief per
@@ -44,8 +42,8 @@ from repro.service.session import RegisteredQuery, SharedPass
 class AsyncSharedPass:
     """One shared pass driven from a coroutine.
 
-    An async wrapper over :class:`~repro.service.session.SharedPass` whose
-    sessions are inline (threadless) evaluations.  ``await feed(text)``
+    An async wrapper over :class:`~repro.service.session.SharedPass`.
+    ``await feed(text)``
     advances parsing, routing, and every suspended per-query evaluation on
     the current thread, then cedes the event loop; ``await finish()``
     closes the input and returns ``{key: QueryResult}``.  Lifecycle mirrors
@@ -111,10 +109,9 @@ class AsyncQueryService:
     """The multi-query service behind an asyncio-native API.
 
     Construction mirrors :class:`~repro.service.service.QueryService`
-    (schema, validation flag, shareable plan cache) minus ``execution``:
-    the inline scheduler is mandatory, because it is what lets one OS
-    thread — the event loop's — interleave ingestion and N query
-    evaluations without blocking.
+    (schema, validation flag, shareable plan cache): one OS thread — the
+    event loop's — interleaves ingestion and N query evaluations without
+    blocking.
 
     Registration (:meth:`register` / :meth:`unregister`) is synchronous and
     inherited unchanged: compilation happens at registration time, off the
@@ -137,7 +134,6 @@ class AsyncQueryService:
             validate=validate,
             plan_cache=plan_cache,
             cache_size=cache_size,
-            execution="inline",
             obs=obs,
             dedup=dedup,
         )

@@ -424,14 +424,13 @@ class SharedDispatcher:
     :class:`~repro.dtd.validator.StreamingValidator` over the *unfiltered*
     stream) and batches routed events into per-session chunks so the
     per-session hand-off cost is amortized.  Draining is round-robin in
-    registration order: with inline sessions this *is* the scheduler — each
-    ``feed`` re-enters that session's evaluation generator on this thread
-    until it has consumed its chunk.
+    registration order, and this *is* the scheduler: each ``feed``
+    re-enters that session's evaluation generator on this thread until it
+    has consumed its chunk.
 
     Lifecycle: one dispatcher per pass; ``dispatch`` any number of times,
     then ``flush`` exactly once (the pass's ``finish`` does).  Not
-    thread-safe — driven by the pass's single feeding thread; the sessions
-    it feeds provide their own cross-thread hand-off in threads mode.
+    thread-safe — driven by the pass's single feeding thread.
     """
 
     def __init__(
@@ -453,39 +452,12 @@ class SharedDispatcher:
 
         Routed events are buffered per session up to ``chunk_size`` across
         calls; :meth:`flush` hands the tails over (the pass calls it on
-        finish).
-        """
-        route = self.index.route
-        validator = self.validator
-        pending = self._pending
-        chunk_size = self.chunk_size
-        sessions = self.sessions
-        for event in events:
-            if validator is not None:
-                validator.feed(event)
-            mask = route(event)
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                i = bit.bit_length() - 1
-                bucket = pending[i]
-                bucket.append(event)
-                if len(bucket) >= chunk_size:
-                    # hot-loop-ok: one fresh bucket per chunk_size events
-                    pending[i] = []
-                    sessions[i].feed(bucket)
-
-    def dispatch_timed(self, events: List[Event], times: Dict[str, float]) -> None:
-        """:meth:`dispatch`, accumulating per-stage wall time into ``times``.
-
-        The observability-enabled twin: routing time (``route``), session
-        consumption time (``evaluate`` — in inline mode the fed session
-        re-enters its evaluation generator right here), and the residual
-        fan-out bookkeeping (``dispatch``) are separated with
-        ``perf_counter`` pairs.  This per-event timing cost is exactly why
-        the twin exists: :meth:`dispatch` stays byte-identical to the
-        pre-observability hot loop, and passes opened without metrics or
-        tracing never enter this method.
+        finish).  Stage time is taken here, structurally: one clock pair
+        around each session hand-off (``evaluate`` — the fed session
+        re-enters its evaluation generator right there) and one around the
+        whole call, whose remainder is ``route`` (validation, routing and
+        bucketing).  A hand-off that raises aborts the pass, so its partial
+        timings are deliberately dropped.
         """
         route = self.index.route
         validator = self.validator
@@ -493,15 +465,12 @@ class SharedDispatcher:
         chunk_size = self.chunk_size
         sessions = self.sessions
         perf = time.perf_counter
-        route_s = 0.0
         evaluate_s = 0.0
-        loop_started = perf()
+        started = perf()
         for event in events:
             if validator is not None:
                 validator.feed(event)
-            t0 = perf()
             mask = route(event)
-            route_s += perf() - t0
             while mask:
                 bit = mask & -mask
                 mask ^= bit
@@ -509,30 +478,23 @@ class SharedDispatcher:
                 bucket = pending[i]
                 bucket.append(event)
                 if len(bucket) >= chunk_size:
+                    # hot-loop-ok: one fresh bucket and one clock pair per chunk_size events
                     pending[i] = []
-                    t1 = perf()
+                    handed = perf()
                     sessions[i].feed(bucket)
-                    evaluate_s += perf() - t1
-        total = perf() - loop_started
-        times["route"] += route_s
-        times["evaluate"] += evaluate_s
-        times["dispatch"] += max(0.0, total - route_s - evaluate_s)
+                    evaluate_s += perf() - handed
+        stage_seconds = self.index.metrics.stage_seconds
+        stage_seconds["evaluate"] += evaluate_s
+        stage_seconds["route"] += perf() - started - evaluate_s
 
     def flush(self) -> None:
-        """Forward any buffered events to their sessions now (round-robin)."""
-        pending = self._pending
-        for i, bucket in enumerate(pending):
-            if bucket:
-                pending[i] = []
-                self.sessions[i].feed(bucket)
-
-    def flush_timed(self, times: Dict[str, float]) -> None:
-        """:meth:`flush`, charging the hand-offs to the ``evaluate`` stage."""
+        """Forward any buffered events to their sessions now (round-robin),
+        charging the hand-offs to the ``evaluate`` stage."""
         pending = self._pending
         perf = time.perf_counter
+        started = perf()
         for i, bucket in enumerate(pending):
             if bucket:
                 pending[i] = []
-                t0 = perf()
                 self.sessions[i].feed(bucket)
-                times["evaluate"] += perf() - t0
+        self.index.metrics.stage_seconds["evaluate"] += perf() - started

@@ -38,6 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
+#: The pass stage taxonomy, in pipeline order.
+PASS_STAGES = ("parse", "route", "evaluate", "emit")
+
 
 @dataclass
 class PassMetrics:
@@ -54,6 +57,15 @@ class PassMetrics:
     events_pruned: int = 0
     text_events_dropped: int = 0
     elapsed_seconds: float = 0.0
+    #: Wall seconds per stage (:data:`PASS_STAGES`), taken structurally by
+    #: the one dispatch path: ``parse`` brackets the parser calls,
+    #: ``evaluate`` the per-chunk session hand-offs, ``route`` is the rest
+    #: of the dispatch call (validation + routing + bucketing), ``emit``
+    #: the result collection in ``finish``.  They sum to at most
+    #: ``elapsed_seconds``.
+    stage_seconds: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PASS_STAGES, 0.0)
+    )
     #: Events routed to each query (by registration key); always
     #: ``<= events_forwarded``, strictly less for queries sparser than the
     #: fleet's union interest.
@@ -79,6 +91,7 @@ class PassMetrics:
             "text_events_dropped": self.text_events_dropped,
             "events_saved_vs_solo": self.events_saved_vs_solo,
             "elapsed_seconds": self.elapsed_seconds,
+            "stage_seconds": dict(self.stage_seconds),
             "per_query_forwarded": dict(self.per_query_forwarded),
             "per_query_pruned": dict(self.per_query_pruned),
         }

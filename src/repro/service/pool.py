@@ -81,10 +81,8 @@ class ServicePool(ServiceBackedPool):
         ``None``), parsed once.
     workers:
         Pool size — how many documents may be in flight at once.
-    validate / execution:
-        Forwarded to every worker ``QueryService`` (``execution`` picks how
-        each worker drives its per-query runtimes: ``"threads"`` or
-        ``"inline"``; the pool's own sharding threads are separate).
+    validate:
+        Forwarded to every worker ``QueryService``.
     plan_cache:
         An existing cache to share; by default the pool owns one cache of
         ``cache_size`` plans that all its workers compile through.
@@ -103,18 +101,15 @@ class ServicePool(ServiceBackedPool):
         validate: bool = True,
         plan_cache: Optional[PlanCache] = None,
         cache_size: int = 128,
-        execution: str = "threads",
         obs: Optional[Observability] = None,
     ):
         super().__init__(dtd, workers, plan_cache, cache_size, obs=obs)
-        self.execution = execution
         worker_obs = obs.for_pool_worker() if obs is not None else None
         self._services = [
             QueryService(
                 self.dtd,
                 validate=validate,
                 plan_cache=self.plan_cache,
-                execution=execution,
                 obs=worker_obs,
             )
             for _ in range(workers)

@@ -245,7 +245,6 @@ def _worker_main(
     worker_id: int,
     dtd_blob: bytes,
     validate: bool,
-    execution: str,
     crash_marker: Optional[str],
     observe: bool,
     inbox,
@@ -276,7 +275,7 @@ def _worker_main(
     dtd = pickle.loads(dtd_blob)
     span_sink = MemorySink() if observe else None
     worker_obs = Observability(tracer=Tracer(span_sink)) if observe else None
-    service = QueryService(dtd, validate=validate, execution=execution, obs=worker_obs)
+    service = QueryService(dtd, validate=validate, obs=worker_obs)
     # Shipped plans by structure key: each artifact is unpickled once and
     # every alias registration reuses the same plan object, so the
     # service-side dedup (structure keys are memoized on the entry) is
@@ -367,11 +366,8 @@ class ProcessServicePool(PoolCore):
         worker at spawn.
     workers:
         Pool size — worker processes, and documents in flight at once.
-    validate / execution:
-        Forwarded to every worker's ``QueryService``.  ``execution``
-        defaults to ``"inline"``: inside a worker process there is nothing
-        to overlap, so per-query worker *threads* would only add handoff
-        cost on top of the process parallelism.
+    validate:
+        Forwarded to every worker's ``QueryService``.
     plan_cache:
         An existing cache to share; by default the pool owns one.  All
         compilation happens in the parent, through this cache — workers
@@ -395,14 +391,12 @@ class ProcessServicePool(PoolCore):
         validate: bool = True,
         plan_cache: Optional[PlanCache] = None,
         cache_size: int = 128,
-        execution: str = "inline",
         start_method: str = "spawn",
         obs: Optional[Observability] = None,
         _crash_marker: Optional[str] = None,
     ):
         super().__init__(dtd, workers, plan_cache, cache_size, obs=obs)
         self.validate = validate
-        self.execution = execution
         self._pipeline = OptimizerPipeline(self.dtd)
         self._ctx = multiprocessing.get_context(start_method)
         self._crash_marker = _crash_marker
@@ -571,7 +565,6 @@ class ProcessServicePool(PoolCore):
                 worker_id,
                 self._dtd_blob,
                 self.validate,
-                self.execution,
                 self._crash_marker,
                 self._observe_workers,
                 inbox_read,

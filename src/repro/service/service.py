@@ -42,6 +42,7 @@ the same query from several services sharing a cache) is safe, but one
 from __future__ import annotations
 
 import io
+import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -53,7 +54,6 @@ from repro.engines.base import QueryResult
 from repro.errors import PassInProgressError
 from repro.obs import Observability
 from repro.runtime.compiler import CompiledQueryPlan
-from repro.runtime.evaluator import EXECUTION_MODES
 from repro.runtime.plan_cache import PlanCache, dtd_fingerprint, structure_key
 from repro.service.metrics import PassMetrics, ServiceMetrics
 from repro.service.session import PlanStructure, RegisteredQuery, SharedPass
@@ -127,10 +127,11 @@ class QueryService:
         serving different schemas); by default the service owns a fresh
         cache of ``cache_size`` plans.
     execution:
-        How each pass drives its per-query runtimes: ``"threads"`` (one
-        worker thread per query behind a bounded channel, the PR 1 model)
-        or ``"inline"`` (re-entrant evaluations round-robined on the
-        feeding thread — no worker threads, no channel hand-off).
+        Deprecated alias kept for one release; it selects nothing.  Every
+        pass round-robins re-entrant evaluations on the feeding thread
+        (what ``"inline"`` used to name).  ``"inline"`` is accepted
+        silently, ``"threads"`` with a :class:`DeprecationWarning`,
+        anything else raises :class:`ValueError`.
     dedup:
         Whether structurally identical registrations (same
         :func:`~repro.runtime.plan_cache.structure_key`: identical
@@ -158,19 +159,25 @@ class QueryService:
         validate: bool = True,
         plan_cache: Optional[PlanCache] = None,
         cache_size: int = 128,
-        execution: str = "threads",
+        execution: str = "inline",
         obs: Optional[Observability] = None,
         dedup: bool = True,
     ):
         if isinstance(dtd, str):
             dtd = parse_dtd(dtd)
-        if execution not in EXECUTION_MODES:
+        if execution == "threads":
+            warnings.warn(
+                'QueryService(execution="threads") is deprecated: the worker-thread '
+                "driver is gone and every pass runs on the feeding thread",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        elif execution != "inline":
             raise ValueError(
-                f"unknown execution mode {execution!r}; expected one of {EXECUTION_MODES}"
+                f"unknown execution mode {execution!r}; expected 'inline'"
             )
         self.dtd = dtd
         self.validate = validate
-        self.execution = execution
         self.obs = obs
         self.pipeline = OptimizerPipeline(dtd)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(cache_size)
@@ -182,8 +189,8 @@ class QueryService:
         self._structures: "Dict[str, PlanStructure]" = {}
         self._counter = 0
         # Weak on purpose: the service must not keep an abandoned pass
-        # alive, or its finalizer (which aborts and releases the per-query
-        # workers) could never run.
+        # alive, or its finalizer (which aborts it and frees this slot)
+        # could never run.
         self._active_pass_ref: Optional["weakref.ref[SharedPass]"] = None
 
     # ------------------------------------------------------- registration
@@ -388,7 +395,6 @@ class QueryService:
             self.validate,
             chunk_size=chunk_size,
             on_complete=self.metrics.record_pass,
-            execution=self.execution,
             on_close=self._pass_closed,
             obs=self.obs,
             trace_id=trace_id,
@@ -499,7 +505,7 @@ class QueryService:
         exactly the document that tripped it.  (The check runs at every
         step, so a service emptied mid-loop fails at the next step even if
         the stream happens to be exhausted.)  A document that fails
-        mid-pass aborts that pass (releasing its slot and workers) and
+        mid-pass aborts that pass (releasing its slot and sessions) and
         propagates the error; the generator is then exhausted — decide in
         the caller whether to re-``serve`` the remaining documents, or use
         a :class:`~repro.service.pool.ServicePool`, whose serving loop

@@ -8,8 +8,9 @@ registration (same :func:`~repro.runtime.plan_cache.structure_key`).  A
 registered queries: the service's incremental parser turns text chunks
 into events, the shared dispatcher filters them once, and each *structure*
 (not each registration) runs one
-:class:`~repro.runtime.evaluator.EvaluatorSession` consuming the fan-out
-on its own worker.  ``finish()`` joins everything and returns one
+:class:`~repro.runtime.evaluator.EvaluatorSession` consuming the fan-out,
+re-entered on the feeding thread once per routed chunk.  ``finish()``
+drains everything and returns one
 :class:`~repro.engines.base.QueryResult` per registration — aliases of one
 structure receive the same evaluated output — byte-identical to a solo
 ``FluxEngine.execute`` of the same query over the same document.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.dtd.schema import DTD
@@ -29,14 +31,11 @@ from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.evaluator import EvaluatorSession
 from repro.runtime.plan_cache import structure_key
 from repro.service.dispatcher import PlanProfile, SharedDispatcher, SharedProjectionIndex
-from repro.service.metrics import PassMetrics
+from repro.service.metrics import PASS_STAGES, PassMetrics
 from repro.xmlstream.parser import StreamingXMLParser
 
 #: Engine label stamped on results produced by a shared pass.
 SHARED_ENGINE_NAME = "flux-shared"
-
-#: The pass stage taxonomy, in pipeline order.
-PASS_STAGES = ("parse", "route", "dispatch", "evaluate", "emit")
 
 
 def record_pass_observations(
@@ -171,16 +170,14 @@ class _StructureRun:
     aliases of one computation cost one evaluator session, not N.
     """
 
-    def __init__(
-        self, group: List[RegisteredQuery], dtd: Optional[DTD], execution: str
-    ):
+    def __init__(self, group: List[RegisteredQuery], dtd: Optional[DTD]):
         self.group = group
         self.structure = group[0].structure
         # Validation runs once, in the dispatcher, over the unfiltered
         # stream; the per-structure XSAX readers only track on-first
         # conditions.
         self.session = EvaluatorSession(
-            self.structure.entry.plan, dtd, validate=False, execution=execution
+            self.structure.entry.plan, dtd, validate=False
         ).start()
 
     def feed(self, chunk) -> None:
@@ -209,21 +206,18 @@ class SharedPass:
     """One shared single-pass execution of all registered queries.
 
     Documents are pushed as text with :meth:`feed` (any chunking) and closed
-    with :meth:`finish`, which returns ``{key: QueryResult}``.  ``execution``
-    selects how the per-structure runtimes are driven: ``"threads"`` (one
-    worker per distinct structure behind a bounded channel) or ``"inline"``
-    (the dispatcher round-robins re-entrant evaluations on the feeding
-    thread).
+    with :meth:`finish`, which returns ``{key: QueryResult}``.  The
+    dispatcher round-robins the per-structure evaluations on the feeding
+    thread; the pass starts no thread of its own.
 
     A failing pass (malformed or invalid input) aborts every per-structure
-    session before re-raising, so no worker leaks; an aborted pass rejects
-    further :meth:`feed`/:meth:`finish` calls with :class:`ValueError`
-    rather than touching its dead sessions.  The pass is also a context
-    manager — leaving the ``with`` block finishes it (or aborts it on an
-    exception; a block left after a manual :meth:`abort` stays aborted) —
-    and a pass dropped without either call is aborted by its finalizer, so
-    an abandoned pass cannot strand its per-query worker threads blocked on
-    input that will never arrive.
+    session before re-raising; an aborted pass rejects further
+    :meth:`feed`/:meth:`finish` calls with :class:`ValueError` rather than
+    touching its dead sessions.  The pass is also a context manager —
+    leaving the ``with`` block finishes it (or aborts it on an exception; a
+    block left after a manual :meth:`abort` stays aborted) — and a pass
+    dropped without either call is aborted by its finalizer, so an
+    abandoned pass cannot keep the service's one-pass slot.
 
     Lifecycle: ``open → (feed)* → finish`` or ``open → (feed)* → abort``;
     ``finish`` is idempotent (later calls return the same results) and a
@@ -231,7 +225,11 @@ class SharedPass:
     owning :class:`~repro.service.service.QueryService`, which serves one
     pass at a time.  Thread-safety: a pass is single-driver — all ``feed``/
     ``finish`` calls must come from one thread (or one coroutine); only
-    ``abort`` may be called from elsewhere.
+    ``abort`` may be called from elsewhere, at any moment: it never raises,
+    releases the slot exactly once, and a ``feed``/``finish`` it interrupts
+    raises the same ``ValueError("… on an aborted pass")`` the next call
+    would (a session whose generator is mid-resume is closed by the feeding
+    thread when that hand-off returns).
     """
 
     def __init__(
@@ -241,7 +239,6 @@ class SharedPass:
         validate: bool,
         chunk_size: int = 256,
         on_complete=None,
-        execution: str = "threads",
         on_close=None,
         obs: Optional[Observability] = None,
         trace_id: Optional[str] = None,
@@ -259,14 +256,7 @@ class SharedPass:
         self._aborted = False  # guarded-by: _state_lock
         self._closed = False  # guarded-by: _state_lock
         self._on_close = on_close
-        # Observability is decided once here, never per event: with obs off
-        # (the default) feed/finish run the original untimed code path.
         self._obs = obs
-        self._times: Optional[Dict[str, float]] = (
-            {stage: 0.0 for stage in PASS_STAGES}
-            if obs is not None and obs.timing_enabled
-            else None
-        )
         self.trace_id = (
             (trace_id or new_trace_id())
             if obs is not None and obs.tracer is not None
@@ -281,7 +271,6 @@ class SharedPass:
                 "pass.start",
                 trace_id=self.trace_id,
                 queries=len(self._registrations),
-                execution=execution,
             )
         self._results: Optional[Dict[str, QueryResult]] = None
         self._runs: List[_StructureRun] = []
@@ -296,7 +285,7 @@ class SharedPass:
         self._metrics.structures = len(grouped)
         try:
             for group in grouped:
-                self._runs.append(_StructureRun(group, dtd, execution))
+                self._runs.append(_StructureRun(group, dtd))
             self._index = SharedProjectionIndex(
                 (run.structure.profile for run in self._runs),
                 self._metrics,
@@ -308,9 +297,8 @@ class SharedPass:
             )
             self._parser = StreamingXMLParser.incremental()
         except BaseException:
-            # Construction failed after the Kth session started: release
-            # every worker that did start instead of stranding it on a
-            # channel that will never be fed or closed.
+            # Construction failed after the Kth session started: close the
+            # generators that did start and free the service's slot.
             self.abort()
             raise
         self._on_complete = on_complete
@@ -335,66 +323,62 @@ class SharedPass:
     def aborted(self) -> bool:
         return self._aborted  # unguarded: monotonic flag, single-driver reader; a racing abort lands on the next call
 
+    @contextmanager
+    def _driving(self, call: str):
+        """Guard one ``feed``/``finish`` step: any failure aborts the pass.
+
+        An :meth:`abort` from another thread may land while the step runs;
+        the sessions then fail the step in whatever way they notice first
+        (or not at all, if it touched none of them).  Either way the caller
+        sees the ``ValueError`` the next call would raise.
+        """
+        try:
+            yield
+        except BaseException as exc:
+            aborted_elsewhere = self._aborted  # unguarded: monotonic flag; read before this thread's own abort() sets it
+            self.abort()
+            if aborted_elsewhere and isinstance(exc, Exception):
+                raise ValueError(f"{call}() on an aborted pass") from exc
+            raise
+        if self._aborted:  # unguarded: monotonic flag, single-driver reader
+            raise ValueError(f"{call}() on an aborted pass")
+
+    def _dispatch_parsed(self, parse, *args) -> None:
+        """Run one parser call and dispatch its events, timing the parse."""
+        started = time.perf_counter()
+        events = parse(*args)
+        self._metrics.stage_seconds["parse"] += time.perf_counter() - started
+        self._dispatcher.dispatch(events)
+
     def feed(self, text: str) -> None:
         """Push the next chunk of document text into the pass."""
-        if self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands on the next call
+        if self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands inside _driving
             raise ValueError("feed() on an aborted pass")
         if self._results is not None:
             raise ValueError("feed() after finish()")
         # len(text) counts characters; the reported metric is bytes.
         self._metrics.document_bytes += len(text.encode("utf-8"))
-        try:
-            if self._times is None:
-                self._dispatcher.dispatch(self._parser.feed(text))
-            else:
-                self._dispatch_timed(text)
-        except BaseException:
-            self.abort()
-            raise
-
-    def _dispatch_timed(self, text: Optional[str]) -> None:
-        """One timed feed (or, with ``text=None``, the closing feed).
-
-        Parsing is materialized so its time separates from routing; the
-        dispatcher's timed twin splits the rest.  Only entered when
-        metrics or tracing are on.
-        """
-        times = self._times
-        started = time.perf_counter()
-        events = list(self._parser.feed(text) if text is not None else self._parser.close())
-        times["parse"] += time.perf_counter() - started
-        self._dispatcher.dispatch_timed(events, times)
+        with self._driving("feed"):
+            self._dispatch_parsed(self._parser.feed, text)
 
     def finish(self) -> Dict[str, QueryResult]:
         """Close the input and return one result per registered query."""
-        if self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands on the next call
+        if self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands inside _driving
             raise ValueError("finish() on an aborted pass")
         if self._results is None:
-            times = self._times
-            try:
-                if times is None:
-                    self._dispatcher.dispatch(self._parser.close())
-                    self._dispatcher.flush()
-                else:
-                    self._dispatch_timed(None)
-                    self._dispatcher.flush_timed(times)
-            except BaseException:
-                self.abort()
-                raise
             results: Dict[str, QueryResult] = {}
-            emit_started = time.perf_counter()
-            try:
+            with self._driving("finish"):
+                self._dispatch_parsed(self._parser.close)
+                self._dispatcher.flush()
+                emit_started = time.perf_counter()
                 for run in self._runs:
                     for reg, result in zip(run.group, run.results()):
                         results[reg.key] = result
                         reg.passes += 1
                     run.structure.passes += 1
-            except BaseException:
-                self.abort()
-                raise
-            if times is not None:
-                times["emit"] += time.perf_counter() - emit_started
-            self._metrics.elapsed_seconds = time.perf_counter() - self._started_at
+                finished = time.perf_counter()
+            self._metrics.stage_seconds["emit"] += finished - emit_started
+            self._metrics.elapsed_seconds = finished - self._started_at
             self._index.finalize_metrics()
             self._results = results
             if self._on_complete is not None:
@@ -408,17 +392,16 @@ class SharedPass:
         obs = self._obs
         if obs is None:
             return
-        times = self._times
-        if times is not None:
-            for stage, duration in times.items():
-                obs.observe_stage(stage, duration)
+        stage_seconds = self._metrics.stage_seconds
+        for stage in PASS_STAGES:
+            obs.observe_stage(stage, stage_seconds[stage])
         record_pass_observations(obs, self._metrics, results)
         if obs.tracer is not None and self.trace_id is not None:
             for stage in PASS_STAGES:
                 obs.tracer.record(
                     f"pass.{stage}",
                     self.trace_id,
-                    times[stage],
+                    stage_seconds[stage],
                     parent_id=self.span_id,
                 )
             obs.tracer.record(
@@ -441,8 +424,11 @@ class SharedPass:
     def abort(self) -> None:
         """Tear down all per-structure sessions, discarding partial output.
 
-        Idempotent, callable from any state (including mid-construction);
-        the first call releases the pass's slot on the owning service.
+        Idempotent, callable from any state (including mid-construction)
+        and from any thread; the first call releases the pass's slot on
+        the owning service.  Never raises: a session whose generator is
+        executing on the feeding thread is only flagged, and that thread
+        closes it when the hand-off returns.
         """
         with self._state_lock:
             first = not self._aborted

@@ -2,7 +2,7 @@
 
 Covers the three layers: buffer-bound classification against the paper's
 strong/weak Figure 1 DTDs, the cardinality/cost model (including its
-calibration from persisted pass observations), and the execution-mode
+calibration from persisted pass observations), and the serving-mode
 policy.  The soundness property the classes promise — a ``CONST`` plan's
 peak buffer does not grow with the document — is checked by actually
 running documents of increasing size through the engine.
@@ -172,13 +172,12 @@ def _cost(per_event=2.0):
 
 
 class TestModePolicy:
-    def test_single_document_stays_inline(self):
+    def test_single_document_stays_unpooled(self):
         decision = select_mode([_cost()], document_bytes=1 << 20, document_count=1, cpu_count=8)
-        assert decision.execution == "inline"
         assert decision.workers is None
         assert not decision.pooled
 
-    def test_single_core_stays_inline(self):
+    def test_single_core_stays_unpooled(self):
         decision = select_mode([_cost()], document_bytes=1 << 24, document_count=50, cpu_count=1)
         assert decision.workers is None
 
@@ -202,7 +201,7 @@ class TestModePolicy:
 
     def test_describe_and_reasons(self):
         decision = select_mode([_cost()], document_count=1, cpu_count=8)
-        assert decision.describe().startswith("execution=inline")
+        assert decision.describe() == "backend=threads workers=none"
         assert decision.reasons
 
 

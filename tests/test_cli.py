@@ -163,7 +163,7 @@ class TestMultiServeLoop:
             paths.append(str(path))
         return paths
 
-    @pytest.mark.parametrize("execution", ["threads", "inline", "async"])
+    @pytest.mark.parametrize("execution", ["inline", "async"])
     def test_documents_serve_loop_all_modes(
         self, files, query_dir, documents, execution, capsys
     ):
@@ -175,6 +175,22 @@ class TestMultiServeLoop:
             assert f"<!-- doc{index}/q3 -->" in captured.out
             assert f"T{index}" in captured.out
         assert "[serve] 3 documents" in captured.err
+
+    def test_deprecated_threads_value_notes_and_runs_the_one_driver(
+        self, files, query_dir, documents, capsys
+    ):
+        import json
+
+        json_path = files["dir"] / "threads.json"
+        exit_code = main(["multi", "-Q", str(query_dir), "-D", *documents,
+                          "-d", files["dtd"], "--execution", "threads",
+                          "-j", str(json_path)])
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        notes = [line for line in captured.err.splitlines() if "deprecated" in line]
+        assert len(notes) == 1 and "--execution threads" in notes[0]
+        assert "[serve] 3 documents" in captured.err
+        assert json.loads(json_path.read_text())["execution"] == "inline"
 
     def test_documents_output_dir_is_per_document(self, files, query_dir, documents):
         outdir = files["dir"] / "served"
@@ -232,7 +248,7 @@ class TestMultiPool:
             paths.append(str(path))
         return paths
 
-    @pytest.mark.parametrize("execution", ["threads", "inline", "async"])
+    @pytest.mark.parametrize("execution", ["inline", "async"])
     def test_pool_serves_all_documents(
         self, files, query_dir, documents, execution, capsys
     ):
@@ -373,13 +389,11 @@ class TestMultiProcessBackend:
         assert "[broken] ERROR: XMLSyntaxError" in captured.err
         assert "T0" in captured.out and "T1" in captured.out
 
-    def test_process_backend_defaults_to_inline_workers(
+    def test_unset_execution_is_inline_for_every_backend(
         self, files, query_dir, documents
     ):
         import json
 
-        # Unset --execution resolves per backend: "inline" inside process
-        # workers (per-query threads there only add handoff cost).
         json_path = files["dir"] / "exec.json"
         assert main(["multi", "-Q", str(query_dir), "-D", *documents,
                      "-d", files["dtd"], "--workers", "2",
@@ -388,7 +402,7 @@ class TestMultiProcessBackend:
         json_path2 = files["dir"] / "exec2.json"
         assert main(["multi", "-Q", str(query_dir), "-D", *documents,
                      "-d", files["dtd"], "-j", str(json_path2)]) == 0
-        assert json.loads(json_path2.read_text())["execution"] == "threads"
+        assert json.loads(json_path2.read_text())["execution"] == "inline"
 
     def test_process_backend_requires_workers(self, files, query_dir, capsys):
         exit_code = main(["multi", "-Q", str(query_dir), "-i", files["document"],
@@ -645,7 +659,7 @@ class TestExplainAnalyzer:
                         "== Execution mode =="):
             assert section in captured.out
         assert "predicted score" in captured.out
-        assert "chosen: execution=" in captured.out
+        assert "chosen: backend=" in captured.out
         # Timings close the report so the analysis reads first.
         assert captured.out.rstrip().rindex("== Optimizer timings ==") > captured.out.index(
             "== Execution mode =="
@@ -714,7 +728,7 @@ class TestMultiAutoMode:
                           "--backend", "auto"])
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "[auto] execution=" in captured.err
+        assert "[auto] backend=" in captured.err
         assert "[auto]   - " in captured.err
         assert "<!-- q3 -->" in captured.out
 

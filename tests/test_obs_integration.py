@@ -36,7 +36,7 @@ from repro.workloads.dtds import BIB_DTD_STRONG
 from tests.conftest import PAPER_DOCUMENT, PAPER_FIGURE1_DTD, PAPER_Q3
 
 TITLES_QUERY = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
-PASS_STAGES = {"pass.parse", "pass.route", "pass.dispatch", "pass.evaluate", "pass.emit"}
+PASS_STAGES = {"pass.parse", "pass.route", "pass.evaluate", "pass.emit"}
 CRASH = "CRASH-THIS-WORKER"
 
 
@@ -84,7 +84,7 @@ class TestServiceObservability:
             v["labels"]["stage"]
             for v in snap["repro_stage_duration_seconds"]["values"]
         }
-        assert stages == {"parse", "route", "dispatch", "evaluate", "emit"}
+        assert stages == {"parse", "route", "evaluate", "emit"}
         for sample in snap["repro_stage_duration_seconds"]["values"]:
             assert sample["count"] == 1
             assert "p95" in sample
@@ -146,6 +146,64 @@ class TestServiceObservability:
         assert totals.subtrees_pruned_total == pruned
         assert totals.as_dict()["elapsed_seconds_total"] == pytest.approx(elapsed)
         assert "subtrees_pruned_total" in totals.as_dict()
+
+
+def _check_stage_accounting(stage_seconds, elapsed_seconds):
+    assert set(stage_seconds) == {"parse", "route", "evaluate", "emit"}
+    assert all(seconds >= 0 for seconds in stage_seconds.values())
+    assert stage_seconds["evaluate"] > 0
+    assert sum(stage_seconds.values()) <= elapsed_seconds
+
+
+class TestStageAccounting:
+    """One dispatch loop, four stages, whichever component publishes them."""
+
+    DOCUMENT = generate_bibliography(num_books=30, seed=5)
+
+    def _pass(self, obs):
+        service = QueryService(BIB_DTD_STRONG, obs=obs)
+        service.register(TITLES_QUERY, key="t")
+        service.run_pass(self.DOCUMENT)
+        return service.metrics.last_pass
+
+    def test_pass_metrics_carry_the_stages_without_a_hub(self):
+        metrics = self._pass(None)
+        _check_stage_accounting(metrics.stage_seconds, metrics.elapsed_seconds)
+        assert metrics.as_dict()["stage_seconds"] == metrics.stage_seconds
+
+    def test_metrics_only_hub(self):
+        obs = Observability(metrics=MetricsRegistry())
+        metrics = self._pass(obs)
+        samples = obs.metrics.snapshot()["repro_stage_duration_seconds"]["values"]
+        assert all(sample["count"] == 1 for sample in samples)
+        stage_seconds = {s["labels"]["stage"]: s["sum"] for s in samples}
+        assert len(stage_seconds) == len(samples)
+        _check_stage_accounting(stage_seconds, metrics.elapsed_seconds)
+
+    def test_tracer_only_hub(self):
+        sink = MemorySink()
+        metrics = self._pass(Observability(tracer=Tracer(sink)))
+        stage_spans = [s for s in sink.spans if s["name"].startswith("pass.")]
+        stage_seconds = {s["name"][5:]: s["duration_s"] for s in stage_spans}
+        assert len(stage_seconds) == len(stage_spans)
+        (pass_span,) = [s for s in sink.spans if s["name"] == "pass"]
+        assert pass_span["duration_s"] == metrics.elapsed_seconds
+        _check_stage_accounting(stage_seconds, metrics.elapsed_seconds)
+
+    def test_process_backend_forwarded_spans(self):
+        sink = MemorySink()
+        obs = Observability(tracer=Tracer(sink))
+        with ProcessServicePool(
+            BIB_DTD_STRONG, workers=1, start_method="fork", obs=obs
+        ) as pool:
+            pool.register(TITLES_QUERY, key="t")
+            (served,) = list(pool.serve([self.DOCUMENT]))
+        assert served.ok
+        stage_spans = [s for s in sink.spans if s["name"].startswith("pass.")]
+        stage_seconds = {s["name"][5:]: s["duration_s"] for s in stage_spans}
+        assert len(stage_seconds) == len(stage_spans)
+        _check_stage_accounting(stage_seconds, served.metrics.elapsed_seconds)
+        assert served.metrics.stage_seconds == stage_seconds
 
 
 class TestThreadPoolObservability:
@@ -259,7 +317,7 @@ class TestProcessPoolObservability:
             v["labels"]["stage"]: v
             for v in snap["repro_stage_duration_seconds"]["values"]
         }
-        assert set(stages) == {"parse", "route", "dispatch", "evaluate", "emit"}
+        assert set(stages) == {"parse", "route", "evaluate", "emit"}
         ok_documents = sum(1 for o in served if o.ok)
         assert stages["evaluate"]["count"] == ok_documents
         assert snap["repro_passes_total"]["values"][0]["value"] == ok_documents

@@ -56,7 +56,7 @@ class TestPlanPickleRoundTrips:
             # byte-identical.
             outputs = []
             for candidate in (plan, restored):
-                service = QueryService(dtd_text, execution="inline")
+                service = QueryService(dtd_text)
                 service.register_compiled(candidate, key="q")
                 outputs.append(service.run_pass(document)["q"].output)
             assert outputs[0] == outputs[1], spec.key
@@ -90,7 +90,7 @@ class TestRegisterCompiled:
     def test_registers_without_touching_cache_or_pipeline(self):
         dtd_text, specs, document = _workload("bib")
         plan = compile_query(specs[0].xquery, pipeline=OptimizerPipeline(dtd_text))
-        service = QueryService(dtd_text, execution="inline")
+        service = QueryService(dtd_text)
         registration = service.register_compiled(plan, key="shipped")
         assert registration.key == "shipped"
         assert service.plan_cache.stats.misses == 0
@@ -154,9 +154,7 @@ class TestCacheSnapshots:
         fresh.load(path)
         document = generate_bibliography(num_books=10, seed=5)
         for spec in specs:
-            service = QueryService(
-                BIB_DTD_STRONG, plan_cache=fresh, execution="inline"
-            )
+            service = QueryService(BIB_DTD_STRONG, plan_cache=fresh)
             service.register(spec.xquery, key="q")
             output = service.run_pass(document)["q"].output
             solo = FluxEngine(BIB_DTD_STRONG).execute(spec.xquery, document).output
@@ -301,9 +299,7 @@ class TestSnapshotStructureSharing:
         document = generate_bibliography(num_books=8, seed=9)
         solo = FluxEngine(BIB_DTD_STRONG).execute(texts[0], document).output
         for text in texts:
-            service = QueryService(
-                BIB_DTD_STRONG, plan_cache=fresh, execution="inline"
-            )
+            service = QueryService(BIB_DTD_STRONG, plan_cache=fresh)
             service.register(text, key="q")
             assert service.run_pass(document)["q"].output == solo
         assert fresh.stats.misses == 0

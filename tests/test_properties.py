@@ -245,7 +245,7 @@ class TestFleetDifferentialProperties:
     """Random fleets of aliased + distinct queries vs solo runs.
 
     Hypothesis drives the fleet shape (how many base structures, how many
-    total registrations), the execution mode, and the feed chunking; the
+    total registrations), the serving face, and the feed chunking; the
     differential harness asserts every subscriber's shared output is
     byte-identical to an independent solo run of its exact query text.
     """
@@ -253,13 +253,13 @@ class TestFleetDifferentialProperties:
     @given(
         bases=st.integers(min_value=1, max_value=4),
         total=st.integers(min_value=1, max_value=10),
-        execution=st.sampled_from(["inline", "threads", "async"]),
+        face=st.sampled_from(["sync", "async"]),
         cuts=st.lists(st.integers(min_value=1, max_value=5_000), max_size=6),
         num_books=st.integers(min_value=0, max_value=8),
     )
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_fleets_match_solo_under_random_chunkings(
-        self, bases, total, execution, cuts, num_books
+        self, bases, total, face, cuts, num_books
     ):
         from repro.bench.fleets import (
             make_fleet,
@@ -277,17 +277,13 @@ class TestFleetDifferentialProperties:
         fleet = make_fleet(base_texts, total)
         document = generate_bibliography(num_books=num_books, seed=11)
         chunking = cuts or None
-        if execution == "async":
+        if face == "async":
             shared = run_shared_async(
                 fleet, document, dtd=BIB_DTD_STRONG, chunking=chunking
             )
         else:
             shared, service = run_shared(
-                fleet,
-                document,
-                dtd=BIB_DTD_STRONG,
-                execution=execution,
-                chunking=chunking,
+                fleet, document, dtd=BIB_DTD_STRONG, chunking=chunking
             )
             # The pass collapsed the fleet to its distinct structures.
             assert service.metrics.last_pass.structures == min(bases, total)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import EvaluationError, XMLValidationError
-from repro.runtime.evaluator import EvaluatorSession, EventChannel
+from repro.runtime.evaluator import EvaluatorSession
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.workloads.queries import get_query
@@ -79,7 +79,7 @@ class TestFluxQuerySession:
 
     def test_early_terminating_plan_drops_surplus_input(self):
         # BIB-Q6's unsatisfiable conditional finishes after one event; the
-        # channel must release the producer instead of deadlocking.
+        # session must drop the rest of the input, not choke on it.
         engine = FluxEngine(BIB_DTD_STRONG)
         document = generate_bibliography(num_books=50, seed=3)
         spec = get_query("BIB-Q6")
@@ -107,92 +107,46 @@ class TestEvaluatorSessionLifecycle:
             session.start()
         session.abort()
 
-    def test_channel_releases_producer_when_consumer_stops(self):
-        channel = EventChannel(maxsize=1)
-        channel.mark_consumer_done()
-        assert channel.put([1]) is False
-
-    def test_dropped_sessions_release_their_workers(self, engine):
-        import gc
-        import threading
-        import time
-
+    def test_lifecycle_errors(self, engine):
         compiled = engine.compile(PAPER_Q3)
-        before = threading.active_count()
-        for _ in range(5):
-            session = compiled.start()
-            session.feed(list(parse_events(PAPER_DOCUMENT))[:3])
-        del session  # all five dropped without finish()/abort()
-        gc.collect()
-        for _ in range(100):  # finalizers join; workers exit promptly
-            if threading.active_count() <= before:
-                break
-            time.sleep(0.02)
-        assert threading.active_count() <= before
-
-
-class TestInlineEvaluatorSession:
-    """The threadless execution mode: re-entrant generators, same bytes."""
-
-    def _session(self, engine, **kwargs):
-        compiled = engine.compile(PAPER_Q3)
-        return EvaluatorSession(
-            compiled.plan, engine.dtd, execution="inline", **kwargs
-        )
-
-    def test_inline_matches_thread_mode_bytes(self, engine):
-        solo = engine.execute(PAPER_Q3, PAPER_DOCUMENT)
-        session = self._session(engine).start()
-        events = list(parse_events(PAPER_DOCUMENT))
-        for start in range(0, len(events), 7):
-            session.feed(events[start : start + 7])
-        output, stats = session.finish()
-        assert output == solo.output
-        assert stats.events_processed > 0
-
-    def test_inline_spawns_no_threads(self, engine):
-        import threading
-
-        before = threading.active_count()
-        session = self._session(engine).start()
-        session.feed(parse_events(PAPER_DOCUMENT))
-        session.finish()
-        assert threading.active_count() == before
-
-    def test_inline_lifecycle_errors(self, engine):
-        session = self._session(engine)
-        with pytest.raises(EvaluationError):
-            session.feed([])
-        session.start()
-        with pytest.raises(EvaluationError):
-            session.start()
+        session = EvaluatorSession(compiled.plan, engine.dtd).start()
         session.abort()
         with pytest.raises(EvaluationError):
             session.feed([])
         with pytest.raises(EvaluationError):
             session.finish()
 
-    def test_inline_validation_error_raises_from_the_triggering_feed(self, engine):
+    def test_abort_closes_the_suspended_generator(self, engine):
+        compiled = engine.compile(PAPER_Q3)
+        session = EvaluatorSession(compiled.plan, engine.dtd).start()
+        session.feed(list(parse_events(PAPER_DOCUMENT))[:3])
+        generator = session._generator
+        assert generator is not None and generator.gi_frame is not None
+        session.abort()
+        assert session._generator is None
+        assert generator.gi_frame is None  # closed, not merely dropped
+        session.abort()  # idempotent
+
+    def test_validation_error_raises_from_the_triggering_feed(self, engine):
         invalid = list(parse_events("<bib><book><title>t</title></book></bib>"))
-        session = self._session(engine).start()
+        compiled = engine.compile(PAPER_Q3)
+        session = EvaluatorSession(compiled.plan, engine.dtd).start()
         with pytest.raises(XMLValidationError):
             session.feed(invalid)
+        with pytest.raises(XMLValidationError):  # and again at finish
+            session.finish()
 
-    def test_inline_early_terminating_plan_drops_surplus_input(self):
-        engine = FluxEngine(BIB_DTD_STRONG)
-        document = generate_bibliography(num_books=50, seed=3)
-        spec = get_query("BIB-Q6")
-        solo = engine.execute(spec.xquery, document)
-        compiled = engine.compile(spec.xquery)
-        session = EvaluatorSession(compiled.plan, engine.dtd, execution="inline").start()
-        events = list(parse_events(document))
-        for start in range(0, len(events), 100):
-            session.feed(events[start : start + 100])
-        output, _ = session.finish()
-        assert output == solo.output
+    def test_push_sessions_spawn_no_thread(self, engine):
+        import threading
 
-    def test_inline_finish_is_idempotent(self, engine):
-        session = self._session(engine).start()
-        session.feed(parse_events(PAPER_DOCUMENT))
-        first = session.finish()
-        assert session.finish() == first
+        compiled = engine.compile(PAPER_Q3)
+        before = threading.active_count()
+        finished = compiled.start()
+        assert threading.active_count() == before
+        finished.feed(parse_events(PAPER_DOCUMENT))
+        finished.finish()
+        for _ in range(5):  # dropped without finish()/abort()
+            dropped = compiled.start()
+            dropped.feed(list(parse_events(PAPER_DOCUMENT))[:3])
+        del dropped
+        assert threading.active_count() == before

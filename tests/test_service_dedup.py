@@ -19,7 +19,13 @@ import random
 
 import pytest
 
-from repro.bench.fleets import alias_query, make_fleet, run_shared, run_solo
+from repro.bench.fleets import (
+    alias_query,
+    make_fleet,
+    run_differential,
+    run_shared,
+    run_solo,
+)
 from repro.core.optimizer import OptimizerPipeline
 from repro.engines.flux_engine import FluxEngine
 from repro.runtime.compiler import compile_query
@@ -41,7 +47,6 @@ def bib_document():
 
 
 def _service(**kwargs):
-    kwargs.setdefault("execution", "inline")
     return QueryService(BIB_DTD_STRONG, **kwargs)
 
 
@@ -247,6 +252,24 @@ class TestGroupMaskDomain:
 class TestFleetDifferentialSmoke:
     """The 1k-query shared-vs-solo smokes (CI's ``fleet`` leg)."""
 
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_differential_harness_sync_and_async_all_chunkings(
+        self, bib_document, dedup
+    ):
+        chunkings = (None, 1, 64, [3, 50, 1000])
+        summary = run_differential(
+            BASES,
+            14,
+            bib_document,
+            dtd=BIB_DTD_STRONG,
+            chunkings=chunkings,
+            include_async=True,
+            dedup=dedup,
+        )
+        assert len(summary["configurations"]) == 2 * len(chunkings)
+        expected = len(BASES) if dedup else 14
+        assert summary["structures_per_pass"] == [expected] * len(chunkings)
+
     QUERIES = 1000
     STRUCTURES = 4
     SAMPLE = 60
@@ -258,11 +281,9 @@ class TestFleetDifferentialSmoke:
         rng = random.Random(20040831)
         return {query.key for query in rng.sample(fleet, self.SAMPLE)}
 
-    def test_fleet_smoke_threads_1k(self, bib_document):
+    def test_fleet_smoke_in_process_1k(self, bib_document):
         fleet = self._fleet()
-        shared, service = run_shared(
-            fleet, bib_document, dtd=BIB_DTD_STRONG, execution="threads"
-        )
+        shared, service = run_shared(fleet, bib_document, dtd=BIB_DTD_STRONG)
         assert len(shared) == self.QUERIES
         assert service.metrics.last_pass.structures == self.STRUCTURES
         assert service.metrics.queries_deduped == self.QUERIES - self.STRUCTURES

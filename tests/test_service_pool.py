@@ -48,10 +48,9 @@ def solo(query: str, document: str) -> str:
 
 
 class TestPoolBasics:
-    @pytest.mark.parametrize("execution", ["threads", "inline"])
-    def test_sharded_serve_matches_solo_per_document(self, documents, execution):
+    def test_sharded_serve_matches_solo_per_document(self, documents):
         q1 = get_query("BIB-Q1").xquery
-        pool = ServicePool(BIB_DTD_STRONG, workers=3, execution=execution)
+        pool = ServicePool(BIB_DTD_STRONG, workers=3)
         pool.register(q1, key="q1")
         pool.register(TITLES_QUERY, key="t")
         served = list(pool.serve(documents))
@@ -196,14 +195,11 @@ class TestPoolBasics:
 
 
 class TestPoolFaultIsolation:
-    @pytest.mark.parametrize("execution", ["threads", "inline"])
-    def test_failing_document_is_isolated_and_others_match_solo(
-        self, documents, execution
-    ):
+    def test_failing_document_is_isolated_and_others_match_solo(self, documents):
         q1 = get_query("BIB-Q1").xquery
         stream = list(documents)
         stream[2] = BAD_DOCUMENT
-        pool = ServicePool(BIB_DTD_STRONG, workers=3, execution=execution)
+        pool = ServicePool(BIB_DTD_STRONG, workers=3)
         pool.register(q1, key="q1")
         pool.register(TITLES_QUERY, key="t")
         served = list(pool.serve(stream))

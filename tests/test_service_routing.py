@@ -1,14 +1,15 @@
-"""Per-query event routing, execution modes, and shared-pass lifecycle fixes.
+"""Per-query event routing, serving faces, and shared-pass lifecycle fixes.
 
 PR 2's invariant sharpens PR 1's: not only must the shared pass agree
 byte-for-byte with solo runs, it must do so while forwarding to each query
 only the events *that query's* profile admits — rule (c) of the pruning
 semantics (children of condition-bearing elements are always forwarded)
 holds per plan, not just for the union.  The property test drives both
-execution modes (worker threads and the inline round-robin scheduler)
-under hypothesis-chosen feed chunkings.
+faces of the one pass (the sync ``QueryService`` and the asyncio
+``AsyncQueryService``) under hypothesis-chosen feed chunkings.
 """
 
+import asyncio
 import threading
 
 import pytest
@@ -16,9 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engines.flux_engine import FluxEngine
-from repro.errors import EvaluationError
 from repro.runtime.evaluator import EvaluatorSession
-from repro.service import PlanCache, QueryService
+from repro.service import AsyncQueryService, PlanCache, QueryService
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG
 from repro.workloads.queries import get_query, queries_for_workload
@@ -26,7 +26,37 @@ from repro.workloads.xmark import generate_auction_site
 
 from tests.conftest import PAPER_DOCUMENT, PAPER_FIGURE1_DTD, PAPER_Q3
 
-EXECUTION_MODES = ["threads", "inline"]
+FACES = ["sync", "async"]
+
+
+def _run_face(face, dtd, queries, pieces, plan_cache=None):
+    """One pass over ``pieces`` through the chosen face.
+
+    Returns ``({key: output}, per_query_forwarded)``.
+    """
+    if face == "sync":
+        service = QueryService(dtd, plan_cache=plan_cache)
+        for key, text in queries:
+            service.register(text, key=key)
+        shared_pass = service.open_pass()
+        for piece in pieces:
+            shared_pass.feed(piece)
+        results = shared_pass.finish()
+    else:
+        async_service = AsyncQueryService(dtd, plan_cache=plan_cache)
+        for key, text in queries:
+            async_service.register(text, key=key)
+
+        async def drive():
+            async_pass = async_service.open_pass()
+            for piece in pieces:
+                await async_pass.feed(piece)
+            return await async_pass.finish()
+
+        results = asyncio.run(drive())
+        service = async_service.service
+    outputs = {key: result.output for key, result in results.items()}
+    return outputs, dict(service.metrics.last_pass.per_query_forwarded)
 
 
 @pytest.fixture(scope="module")
@@ -66,39 +96,32 @@ def _chunks(document, cuts):
 
 
 class TestRoutingInvariant:
-    """Shared routed output == solo output, any chunking, both modes."""
+    """Shared routed output == solo output, any chunking, both faces."""
 
     @given(
-        execution=st.sampled_from(EXECUTION_MODES),
+        face=st.sampled_from(FACES),
         cuts=st.lists(st.integers(min_value=1, max_value=20_000), max_size=8),
     )
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_routed_outputs_match_solo_under_random_chunkings(
-        self, bib_document, bib_solo, shared_plan_cache, execution, cuts
+        self, bib_document, bib_solo, shared_plan_cache, face, cuts
     ):
-        service = QueryService(
-            BIB_DTD_STRONG, plan_cache=shared_plan_cache, execution=execution
+        queries = [(spec.key, spec.xquery) for spec in queries_for_workload("bib")]
+        outputs, _ = _run_face(
+            face, BIB_DTD_STRONG, queries, _chunks(bib_document, cuts), shared_plan_cache
         )
-        for spec in queries_for_workload("bib"):
-            service.register(spec.xquery, key=spec.key)
-        shared_pass = service.open_pass()
-        for piece in _chunks(bib_document, cuts):
-            shared_pass.feed(piece)
-        results = shared_pass.finish()
         for key, solo_output in bib_solo.items():
-            assert results[key].output == solo_output, key
+            assert outputs[key] == solo_output, key
 
-    @pytest.mark.parametrize("execution", EXECUTION_MODES)
-    def test_auction_fleet_agrees_in_both_modes(self, auction_document, execution):
+    @pytest.mark.parametrize("face", FACES)
+    def test_auction_fleet_agrees_with_solo(self, auction_document, face):
         specs = queries_for_workload("auction")
         engine = FluxEngine(AUCTION_DTD)
-        service = QueryService(AUCTION_DTD, execution=execution)
-        for spec in specs:
-            service.register(spec.xquery, key=spec.key)
-        results = service.run_pass(auction_document)
+        queries = [(spec.key, spec.xquery) for spec in specs]
+        outputs, _ = _run_face(face, AUCTION_DTD, queries, [auction_document])
         for spec in specs:
             solo = engine.execute(spec.xquery, auction_document)
-            assert results[spec.key].output == solo.output, spec.key
+            assert outputs[spec.key] == solo.output, spec.key
 
 
 class TestPerQueryCounters:
@@ -122,15 +145,13 @@ class TestPerQueryCounters:
             routed < forwarded for routed in metrics.per_query_forwarded.values()
         )
 
-    def test_routing_is_execution_mode_independent(self, bib_document):
-        counts = {}
-        for execution in EXECUTION_MODES:
-            service = QueryService(BIB_DTD_STRONG, execution=execution)
-            for spec in queries_for_workload("bib"):
-                service.register(spec.xquery, key=spec.key)
-            service.run_pass(bib_document)
-            counts[execution] = dict(service.metrics.last_pass.per_query_forwarded)
-        assert counts["threads"] == counts["inline"]
+    def test_routing_is_face_independent(self, bib_document):
+        queries = [(spec.key, spec.xquery) for spec in queries_for_workload("bib")]
+        counts = {
+            face: _run_face(face, BIB_DTD_STRONG, queries, [bib_document])[1]
+            for face in FACES
+        }
+        assert counts["sync"] and counts["sync"] == counts["async"]
 
     def test_single_query_pass_routes_everything_forwarded(self, bib_document):
         service = QueryService(BIB_DTD_STRONG)
@@ -141,9 +162,9 @@ class TestPerQueryCounters:
         assert metrics.per_query_pruned["q"] == 0
 
 
-class TestInlineExecution:
-    def test_inline_pass_spawns_no_threads(self, bib_document):
-        service = QueryService(BIB_DTD_STRONG, execution="inline")
+class TestOneDriver:
+    def test_default_pass_spawns_no_threads(self, bib_document):
+        service = QueryService(BIB_DTD_STRONG)
         for spec in queries_for_workload("bib"):
             service.register(spec.xquery, key=spec.key)
         before = threading.active_count()
@@ -154,45 +175,64 @@ class TestInlineExecution:
     def test_unknown_execution_mode_rejected(self):
         with pytest.raises(ValueError):
             QueryService(BIB_DTD_STRONG, execution="fibers")
-        with pytest.raises(ValueError):
-            EvaluatorSession(object(), execution="fibers")
 
-    def test_inline_validation_error_raises_from_feed(self):
-        # The shared validator runs on the dispatch thread in both modes;
-        # with inline sessions the whole failure path is synchronous.
+    def test_deprecated_threads_alias_warns_and_changes_nothing(self, bib_document):
+        specs = queries_for_workload("bib")
+        default = QueryService(BIB_DTD_STRONG)
+        with pytest.warns(DeprecationWarning, match="threads"):
+            aliased = QueryService(BIB_DTD_STRONG, execution="threads")
+        for service in (default, aliased):
+            for spec in specs:
+                service.register(spec.xquery, key=spec.key)
+        before = threading.active_count()
+        expected = default.run_pass(bib_document)
+        actual = aliased.run_pass(bib_document)
+        assert threading.active_count() == before
+        assert {k: r.output for k, r in actual.items()} == {
+            k: r.output for k, r in expected.items()
+        }
+
+    def test_inline_alias_is_silent(self, recwarn):
+        QueryService(BIB_DTD_STRONG, execution="inline")
+        assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+
+    def test_validation_error_raises_from_feed(self):
+        # The shared validator and every evaluation run on the feeding
+        # thread, so the whole failure path is synchronous.
         from repro.errors import XMLValidationError
 
-        service = QueryService(PAPER_FIGURE1_DTD, execution="inline")
+        service = QueryService(PAPER_FIGURE1_DTD)
         service.register(PAPER_Q3, key="q3")
         shared_pass = service.open_pass()
         with pytest.raises(XMLValidationError):
             shared_pass.feed("<bib><bad/></bib>")
-            shared_pass.finish()
+        assert shared_pass.aborted and service.active_pass is None
 
 
 class TestSharedPassLifecycleFixes:
-    def test_failed_kth_session_start_releases_earlier_workers(self, monkeypatch):
+    def test_failed_kth_session_start_closes_earlier_generators(self, monkeypatch):
         # Regression: the 3rd of 4 sessions fails to start; the 2 already
-        # running workers must be aborted, not silently stranded.
+        # suspended generators must be closed and the slot released.
         service = QueryService(BIB_DTD_STRONG)
         for index, spec in enumerate(queries_for_workload("bib")[:4]):
             service.register(spec.xquery, key=spec.key)
         real_start = EvaluatorSession.start
-        calls = {"count": 0}
+        started = []
 
         def failing_start(session):
-            calls["count"] += 1
-            if calls["count"] == 3:
+            if len(started) == 2:
                 raise RuntimeError("injected start failure")
+            started.append(session)
             return real_start(session)
 
         monkeypatch.setattr(EvaluatorSession, "start", failing_start)
-        before = threading.active_count()
         with pytest.raises(RuntimeError):
             service.open_pass()
-        assert threading.active_count() == before
+        assert len(started) == 2
+        assert all(session._generator is None for session in started)
+        assert service.active_pass is None
 
-    def test_failed_constructor_tail_releases_started_workers(self, monkeypatch):
+    def test_failed_constructor_tail_closes_started_generators(self, monkeypatch):
         # Same leak class, later in the constructor: all sessions started,
         # then the routing-index build fails.
         import repro.service.session as session_module
@@ -200,14 +240,23 @@ class TestSharedPassLifecycleFixes:
         def exploding_index(*args, **kwargs):
             raise RuntimeError("injected index failure")
 
+        real_start = EvaluatorSession.start
+        started = []
+
+        def recording_start(session):
+            started.append(session)
+            return real_start(session)
+
+        monkeypatch.setattr(EvaluatorSession, "start", recording_start)
         monkeypatch.setattr(session_module, "SharedProjectionIndex", exploding_index)
         service = QueryService(BIB_DTD_STRONG)
         for spec in queries_for_workload("bib")[:3]:
             service.register(spec.xquery, key=spec.key)
-        before = threading.active_count()
         with pytest.raises(RuntimeError):
             service.open_pass()
-        assert threading.active_count() == before
+        assert len(started) == 3
+        assert all(session._generator is None for session in started)
+        assert service.active_pass is None
 
     def test_feed_and_finish_after_abort_raise_value_error(self):
         service = QueryService(PAPER_FIGURE1_DTD)
@@ -234,9 +283,8 @@ class TestSharedPassLifecycleFixes:
         # The service is still serviceable afterwards.
         assert service.run_pass(PAPER_DOCUMENT)["q3"].output
 
-    @pytest.mark.parametrize("execution", EXECUTION_MODES)
-    def test_abort_then_fresh_pass_in_both_modes(self, execution):
-        service = QueryService(PAPER_FIGURE1_DTD, execution=execution)
+    def test_abort_then_fresh_pass(self):
+        service = QueryService(PAPER_FIGURE1_DTD)
         service.register(PAPER_Q3, key="q3")
         doomed = service.open_pass()
         doomed.feed("<bib>")
@@ -289,9 +337,7 @@ class TestFleetGroupRouting:
 
         specs = queries_for_workload("bib")[:3]
         fleet = make_fleet([spec.xquery for spec in specs], 9)
-        shared, service = run_shared(
-            fleet, bib_document, dtd=BIB_DTD_STRONG, execution="threads"
-        )
+        shared, service = run_shared(fleet, bib_document, dtd=BIB_DTD_STRONG)
         metrics = service.metrics.last_pass
         assert metrics.structures == 3
         # Every subscriber gets its own counter entry, and aliases of one

@@ -8,13 +8,14 @@ to a fresh solo ``FluxEngine.execute`` of that query over that document, and
 its metrics (per-pass and cumulative) stay consistent throughout.
 """
 
+import asyncio
 import io
 
 import pytest
 
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import PassInProgressError
-from repro.service import QueryService, ServedDocument
+from repro.service import AsyncQueryService, QueryService, ServedDocument
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.workloads.queries import get_query
@@ -37,14 +38,25 @@ def solo(query: str, document: str) -> str:
 
 
 class TestServeLoop:
-    @pytest.mark.parametrize("execution", ["threads", "inline"])
-    def test_serve_matches_solo_per_document(self, documents, execution):
+    @pytest.mark.parametrize("face", ["sync", "async"])
+    def test_serve_matches_solo_per_document(self, documents, face):
         q1 = get_query("BIB-Q1").xquery
         q3 = get_query("BIB-Q3").xquery
-        service = QueryService(BIB_DTD_STRONG, execution=execution)
+        if face == "sync":
+            service = QueryService(BIB_DTD_STRONG)
+        else:
+            front = AsyncQueryService(BIB_DTD_STRONG)
+            service = front.service
         service.register(q1, key="q1")
         service.register(q3, key="q3")
-        served = list(service.serve(documents))
+        if face == "sync":
+            served = list(service.serve(documents))
+        else:
+
+            async def collect():
+                return [outcome async for outcome in front.serve(documents)]
+
+            served = asyncio.run(collect())
         assert [outcome.index for outcome in served] == [0, 1, 2, 3]
         for outcome, document in zip(served, documents):
             assert isinstance(outcome, ServedDocument)
@@ -232,7 +244,7 @@ class TestOnePassAtATime:
     def test_abandoned_pass_frees_the_slot_via_gc(self):
         import gc
 
-        service = QueryService(PAPER_FIGURE1_DTD, execution="inline")
+        service = QueryService(PAPER_FIGURE1_DTD)
         service.register(PAPER_Q3, key="q3")
         shared_pass = service.open_pass()
         shared_pass.feed("<bib>")
