@@ -8,10 +8,11 @@ workers sharing one plan cache.  This experiment measures what that is
 worth, in the regime the pool exists for and in the one it cannot help:
 
 * **serving regime** (the headline): documents arrive as chunked *feeds*
-  with per-chunk delivery latency (:class:`LatencyFeed` — ``read()``
-  blocks like a socket would, releasing the GIL).  A single serve loop
-  pays ``delivery + evaluation`` per document, serially; the pool hides
-  delivery behind the other workers' evaluation.  Measured at 1, 2, 4, 8
+  with per-chunk delivery latency
+  (:class:`~repro.bench.feeds.LatencyFeedSource` — the serving worker's
+  ``read()`` blocks like a socket would, releasing the GIL).  A single
+  serve loop pays ``delivery + evaluation`` per document, serially; the
+  pool hides delivery behind the other workers' evaluation.  Measured at 1, 2, 4, 8
   workers on bib and XMark fleets; the acceptance bar is **pool(4) ≥ 2×
   the single-service loop** in documents/second.
 * **CPU-bound regime** (the honest footnote): the same documents as
@@ -34,7 +35,6 @@ Results land in ``benchmarks/results/s4_pool_scaling.{json,txt}``.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import sys
@@ -44,6 +44,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.bench.feeds import LatencyFeedSource
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import XMLSyntaxError
 from repro.service import QueryService, ServicePool
@@ -69,29 +70,14 @@ WORKER_COUNTS = [1, 2, 4, 8]
 _REPORT: Dict[str, dict] = {}
 
 
-class LatencyFeed(io.TextIOBase):
-    """A document arriving over a slow transport.
-
-    ``read()`` returns the next chunk after :data:`CHUNK_LATENCY_SECONDS`
-    (``time.sleep`` blocks exactly like a socket read: the GIL is
-    released, so other pool workers keep evaluating).  Works anywhere the
-    service accepts a file-like document.
-    """
-
-    def __init__(self, text: str, chunks: int = FEED_CHUNKS,
-                 latency: float = CHUNK_LATENCY_SECONDS):
-        step = max(1, (len(text) + chunks - 1) // chunks)
-        self._parts = [text[i : i + step] for i in range(0, len(text), step)]
-        self._latency = latency
-        self._next = 0
-
-    def read(self, size: int = -1) -> str:  # size ignored: chunked source
-        if self._next >= len(self._parts):
-            return ""
-        time.sleep(self._latency)
-        part = self._parts[self._next]
-        self._next += 1
-        return part
+def _stream(documents, feeds: bool):
+    """The served stream: latency-feed recipes, or the in-memory texts."""
+    if not feeds:
+        return list(documents)
+    return [
+        LatencyFeedSource(doc, FEED_CHUNKS, CHUNK_LATENCY_SECONDS)
+        for doc in documents
+    ]
 
 
 def _workload(name: str):
@@ -130,7 +116,7 @@ def _run_single_loop(dtd, specs, documents, feeds: bool) -> dict:
     service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
-    stream = [LatencyFeed(doc) if feeds else doc for doc in documents]
+    stream = _stream(documents, feeds)
     started = time.perf_counter()
     served = list(service.serve(stream))
     elapsed = time.perf_counter() - started
@@ -176,7 +162,7 @@ def _run_pool(dtd, specs, documents, workers: int, feeds: bool) -> dict:
     )
     assert stats.coalesced + stats.hits == (workers - 1) * len(specs)
 
-    stream = [LatencyFeed(doc) if feeds else doc for doc in documents]
+    stream = _stream(documents, feeds)
     started = time.perf_counter()
     served = list(pool.serve(stream))
     elapsed = time.perf_counter() - started
@@ -198,7 +184,7 @@ def _fault_isolation(dtd, specs, documents, solo) -> dict:
     pool = ServicePool(dtd, workers=4)
     for spec in specs:
         pool.register(spec.xquery, key=spec.key)
-    served = list(pool.serve(LatencyFeed(doc) for doc in stream))
+    served = list(pool.serve(_stream(stream, feeds=True)))
     assert sorted(outcome.index for outcome in served) == list(range(len(stream)))
     failures = [outcome for outcome in served if not outcome.ok]
     assert len(failures) == 1 and failures[0].index == bad_index

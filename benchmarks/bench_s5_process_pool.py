@@ -22,10 +22,9 @@ it costs, in both regimes:
   and records the constraint in the committed results instead of
   pretending a number the hardware cannot produce.
 * **latency-bound regime** (the thread pool's home turf): chunked feeds
-  with 15 ms/chunk delivery latency.  The thread pool reads feeds in its
-  workers; the process pool ships
-  :class:`~repro.bench.feeds.LatencyFeedSource` recipes so its *workers*
-  pay the delivery, keeping it overlapped.  The bar here — pool(4) ≥ 2×
+  with 15 ms/chunk delivery latency.  Every face is handed the same
+  :class:`~repro.bench.feeds.LatencyFeedSource` recipes, so whichever
+  *worker* serves a document pays its delivery, keeping it overlapped.  The bar here — pool(4) ≥ 2×
   the single loop — holds on any hardware (sleeping needs no cores) and
   is always enforced, for both backends.
 * **crash isolation** (beyond S4): a worker process killed mid-document
@@ -45,7 +44,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.bench.feeds import LatencyFeed, LatencyFeedSource
+from repro.bench.feeds import LatencyFeedSource
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import WorkerCrashError
 from repro.service import ProcessServicePool, QueryService, ServicePool
@@ -123,26 +122,30 @@ def _timed_serve(pool_or_service, stream) -> dict:
     }
 
 
+def _stream(documents, feeds: bool):
+    """The served stream — the same for every face: latency-feed recipes
+    (materialized, and their delivery paid, by whichever worker serves
+    them), or the in-memory texts."""
+    if not feeds:
+        return list(documents)
+    return [
+        LatencyFeedSource(doc, FEED_CHUNKS, CHUNK_LATENCY_SECONDS)
+        for doc in documents
+    ]
+
+
 def _run_single_loop(dtd, specs, documents, feeds: bool) -> dict:
     service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
-    stream = [
-        LatencyFeed(doc, FEED_CHUNKS, CHUNK_LATENCY_SECONDS) if feeds else doc
-        for doc in documents
-    ]
-    return _timed_serve(service, stream)
+    return _timed_serve(service, _stream(documents, feeds))
 
 
 def _run_thread_pool(dtd, specs, documents, workers: int, feeds: bool) -> dict:
     pool = ServicePool(dtd, workers=workers)
     for spec in specs:
         pool.register(spec.xquery, key=spec.key)
-    stream = [
-        LatencyFeed(doc, FEED_CHUNKS, CHUNK_LATENCY_SECONDS) if feeds else doc
-        for doc in documents
-    ]
-    return _timed_serve(pool, stream)
+    return _timed_serve(pool, _stream(documents, feeds))
 
 
 def _run_process_pool(dtd, specs, documents, workers: int, feeds: bool) -> dict:
@@ -176,13 +179,7 @@ def _run_process_pool(dtd, specs, documents, workers: int, feeds: bool) -> dict:
             count == 0 for count in pool.worker_compilations().values()
         ), "a worker process ran the optimizer: plan shipping is broken"
 
-        stream = [
-            LatencyFeedSource(doc, FEED_CHUNKS, CHUNK_LATENCY_SECONDS)
-            if feeds
-            else doc
-            for doc in documents
-        ]
-        run = _timed_serve(pool, stream)
+        run = _timed_serve(pool, _stream(documents, feeds))
         run["ship_count"] = metrics.ship_count
         run["ship_bytes"] = metrics.ship_bytes
         run["parent_compilations"] = stats.misses

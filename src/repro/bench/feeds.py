@@ -1,17 +1,15 @@
 """Document feed fixtures shared by the serving benchmarks and tests.
 
-The service benchmarks model two delivery regimes:
-
-* **latency-bound** — documents arrive as chunked feeds with per-chunk
-  transport latency (an upload, a socket).  :class:`LatencyFeed` is the
-  file-like rendering for in-process consumers (``time.sleep`` releases
-  the GIL exactly like a blocking socket read, so other pool workers keep
-  evaluating);
-* the same feed for a **process pool** must not be drained in the parent
-  (that would serialize delivery on the dispatch loop), so
-  :class:`LatencyFeedSource` ships the *recipe* — text, chunking, latency
-  — and the worker process materializes its own :class:`LatencyFeed`,
-  keeping delivery overlapped across workers in both backends.
+The service benchmarks model a **latency-bound** delivery regime:
+documents arrive as chunked feeds with per-chunk transport latency (an
+upload, a socket).  :class:`LatencyFeed` is the file-like rendering
+(``time.sleep`` releases the GIL exactly like a blocking socket read, so
+other pool workers keep evaluating); :class:`LatencyFeedSource` is its
+picklable *recipe* — text, chunking, latency — which every serving face
+accepts and the worker that serves the document materializes, so delivery
+stays overlapped across workers on the thread and process backends alike
+(a feed drained in a process pool's parent would serialize on the dispatch
+loop).
 
 Both are deliberately deterministic: same text, same chunking, same
 latency schedule, so thread/process comparisons measure the backends, not
@@ -23,7 +21,7 @@ from __future__ import annotations
 import io
 import time
 
-from repro.service.process_pool import DocumentSource
+from repro.service.service import DocumentSource
 
 
 class LatencyFeed(io.TextIOBase):
@@ -51,10 +49,9 @@ class LatencyFeed(io.TextIOBase):
 class LatencyFeedSource(DocumentSource):
     """The picklable recipe of a :class:`LatencyFeed`.
 
-    Shipped to a :class:`~repro.service.process_pool.ProcessServicePool`
-    worker, which materializes (and pays the delivery latency of) the feed
-    itself — the process-backend counterpart of handing a
-    :class:`LatencyFeed` to a thread pool.
+    The worker that serves it — a pool thread, a worker process, or the
+    plain serve loop — materializes (and pays the delivery latency of) the
+    feed itself.  Reusable, unlike the feed it opens.
     """
 
     def __init__(self, text: str, chunks: int = 10, latency: float = 0.015):

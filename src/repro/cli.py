@@ -301,38 +301,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-class _StreamingDocument:
-    """A file-like over a path that closes itself at end of file.
-
-    Pool workers hold documents in flight concurrently, so the source
-    generator cannot scope each handle with ``with`` (the block would
-    close it as soon as the shard pulls the *next* document, racing the
-    worker still reading this one).  This reader owns its handle and
-    closes it when the pass has drained it, keeping pooled serving as
-    streaming as the plain loop.
-    """
-
-    def __init__(self, path: str):
-        self._handle = open(path, "r", encoding="utf-8")
-
-    def read(self, size: int = -1) -> str:
-        if self._handle.closed:
-            return ""
-        chunk = self._handle.read(size)
-        if not chunk:
-            self._handle.close()
-        return chunk
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __del__(self):  # aborted pass: the handle still gets released
-        try:
-            self._handle.close()
-        except Exception:
-            pass
-
-
 def _load_multi_queries(queries_dir: str):
     """The ``multi`` query catalogue: ``[(key, xquery text)]`` or an error.
 
@@ -586,20 +554,11 @@ def _command_multi(args: argparse.Namespace) -> int:
     workers = args.workers if pooled else 1
 
     def documents():
-        """One streamed document per served path (handles closed after —
-        or, in pooled mode, at end of — their pass).  With the process
-        backend, file paths ship as :class:`FileDocument` recipes so the
-        worker that serves a document also reads it."""
+        """One recipe per served path: the worker that serves a document
+        opens, streams and closes its file, inside the step's fault
+        isolation (an unopenable file is a failed document)."""
         for path in paths:
-            if path == "-":
-                yield stdin_text
-            elif args.backend == "processes":
-                yield FileDocument(path)
-            elif pooled:
-                yield _StreamingDocument(path)
-            else:
-                with open(path, "r", encoding="utf-8") as handle:
-                    yield handle
+            yield stdin_text if path == "-" else FileDocument(path)
 
     validate = not args.no_validate
     obs = _build_observability(args)

@@ -612,14 +612,6 @@ class EvaluatorSession:
         self._result: Optional[Tuple[str, RuntimeStats]] = None
         self._aborted = False
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def finished(self) -> bool:
-        return self._result is not None
-
     def start(self) -> "EvaluatorSession":
         """Begin execution; must be called once before :meth:`feed`."""
         if self._started:

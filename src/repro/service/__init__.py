@@ -5,22 +5,23 @@ Public surface:
 * :class:`QueryService` — register many XQueries, execute them all in a
   single shared pass with push-based ingestion, the dispatcher
   round-robining re-entrant evaluations on the feeding thread;
-  :meth:`QueryService.serve` is the long-lived loop (one pass per document
-  of a stream, registration churn allowed between passes);
+  :meth:`QueryService.serve_document` is the one per-document step every
+  serving face runs, :meth:`QueryService.serve` the long-lived loop over
+  it (registration churn allowed between passes);
+  :class:`FileDocument` / :class:`DocumentSource` are document *recipes*
+  the serving worker materializes inside that step;
 * :class:`ServicePool` / :class:`AsyncServicePool` — the fault-isolated
   pool: N mirrored worker services sharing one plan cache shard a document
-  stream (threads, or asyncio tasks), yielding per-document results as
-  they complete and isolating failing documents into error-tagged
-  :class:`ServedDocument` outcomes; :class:`PoolMetrics` aggregates the
-  workers' accounting;
-* :class:`ProcessServicePool` — the same pool over worker *processes* for
+  stream (threads, or asyncio tasks) through the one sharding loop
+  (:meth:`PoolCore.serve`), yielding per-document results as they complete
+  and delivering failing documents as error-tagged :class:`ServedDocument`
+  outcomes; :class:`PoolMetrics` aggregates the workers' accounting;
+* :class:`ProcessServicePool` — the same loop over worker *processes* for
   CPU-bound streams: the parent compiles once through the shared cache and
   ships pickled plan artifacts to the workers (``ship_count`` /
   ``ship_bytes`` in the metrics), evaluation parallelizes across cores,
   and a crashed worker process is respawned with its in-flight document
   error-tagged (:class:`~repro.errors.WorkerCrashError`);
-  :class:`FileDocument` / :class:`DocumentSource` let workers materialize
-  documents themselves instead of shipping text through the parent;
 * :class:`AsyncQueryService` / :class:`AsyncSharedPass` — the asyncio
   ingestion front end over the same pass (coroutine ``feed`` /
   ``finish`` / ``serve``);
@@ -59,12 +60,13 @@ from repro.service.dispatcher import (
 from repro.service.metrics import PassMetrics, PoolMetrics, ServiceMetrics
 from repro.service.pool import AsyncServicePool, ServicePool
 from repro.service.pool_core import PoolCore, ServiceBackedPool
-from repro.service.process_pool import (
+from repro.service.process_pool import ProcessServicePool
+from repro.service.service import (
     DocumentSource,
     FileDocument,
-    ProcessServicePool,
+    QueryService,
+    ServedDocument,
 )
-from repro.service.service import QueryService, ServedDocument
 from repro.service.session import (
     PlanStructure,
     RegisteredQuery,

@@ -12,7 +12,13 @@ event loop needs.  :class:`AsyncQueryService` packages that:
   suspended evaluations synchronously — the work is CPU-bound and brief per
   chunk — then yields control to the event loop, so a server can interleave
   many connections' chunks with query evaluation on one thread;
-* :meth:`AsyncQueryService.serve` is the async serving loop: one pass per
+* :meth:`AsyncQueryService.serve_document` is the one coloured twin of
+  :meth:`QueryService.serve_document
+  <repro.service.service.QueryService.serve_document>` — the same document
+  step, but it must ``await`` between chunks and it accepts async chunk
+  iterables; ``run_pass``, ``serve`` and the asyncio pool's workers all
+  call it;
+* :meth:`AsyncQueryService.serve` is the async serving loop: one step per
   document, documents from a plain iterable *or* an async iterable (e.g. a
   queue of uploads), with registration changes allowed between passes.
 
@@ -35,7 +41,14 @@ from repro.engines.base import QueryResult
 from repro.obs import Observability
 from repro.runtime.plan_cache import PlanCache
 from repro.service.metrics import PassMetrics, ServiceMetrics
-from repro.service.service import QueryService, ServedDocument, _READ_CHUNK
+from repro.service.service import (
+    QueryService,
+    ServedDocument,
+    _READ_CHUNK,
+    failed_document,
+    finished_document,
+    materialized,
+)
 from repro.service.session import RegisteredQuery, SharedPass
 
 
@@ -58,6 +71,10 @@ class AsyncSharedPass:
     @property
     def metrics(self) -> PassMetrics:
         return self._pass.metrics
+
+    @property
+    def structure_subscribers(self):
+        return self._pass.structure_subscribers
 
     @property
     def aborted(self) -> bool:
@@ -194,53 +211,71 @@ class AsyncQueryService:
             self._service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
         )
 
-    async def run_pass(
-        self, document: Union[str, io.TextIOBase]
-    ) -> Dict[str, QueryResult]:
-        """Run all registered queries over one document in one shared scan.
+    async def serve_document(
+        self,
+        document,
+        index: int = 0,
+        chunk_size: int = 256,
+        trace_id: Optional[str] = None,
+        worker: Optional[int] = None,
+    ) -> ServedDocument:
+        """The document step, awaited: :meth:`QueryService.serve_document`
+        with an ``await`` point per fed chunk.
 
         ``document`` is XML text, a (synchronous) file-like object — reads
-        are chunked, with an ``await`` point per chunk — or an *async
+        are chunked, with an ``await`` point per chunk — a
+        :class:`~repro.service.service.DocumentSource` recipe, or an *async
         iterable of text chunks* (e.g. a connection yielding a document as
         it arrives), awaited chunk by chunk so slow delivery never blocks
-        the event loop.
+        the event loop.  Same outcome contract as the sync step: an
+        ``Exception`` aborts the pass and comes back error-tagged, anything
+        harsher — task cancellation included — aborts and propagates.
         """
-        shared_pass = self.open_pass()
+        shared_pass = None
         try:
-            await self._feed_document(shared_pass, document)
-            return await shared_pass.finish()
-        except BaseException:
-            shared_pass.abort()
-            raise
+            with materialized(document) as opened:
+                shared_pass = self.open_pass(chunk_size=chunk_size, trace_id=trace_id)
+                if isinstance(opened, str):
+                    await shared_pass.feed(opened)
+                elif hasattr(opened, "__aiter__"):
+                    async for chunk in opened:
+                        await shared_pass.feed(chunk)
+                else:
+                    while True:
+                        # The cooperative-CPU compromise the module docstring
+                        # documents: a bounded local read (and, for a recipe,
+                        # a local open); async chunk sources are the
+                        # non-blocking alternative for slow delivery.
+                        # async-ok: bounded 64 KiB read of a local file or StringIO
+                        chunk = opened.read(_READ_CHUNK)
+                        if not chunk:
+                            break
+                        await shared_pass.feed(chunk)
+                results = await shared_pass.finish()
+            return finished_document(
+                self.plan_cache, shared_pass, results, index, worker
+            )
+        except BaseException as exc:
+            return failed_document(shared_pass, exc, index, worker)
 
-    async def _feed_document(self, shared_pass: AsyncSharedPass, document) -> None:
-        if isinstance(document, str):
-            await shared_pass.feed(document)
-            return
-        if hasattr(document, "__aiter__"):
-            async for chunk in document:
-                await shared_pass.feed(chunk)
-            return
-        while True:
-            # The cooperative-CPU compromise the module docstring documents:
-            # a bounded local read; async chunk sources are the non-blocking
-            # alternative for slow delivery.
-            # async-ok: bounded 64 KiB read of a local file or StringIO
-            chunk = document.read(_READ_CHUNK)
-            if not chunk:
-                break
-            await shared_pass.feed(chunk)
+    async def run_pass(self, document) -> Dict[str, QueryResult]:
+        """Run all registered queries over one document in one shared scan
+        (any document form :meth:`serve_document` takes); a failing
+        document aborts the pass and raises the original error."""
+        served = await self.serve_document(document)
+        if served.error is not None:
+            raise served.error
+        return served.results
 
     async def serve(
         self,
         documents,
         chunk_size: int = 256,
     ) -> AsyncIterator[ServedDocument]:
-        """Async serving loop: one shared pass per document.
+        """Async serving loop: one :meth:`serve_document` step per document.
 
-        ``documents`` is a plain or *async* iterable of documents, each one
-        XML text, a file-like object, or an async iterable of text chunks
-        (see :meth:`run_pass`).  Semantics match
+        ``documents`` is a plain or *async* iterable of documents.
+        Semantics match
         :meth:`QueryService.serve` — per-document registration snapshots,
         churn allowed between passes, ``ValueError`` on an empty service
         (checked *before* the next document is pulled, so catching it,
@@ -262,14 +297,8 @@ class AsyncQueryService:
                 document = await iterator.__anext__()
             except StopAsyncIteration:
                 return
-            shared_pass = self.open_pass(chunk_size=chunk_size)
-            try:
-                await self._feed_document(shared_pass, document)
-                results = await shared_pass.finish()
-            except BaseException:
-                shared_pass.abort()
-                raise
-            yield ServedDocument(
-                index=index, results=results, metrics=shared_pass.metrics
-            )
+            served = await self.serve_document(document, index, chunk_size)
+            if served.error is not None:
+                raise served.error
+            yield served
             index += 1

@@ -3,9 +3,13 @@
 The thread-backed :class:`~repro.service.pool.ServicePool` flatlines at
 ~1× on CPU-bound document streams — under CPython's GIL its workers
 interleave evaluation instead of parallelizing it (S4 reports this
-honestly).  :class:`ProcessServicePool` is the same pool architecture with
-the workers moved into separate *processes*, where evaluation runs truly
-in parallel on separate cores:
+honestly).  :class:`ProcessServicePool` is the pipe *transport* of the
+same pool: the sharding loop and outcome delivery are
+:class:`~repro.service.pool_core.PoolCore`'s, each worker runs the same
+:meth:`~repro.service.service.QueryService.serve_document` step, and this
+module supplies ``_submit`` / ``_wait`` / ``_drain`` over per-worker pipes
+with the workers moved into separate *processes*, where evaluation runs
+truly in parallel on separate cores:
 
 * **compile once, ship once per structure** — the parent compiles every
   registration through the shared
@@ -25,20 +29,18 @@ in parallel on separate cores:
   Shipping volume is reported as ``ship_count`` / ``ship_bytes`` on
   :class:`~repro.service.metrics.PoolMetrics` (artifact sends only —
   alias subscriptions are a few bytes and not counted).
-* **sharding with backpressure** — :meth:`serve` assigns each document to
-  an idle worker and yields :class:`~repro.service.service.ServedDocument`
-  results as they complete, tagged with ``worker`` and source ``index``.
-  The parent pulls a document from the source only when a worker is free,
-  so at most ``workers`` documents are in flight beyond what the consumer
-  has taken — the same bounded behaviour as the thread pool's result
-  queue.
-* **fault isolation, now including crashes** — a document whose pass
-  raises is delivered as an error-tagged outcome (exception sanitized for
-  the trip home), like the in-process pools.  Beyond them: a worker
-  process that *dies* (segfault, OOM kill, ``os._exit``) is detected, its
+* **crashes are failed documents too** — a document whose step fails
+  comes home as the step's error-tagged outcome (exception sanitized for
+  the trip), like the in-process pools.  Beyond them: a worker process
+  that *dies* (segfault, OOM kill, ``os._exit``) is detected, its
   in-flight document is delivered as an error outcome carrying
   :class:`~repro.errors.WorkerCrashError`, and the slot is respawned with
   the full registration set re-shipped — the stream keeps serving.
+* **the parent mirrors what it cannot see** — each shipped-home
+  :class:`~repro.service.service.ServedDocument` *is* the worker's metric
+  delta: ``_fold`` adds it to the slot's mirrored service metrics, the
+  parent's registry and the parent's plan-cache observations, and the
+  worker-side spans it travelled with are merged into the parent's trace.
 
 **Why pipes, not a shared queue.**  Every cross-process channel here is a
 single-writer/single-reader :func:`multiprocessing.Pipe`: the parent
@@ -60,7 +62,8 @@ inbox carrying both control and work messages, in order::
     ("register", key, skey, source)    register an alias of a shipped plan
     ("unregister", key)                drop a registration
     ("drop", skey)                     discard a plan no registration uses
-    ("doc", index, document, chunk)    run one pass, reply on the result pipe
+    ("doc", index, document, chunk, trace)   one serve_document step,
+                                             replied on the result pipe
     ("stop",)                          exit cleanly (EOF on the inbox, too)
 
 Because registration messages and documents share one ordered channel, a
@@ -69,12 +72,12 @@ the parent flushes registration changes (allowed only between serve
 loops) before the next loop's documents enter the inbox.
 
 **Document forms.**  A document may be XML text (shipped verbatim), a
-:class:`DocumentSource` (a small picklable recipe — e.g.
-:class:`FileDocument` — that the *worker* materializes, so bulky or
-latency-bearing delivery happens in the worker, off the parent's dispatch
-loop), or a file-like object (drained to text in the parent before
-shipping — convenient, but delivery then serializes on the parent;
-prefer a ``DocumentSource`` for streams whose delivery should overlap).
+:class:`~repro.service.service.DocumentSource` (a small picklable recipe
+that the *worker's* step materializes, so bulky or latency-bearing
+delivery happens in the worker, off the parent's dispatch loop), or a
+file-like object (drained to text in the parent before shipping —
+convenient, but delivery then serializes on the parent; prefer a recipe
+for streams whose delivery should overlap).
 
 Choosing a backend: threads overlap *ingestion latency* and share plans
 by reference — pick them when delivery dominates or documents are huge
@@ -97,64 +100,32 @@ import os
 import pickle
 import time
 from multiprocessing import connection
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.schema import DTD
 from repro.errors import WorkerCrashError
-from repro.obs import MemorySink, Observability, Tracer, new_trace_id
+from repro.obs import MemorySink, Observability, Tracer
 from repro.runtime.plan_cache import PlanArtifact, PlanCache, structure_key
 from repro.service.metrics import PassMetrics, ServiceMetrics
 from repro.service.pool_core import PoolCore
-from repro.service.service import QueryService, ServedDocument
+from repro.service.service import (
+    DocumentSource,
+    QueryService,
+    ServedDocument,
+    _READ_CHUNK,
+)
 from repro.service.session import (
     PlanStructure,
     RegisteredQuery,
     record_pass_observations,
+    record_plan_observations,
 )
 
 #: Upper bound (seconds) on one `connection.wait` — results and process
 #: deaths are both wait events, so this is a safety net against missed
 #: wakeups, not the detection latency.
 _WAIT_STEP_SECONDS = 0.25
-
-#: Default read granularity when draining a file-like document.
-_READ_CHUNK = 1 << 16
-
-
-class DocumentSource:
-    """A picklable recipe for a document, materialized in the worker.
-
-    Shipping a live file handle or socket across processes is impossible;
-    shipping the whole text through the parent serializes delivery on the
-    dispatch loop.  A ``DocumentSource`` ships the *recipe* instead: the
-    worker calls :meth:`open` and feeds whatever it returns (XML text or a
-    file-like object, which the worker drains and closes).  Subclasses
-    must be picklable — module-level classes with plain attributes.
-    """
-
-    def open(self) -> Union[str, io.TextIOBase]:
-        """Materialize the document (called in the worker process)."""
-        raise NotImplementedError
-
-
-class FileDocument(DocumentSource):
-    """A document read from ``path`` by the worker that serves it.
-
-    The parent ships only the path, so file I/O happens in the worker,
-    overlapping with other workers' evaluation — the process-pool
-    equivalent of the thread pool's streamed file handles.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def open(self) -> io.TextIOBase:
-        return open(self.path, "r", encoding="utf-8")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FileDocument({self.path!r})"
-
 
 def _sanitize_exception(exc: BaseException) -> BaseException:
     """An exception safe to ship home over the result pipe.
@@ -167,10 +138,7 @@ def _sanitize_exception(exc: BaseException) -> BaseException:
     aborted pass graph, and they would not survive the process boundary
     meaningfully.
     """
-    exc.__traceback__ = None
-    if exc.__cause__ is not None or exc.__context__ is not None:
-        exc.__cause__ = None
-        exc.__context__ = None
+    exc.__traceback__ = exc.__cause__ = exc.__context__ = None
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
@@ -178,67 +146,15 @@ def _sanitize_exception(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _serve_one_in_worker(
-    service: QueryService,
-    worker_id: int,
-    index: int,
-    document: Union[str, io.TextIOBase, DocumentSource],
-    chunk_size: int,
-    crash_marker: Optional[str],
-    trace_id: Optional[str] = None,
-) -> ServedDocument:
-    """One worker pass over one document, fault-isolated (worker side).
-
-    *Everything* an ordinary ``Exception`` can reach is inside the
-    isolation — materializing a :class:`DocumentSource` included (a file
-    deleted between dispatch and the worker's ``open()`` is a failed
-    *document*, not a failed worker, exactly as in the thread pool).
-    """
-    closer = None
-    shared_pass = None
-    try:
-        if isinstance(document, DocumentSource):
-            document = document.open()
-            if hasattr(document, "close"):
-                closer = document.close
-        if (
-            crash_marker is not None
-            and isinstance(document, str)
-            and crash_marker in document
-        ):
-            # Fault injection for tests/benches: die *mid-pass*, with the
-            # document genuinely in flight, the way a segfault or OOM kill
-            # would land.  Never triggers unless the pool was built with a
-            # crash marker.
-            shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-            shared_pass.feed(document[: len(document) // 2])
-            os._exit(3)
+def _crash_if_marked(service: QueryService, document, crash_marker: str,
+                     chunk_size: int, trace_id: Optional[str]) -> None:
+    """Fault injection for tests/benches: die *mid-pass*, with the document
+    genuinely in flight, the way a segfault or OOM kill would land.  Never
+    runs unless the pool was built with a crash marker."""
+    if isinstance(document, str) and crash_marker in document:
         shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-        service._feed_document(shared_pass, document)
-        results = shared_pass.finish()
-    except Exception as exc:
-        if shared_pass is not None:
-            shared_pass.abort()
-        return ServedDocument(
-            index=index,
-            results={},
-            metrics=shared_pass.metrics if shared_pass is not None else PassMetrics(),
-            outcome="error",
-            error=_sanitize_exception(exc),
-            worker=worker_id,
-        )
-    finally:
-        if closer is not None:
-            try:
-                closer()
-            except Exception:
-                pass
-    return ServedDocument(
-        index=index,
-        results=results,
-        metrics=shared_pass.metrics,
-        worker=worker_id,
-    )
+        shared_pass.feed(document[: len(document) // 2])
+        os._exit(3)
 
 
 def _worker_main(
@@ -301,14 +217,17 @@ def _worker_main(
             plans.pop(message[1], None)
         elif kind == "doc":
             _, index, document, chunk_size, trace_id = message
+            if crash_marker is not None:
+                _crash_if_marked(service, document, crash_marker, chunk_size, trace_id)
             try:
-                served = _serve_one_in_worker(
-                    service, worker_id, index, document, chunk_size,
-                    crash_marker, trace_id,
+                served = service.serve_document(
+                    document, index, chunk_size, trace_id, worker_id
                 )
             except BaseException as exc:  # non-Exception: report, then die
                 results.send(("fatal", index, _sanitize_exception(exc)))
                 raise
+            if served.error is not None:
+                served.error = _sanitize_exception(served.error)
             compiled_here = service.plan_cache.stats.misses
             spans = span_sink.drain() if span_sink is not None else []
             results.send(("served", index, served, compiled_here, spans))
@@ -318,8 +237,7 @@ def _worker_main(
 class _WorkerSlot:
     """Parent-side handle of one worker process."""
 
-    __slots__ = ("process", "inbox", "results", "pending", "respawns",
-                 "compiled", "trace", "sent_at")
+    __slots__ = ("process", "inbox", "results", "respawns", "compiled")
 
     def __init__(self):
         self.process = None
@@ -327,18 +245,10 @@ class _WorkerSlot:
         self.inbox = None
         #: Parent's read end of the worker's result pipe.
         self.results = None
-        #: Source index of the document currently in flight, or ``None``.
-        self.pending: Optional[int] = None
         self.respawns = 0
         #: Optimizer runs the worker reported (must stay 0: plans are
         #: shipped, never recompiled).
         self.compiled = 0
-        #: Trace id of the in-flight document (tracing only) — kept on the
-        #: slot so a crash-respawn's spans join the document's trace.
-        self.trace: Optional[str] = None
-        #: ``(wall, perf_counter)`` stamp of the in-flight dispatch, for
-        #: the parent-side ``pool.shard`` span.
-        self.sent_at: Optional[Tuple[float, float]] = None
 
     @property
     def alive(self) -> bool:
@@ -408,6 +318,9 @@ class ProcessServicePool(PoolCore):
         # QueryService's own structure table).
         self._structures: "Dict[str, PlanStructure]" = {}
         self._structure_artifacts: "Dict[str, PlanArtifact]" = {}
+        #: Memo of :meth:`_subscribers`; registrations change only between
+        #: loops, so per-document folding stays O(structures).
+        self._structure_subscribers: Optional[List[Tuple[PlanStructure, str]]] = None
         self._slots = [_WorkerSlot() for _ in range(workers)]
         # Parent-side mirror of each worker's cumulative pass metrics,
         # rebuilt from the PassMetrics every served document carries home.
@@ -446,6 +359,7 @@ class ProcessServicePool(PoolCore):
         )
         displaced = self._registrations.get(key)
         self._registrations[key] = registration
+        self._structure_subscribers = None
         if self._started:
             artifact = self._structure_artifacts[skey]
             for slot in self._slots:
@@ -490,6 +404,7 @@ class ProcessServicePool(PoolCore):
 
     def _mirror_unregister(self, key: str) -> None:
         registration = self._registrations.pop(key)
+        self._structure_subscribers = None
         if self._started:
             for slot in self._slots:
                 if slot.alive:
@@ -556,9 +471,6 @@ class ProcessServicePool(PoolCore):
         results_read, results_write = self._ctx.Pipe(duplex=False)
         slot.inbox = inbox_write
         slot.results = results_read
-        slot.pending = None
-        slot.trace = None
-        slot.sent_at = None
         slot.process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -650,96 +562,20 @@ class ProcessServicePool(PoolCore):
             worker_id: slot.compiled for worker_id, slot in enumerate(self._slots)
         }
 
-    # ------------------------------------------------------------- serving
+    # ------------------------------------------------- the pipe transport
 
-    def serve(
-        self,
-        documents: Iterable[Union[str, io.TextIOBase, DocumentSource]],
-        chunk_size: int = 256,
-    ) -> Iterator[ServedDocument]:
-        """Shard ``documents`` across the worker processes.
-
-        Yields one :class:`ServedDocument` per document, in *completion*
-        order, tagged with ``worker`` and source ``index``.  Dispatch is
-        demand-driven: the next document is pulled from the source only
-        when a worker is idle, so at most ``workers`` documents are in
-        flight (plus their results piped) beyond what the consumer has
-        taken — a slow consumer pauses the shard.
-
-        **Fault isolation**: a document whose pass raises in the worker
-        comes back as ``outcome == "error"`` with the (sanitized)
-        exception; a worker process that *dies* mid-document yields an
-        error outcome carrying :class:`~repro.errors.WorkerCrashError`
-        with the exit code, and the slot is respawned with all plans
-        re-shipped — later documents are unaffected.  (A worker that
-        manages to send its result and *then* die is not a failed
-        document: the result is delivered, the slot quietly respawned.)
-        Only an error from the source iterator itself propagates and ends
-        the loop.
-
-        Closing the generator early waits for in-flight passes, discards
-        their undelivered results, and leaves the fleet alive for the
-        next loop.
-        """
-        self._begin_serving()
+    def _submit(self, worker_id, index, document, chunk_size, trace_id) -> None:
+        slot = self._slots[worker_id]
+        if not slot.alive:  # died idle: discovered as it is handed work
+            self._respawn(worker_id)
+        message = ("doc", index, self._shippable(document), chunk_size, trace_id)
         try:
-            self._ensure_started()
-        except BaseException:
-            self._end_serving()
-            raise
-        source = enumerate(documents)
-        source_exhausted = False
-        try:
-            while True:
-                # Dispatch to every idle worker (respawning crashed idle
-                # slots as they are discovered).
-                while not source_exhausted:
-                    idle_id = next(
-                        (
-                            worker_id
-                            for worker_id, slot in enumerate(self._slots)
-                            if slot.pending is None
-                        ),
-                        None,
-                    )
-                    if idle_id is None:
-                        break
-                    slot = self._slots[idle_id]
-                    if not slot.alive:
-                        self._respawn(idle_id)
-                    try:
-                        index, document = next(source)
-                    except StopIteration:
-                        source_exhausted = True
-                        break
-                    document = self._shippable(document)
-                    trace_id = (
-                        new_trace_id()
-                        if self.obs is not None and self.obs.tracer is not None
-                        else None
-                    )
-                    try:
-                        slot.inbox.send(("doc", index, document, chunk_size, trace_id))
-                    except (BrokenPipeError, OSError):
-                        # Died between the liveness check and the send:
-                        # hand the document to a fresh worker instead.
-                        self._respawn(idle_id, trace_id=trace_id)
-                        slot.inbox.send(("doc", index, document, chunk_size, trace_id))
-                    slot.pending = index
-                    slot.trace = trace_id
-                    slot.sent_at = (time.time(), time.perf_counter())
-                if source_exhausted and all(
-                    slot.pending is None for slot in self._slots
-                ):
-                    return
-                result = self._next_result()
-                if result is None:
-                    continue
-                self._record_outcome(result.worker, result.ok)
-                yield result
-        finally:
-            self._drain_in_flight()
-            self._end_serving()
+            slot.inbox.send(message)
+        except (BrokenPipeError, OSError):
+            # Died between the liveness check and the send: hand the
+            # document to a fresh worker instead.
+            self._respawn(worker_id, trace_id=trace_id)
+            slot.inbox.send(message)
 
     @staticmethod
     def _shippable(
@@ -755,21 +591,16 @@ class ProcessServicePool(PoolCore):
         """
         if isinstance(document, (str, DocumentSource)):
             return document
-        parts = []
-        while True:
-            chunk = document.read(_READ_CHUNK)
-            if not chunk:
-                break
-            parts.append(chunk)
-        return "".join(parts)
+        return "".join(iter(lambda: document.read(_READ_CHUNK), ""))
 
     def _receive(self, worker_id: int) -> Optional[ServedDocument]:
         """Consume one message from a worker's result pipe, if any.
 
-        Returns the delivered :class:`ServedDocument` for ``served``
-        messages, raises for ``fatal`` ones, and returns ``None`` when the
-        pipe had no complete message (including the EOF a dying worker
-        leaves behind — the sentinel path owns that case).
+        Returns the :class:`ServedDocument` of a ``served`` message (its
+        worker-side spans merged into the parent's trace), raises for
+        ``fatal`` ones, and returns ``None`` when the pipe had no complete
+        message (including the EOF a dying worker leaves behind — the
+        sentinel path owns that case).
         """
         slot = self._slots[worker_id]
         try:
@@ -778,90 +609,70 @@ class ProcessServicePool(PoolCore):
             message = slot.results.recv()
         except (EOFError, OSError):
             return None
-        kind = message[0]
-        if kind == "served":
-            _, index, served, compiled_here, spans = message
-            slot.pending = None
-            slot.compiled = compiled_here
-            if served.ok:
-                self._slot_metrics[worker_id].record_pass(
-                    served.metrics, len(served.results)
-                )
-            self._fold_worker_observations(slot, served, spans)
-            slot.trace = None
-            slot.sent_at = None
+        if message[0] == "served":
+            _, _, served, slot.compiled, spans = message
+            self._merge_worker_spans(spans)
             return served
         # "fatal": a non-Exception escaped a worker pass; propagate, like
         # the in-process pools do.
-        _, index, error = message
-        slot.pending = None
-        slot.trace = None
-        slot.sent_at = None
-        raise error
+        del self._in_flight[worker_id]
+        raise message[2]
 
-    def _fold_worker_observations(
-        self, slot: _WorkerSlot, served: ServedDocument, spans: List[Dict]
-    ) -> None:
-        """Merge one worker reply's span and metric deltas into the parent.
-
-        Worker-side spans are re-emitted into the parent's tracer — this
-        is what makes ``--trace-out`` a *single merged* trace file — and
-        their ``pass.<stage>`` durations land in the parent registry's
-        stage histograms (the worker has no registry; spans double as the
-        stage-latency delta).  The pass-counter delta is the
-        :class:`PassMetrics` the served document carries.  A parent-side
-        ``pool.shard`` span brackets the document's whole trip through
-        the pipes.
-        """
+    def _merge_worker_spans(self, spans: List[Dict]) -> None:
+        """Re-emit one reply's worker-side spans into the parent's tracer —
+        what makes ``--trace-out`` a *single merged* trace file — and land
+        their ``pass.<stage>`` durations in the parent registry's stage
+        histograms (the worker has no registry; spans double as the
+        stage-latency delta)."""
         obs = self.obs
         if obs is None:
             return
-        if obs.tracer is not None:
-            for span in spans:
+        for span in spans:
+            if obs.tracer is not None:
                 obs.tracer.emit(span)
-            if slot.trace is not None and slot.sent_at is not None:
-                sent_wall, sent_perf = slot.sent_at
-                obs.tracer.record(
-                    "pool.shard",
-                    slot.trace,
-                    time.perf_counter() - sent_perf,
-                    start=sent_wall,
-                    worker=served.worker,
-                    index=served.index,
+            name = span.get("name", "")
+            if name.startswith("pass."):
+                obs.observe_stage(name[5:], span.get("duration_s", 0.0))
+
+    def _subscribers(self) -> List[Tuple[PlanStructure, str]]:
+        """One ``(structure, live key)`` pair per mirrored structure."""
+        if self._structure_subscribers is None:
+            first: Dict[str, Tuple[PlanStructure, str]] = {}
+            for key, registration in self._registrations.items():
+                first.setdefault(
+                    registration.structure.skey, (registration.structure, key)
                 )
-        if obs.metrics is not None:
-            for span in spans:
-                name = span.get("name", "")
-                if name.startswith("pass."):
-                    obs.observe_stage(name[5:], span.get("duration_s", 0.0))
-            if served.ok:
-                record_pass_observations(obs, served.metrics, len(served.results))
-        if not served.ok:
-            obs.log(
-                "pool.fault",
-                worker=served.worker,
-                index=served.index,
-                error=type(served.error).__name__,
-                trace_id=slot.trace,
+            self._structure_subscribers = list(first.values())
+        return self._structure_subscribers
+
+    def _fold(self, served: ServedDocument) -> None:
+        """The metric delta of one worker pass *is* the ``ServedDocument``:
+        fold it into the slot's mirrored service metrics, the parent's
+        registry, and the parent's plan-cache observations."""
+        if served.ok:
+            self._slot_metrics[served.worker].record_pass(
+                served.metrics, len(served.results)
+            )
+            record_pass_observations(self.obs, served.metrics, len(served.results))
+            record_plan_observations(
+                self.plan_cache, self._subscribers(), served.metrics, served.results
             )
 
-    def _next_result(self) -> Optional[ServedDocument]:
-        """One delivered outcome: a worker's result, or a detected crash.
+    def _wait(self) -> Optional[ServedDocument]:
+        """One outcome: a worker's result, or a detected crash.
 
         Multiplexes every live worker's result pipe *and* process sentinel
         through ``connection.wait`` — a result arriving and a worker dying
         are both events.  When a sentinel fires, the dead worker's pipe is
         drained first (a worker may send its result and then exit; that
-        document was served, not crashed); only then is a still-pending
+        document was served, not crashed); only then is a still in-flight
         document folded into a :class:`WorkerCrashError` outcome and the
-        slot respawned.  Returns ``None`` when the sweep only changed
-        fleet state (idle crash, stale wakeup) — the caller re-enters
-        dispatch.
+        slot respawned, inside the document's trace.  Returns ``None``
+        when the sweep only changed fleet state (idle crash, stale wakeup)
+        — the loop re-enters dispatch.
         """
         waitables = {}
         for worker_id, slot in enumerate(self._slots):
-            if slot.process is None:
-                continue
             waitables[slot.results] = worker_id
             waitables[slot.process.sentinel] = worker_id
         ready = connection.wait(list(waitables), timeout=_WAIT_STEP_SECONDS)
@@ -880,86 +691,53 @@ class ProcessServicePool(PoolCore):
             if item is not slot.results and not slot.alive:
                 # Drain the last messages the worker sent before dying.
                 result = self._receive(worker_id)
-                if result is not None:
-                    self._respawn_quietly(worker_id)
-                    return result
                 exitcode = slot.process.exitcode
-                pending = slot.pending
-                trace = slot.trace
-                sent_at = slot.sent_at
-                self._respawn(worker_id, trace_id=trace)
-                if pending is not None:
-                    obs = self.obs
-                    if obs is not None:
-                        obs.log(
-                            "pool.fault",
-                            worker=worker_id,
-                            index=pending,
-                            error="WorkerCrashError",
-                            exitcode=exitcode,
-                            trace_id=trace,
-                        )
-                        if trace is not None and sent_at is not None:
-                            obs.record_span(
-                                "pool.shard",
-                                trace,
-                                time.perf_counter() - sent_at[1],
-                                start=sent_at[0],
-                                worker=worker_id,
-                                index=pending,
-                                outcome="error",
-                            )
-                    return ServedDocument(
-                        index=pending,
+                flight = self._in_flight.get(worker_id)
+                crashed = result is None and flight is not None
+                self._respawn(
+                    worker_id, trace_id=flight.trace_id if crashed else None
+                )
+                if crashed:
+                    result = ServedDocument(
+                        index=flight.index,
                         results={},
                         metrics=PassMetrics(),
                         outcome="error",
                         error=WorkerCrashError(
                             f"worker process {worker_id} died while serving "
-                            f"document {pending}",
+                            f"document {flight.index}",
                             exitcode=exitcode,
                         ),
                         worker=worker_id,
                     )
+                if result is not None:
+                    return result
         return None
 
-    def _respawn_quietly(self, worker_id: int) -> None:
-        """Respawn a worker that died *between* documents (result already
-        delivered): no outcome to report, just restore the slot."""
-        if not self._slots[worker_id].alive:
-            self._respawn(worker_id)
-
-    def _drain_in_flight(self) -> None:
+    def _drain(self) -> None:
         """After a loop ends or is closed early: wait out in-flight passes.
 
         Undelivered results are discarded (they were never served to
-        anyone — the same rule as the thread pool's drain), and workers
-        end the loop idle, ready for the next one.  A worker that crashes
-        during the drain is respawned without an outcome: the document's
-        consumer is gone.
+        anyone), and workers end the loop idle, ready for the next one.
+        A worker that crashes during the drain is respawned without an
+        outcome: the document's consumer is gone.
         """
-        while any(slot.pending is not None for slot in self._slots):
-            for worker_id, slot in enumerate(self._slots):
-                if slot.pending is None:
-                    continue
+        while self._in_flight:
+            for worker_id in list(self._in_flight):
+                slot = self._slots[worker_id]
                 try:
-                    self._receive(worker_id)
+                    if self._receive(worker_id) is not None:
+                        del self._in_flight[worker_id]
                 except Exception:
-                    slot.pending = None
-                if slot.pending is not None and not slot.alive:
+                    pass  # a shipped-home fatal: _receive freed the slot
+                if worker_id in self._in_flight and not slot.alive:
                     self._respawn(worker_id)
-            if any(slot.pending is not None for slot in self._slots):
+                    del self._in_flight[worker_id]
+            if self._in_flight:
+                pending = [self._slots[worker_id] for worker_id in self._in_flight]
                 connection.wait(
-                    [
-                        slot.results
-                        for slot in self._slots
-                        if slot.pending is not None
-                    ]
-                    + [
-                        slot.process.sentinel
-                        for slot in self._slots
-                        if slot.pending is not None
-                    ],
+                    [slot.results for slot in pending]
+                    + [slot.process.sentinel for slot in pending],
                     timeout=_WAIT_STEP_SECONDS,
                 )
 

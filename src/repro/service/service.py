@@ -22,9 +22,15 @@ document chunks as they arrive (a socket, a file tail, ...) and whose
 ``finish()`` yields one byte-identical-to-solo
 :class:`~repro.engines.base.QueryResult` per query.
 
-The service is *long-lived*: :meth:`QueryService.serve` runs one shared
-pass per document of a stream of documents, reusing the registered (and
-cached) plans across passes while starting fresh per-query
+Serving one whole document is one step,
+:meth:`QueryService.serve_document` — materialize, open a pass, feed,
+finish, record plan observations, tag a failure instead of raising — and
+every serving face is that step: :meth:`QueryService.run_pass` and the
+long-lived :meth:`QueryService.serve` loop (which re-raise a tagged
+failure), the pools' workers (which deliver it), and its awaited twin on
+:class:`~repro.service.async_service.AsyncQueryService`.  ``serve`` runs
+one step per document of a stream, reusing the registered (and cached)
+plans across passes while starting fresh per-query
 :class:`~repro.runtime.evaluator.EvaluatorSession` runtimes for each
 document.  Registrations may change between passes — each pass snapshots
 the registrations current when it opens — and the service guards itself
@@ -41,6 +47,7 @@ the same query from several services sharing a cache) is safe, but one
 
 from __future__ import annotations
 
+import contextlib
 import io
 import warnings
 import weakref
@@ -56,23 +63,15 @@ from repro.obs import Observability
 from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.plan_cache import PlanCache, dtd_fingerprint, structure_key
 from repro.service.metrics import PassMetrics, ServiceMetrics
-from repro.service.session import PlanStructure, RegisteredQuery, SharedPass
+from repro.service.session import (
+    PlanStructure,
+    RegisteredQuery,
+    SharedPass,
+    record_plan_observations,
+)
 
 #: Default read granularity when a pass ingests a file-like document.
 _READ_CHUNK = 1 << 16
-
-
-class _NullContext:
-    """``with`` block placeholder when no profiler is attached."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
 
 
 @dataclass
@@ -84,20 +83,20 @@ class ServedDocument:
     ``metrics`` is the pass's own accounting (the cumulative totals live on
     :attr:`QueryService.metrics`).
 
-    A :class:`~repro.service.pool.ServicePool` adds two tags: ``worker`` is
-    the pool worker that served the document (``None`` when served by a
-    plain :meth:`QueryService.serve` loop), and a document that failed
-    mid-pass is *fault-isolated* — delivered with ``outcome == "error"``,
-    the exception on ``error``, empty ``results``, and the failed pass's
-    partial ``metrics`` — instead of exhausting the whole loop.
-    :meth:`QueryService.serve` itself never yields error outcomes; it
-    aborts and propagates, as documented there.
+    :meth:`QueryService.serve_document` — the one step every serving face
+    runs — tags a document that failed mid-pass instead of raising:
+    ``outcome == "error"``, the exception on ``error``, empty ``results``,
+    and the failed pass's partial ``metrics``.  The pools deliver such
+    outcomes (*fault isolation*), tagged with the ``worker`` that served
+    the document; :meth:`QueryService.serve` and
+    :meth:`QueryService.run_pass` re-raise ``error`` instead, so they
+    never yield one.
     """
 
     index: int
     results: Dict[str, QueryResult]
     metrics: PassMetrics
-    #: ``"ok"`` or ``"error"`` (the latter only from a pool's serve loop).
+    #: ``"ok"`` or ``"error"``.
     outcome: str = "ok"
     #: The exception that aborted this document's pass, when ``outcome``
     #: is ``"error"``.
@@ -108,6 +107,90 @@ class ServedDocument:
     @property
     def ok(self) -> bool:
         return self.outcome == "ok"
+
+
+class DocumentSource:
+    """A recipe for a document, materialized where the document is served.
+
+    Every serving face accepts one wherever it accepts a document:
+    :meth:`QueryService.serve_document` calls :meth:`open`, feeds whatever
+    it returns (XML text or a file-like object) and closes what was
+    opened, all inside the step's fault isolation — a file deleted before
+    its pass opens is a failed *document*.  A pool can therefore hold N
+    recipes in flight without N open handles, and a
+    :class:`~repro.service.process_pool.ProcessServicePool` ships the
+    recipe instead of the text, so delivery happens in the worker, off
+    the parent's dispatch loop.  Subclasses must be picklable —
+    module-level classes with plain attributes.
+    """
+
+    def open(self) -> Union[str, io.TextIOBase]:
+        """Materialize the document (called by the worker that serves it)."""
+        raise NotImplementedError
+
+
+class FileDocument(DocumentSource):
+    """A document read from ``path`` by the worker that serves it."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def open(self) -> io.TextIOBase:
+        return open(self.path, "r", encoding="utf-8")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FileDocument({self.path!r})"
+
+
+@contextlib.contextmanager
+def materialized(document):
+    """``document`` ready to feed; what a :class:`DocumentSource` opened
+    is closed on exit."""
+    if not isinstance(document, DocumentSource):
+        yield document
+        return
+    opened = document.open()
+    try:
+        yield opened
+    finally:
+        if hasattr(opened, "close"):
+            opened.close()
+
+
+def finished_document(plan_cache: PlanCache, shared_pass, results, index: int,
+                      worker: Optional[int]) -> ServedDocument:
+    """The success half of the document step (sync and async renderings):
+    fold the finished pass into the plan cache's observation sidecar (see
+    :func:`~repro.service.session.record_plan_observations`) and tag it."""
+    record_plan_observations(
+        plan_cache, shared_pass.structure_subscribers, shared_pass.metrics, results
+    )
+    return ServedDocument(
+        index=index, results=results, metrics=shared_pass.metrics, worker=worker
+    )
+
+
+def failed_document(shared_pass, exc: BaseException, index: int,
+                    worker: Optional[int]) -> ServedDocument:
+    """The failure half of the document step (sync and async renderings).
+
+    Aborts ``shared_pass`` (``None`` when the failure came before it
+    opened), releasing the service's slot and the per-query sessions; an
+    ``Exception`` comes back as an error-tagged :class:`ServedDocument`
+    with the pass's partial metrics, anything harsher is re-raised.
+    """
+    if shared_pass is not None:
+        shared_pass.abort()
+    if not isinstance(exc, Exception):
+        raise exc
+    return ServedDocument(
+        index=index,
+        results={},
+        metrics=shared_pass.metrics if shared_pass is not None else PassMetrics(),
+        outcome="error",
+        error=exc,
+        worker=worker,
+    )
 
 
 class QueryService:
@@ -402,92 +485,78 @@ class QueryService:
         self._active_pass_ref = weakref.ref(shared_pass)
         return shared_pass
 
-    def _feed_document(
-        self, shared_pass: SharedPass, document: Union[str, io.TextIOBase]
-    ) -> None:
-        """Push one whole document (text or file-like) into ``shared_pass``."""
-        if isinstance(document, str):
-            shared_pass.feed(document)
-            return
-        while True:
-            chunk = document.read(_READ_CHUNK)
-            if not chunk:
-                break
-            shared_pass.feed(chunk)
+    def serve_document(
+        self,
+        document: Union[str, io.TextIOBase, DocumentSource],
+        index: int = 0,
+        chunk_size: int = 256,
+        trace_id: Optional[str] = None,
+        worker: Optional[int] = None,
+    ) -> ServedDocument:
+        """The document step: one shared pass over one document.
 
-    def run_pass(self, document: Union[str, io.TextIOBase]) -> Dict[str, QueryResult]:
+        Materializes a :class:`DocumentSource` (closing what it opened),
+        opens a pass over the current registrations, feeds ``document``
+        (XML text, or a file-like object read incrementally), finishes,
+        and folds the pass into the plan cache's observation sidecar.  An
+        ``Exception`` anywhere in there aborts the pass and comes back as
+        ``outcome == "error"`` with the pass's partial metrics; anything
+        harsher (``KeyboardInterrupt``, ...) aborts and propagates.
+
+        Every synchronous serving face is this call: :meth:`run_pass` and
+        :meth:`serve` re-raise the tagged error, the thread pool's workers
+        and the process pool's worker processes deliver it.  ``index``,
+        ``worker`` and ``trace_id`` are the caller's tags, passed through.
+        """
+        shared_pass = None
+        try:
+            with self._maybe_profile(), materialized(document) as opened:
+                shared_pass = self.open_pass(chunk_size=chunk_size, trace_id=trace_id)
+                if isinstance(opened, str):
+                    shared_pass.feed(opened)
+                else:
+                    for chunk in iter(lambda: opened.read(_READ_CHUNK), ""):
+                        shared_pass.feed(chunk)
+                results = shared_pass.finish()
+            return finished_document(
+                self.plan_cache, shared_pass, results, index, worker
+            )
+        except BaseException as exc:
+            return failed_document(shared_pass, exc, index, worker)
+
+    def run_pass(
+        self, document: Union[str, io.TextIOBase, DocumentSource]
+    ) -> Dict[str, QueryResult]:
         """Run all registered queries over ``document`` in one shared scan.
 
-        ``document`` is XML text or a file-like object (read incrementally).
         Returns ``{registration key: QueryResult}``; each result is
-        byte-identical to a solo ``FluxEngine.execute`` of that query.
+        byte-identical to a solo ``FluxEngine.execute`` of that query.  A
+        failing document aborts the pass and raises the original error.
         """
-        shared_pass = self.open_pass()
-        try:
-            with self._maybe_profile():
-                self._feed_document(shared_pass, document)
-                results = shared_pass.finish()
-        except BaseException:
-            shared_pass.abort()
-            raise
-        self._record_observations(shared_pass, results)
-        return results
+        served = self.serve_document(document)
+        if served.error is not None:
+            raise served.error
+        return served.results
 
     def _maybe_profile(self):
         """The pass profiler as a context manager, or a no-op without one."""
         if self.obs is not None and self.obs.profiler is not None:
             return self.obs.profiler
-        return _NULL_CONTEXT
-
-    def _record_observations(
-        self, shared_pass: SharedPass, results: Dict[str, QueryResult]
-    ) -> None:
-        """Fold one finished pass into the plan cache's observation sidecar.
-
-        One record per plan *structure* (aliases share calibration): the
-        representative registration's routed-event count, the pass's
-        document size and elapsed time, and the alias group's worst
-        measured buffer peak.  These are what
-        :func:`repro.analysis.query.cost.apply_observations` uses to
-        replace modeled figures with measured ones in ``repro explain``
-        and auto mode selection; persisted by ``PlanCache.dump``.
-        """
-        metrics = shared_pass.metrics
-        seen: set = set()
-        for registration in shared_pass.registrations:
-            skey = registration.structure.skey
-            if skey in seen:
-                continue
-            seen.add(skey)
-            result = results.get(registration.key)
-            if result is None:
-                continue
-            self.plan_cache.observe(
-                registration.entry,
-                events_routed=float(
-                    metrics.per_query_forwarded.get(registration.key, 0)
-                ),
-                document_bytes=float(metrics.document_bytes),
-                elapsed_seconds=metrics.elapsed_seconds,
-                peak_buffer_bytes=max(
-                    results[reg.key].peak_buffer_bytes
-                    for reg in shared_pass.registrations
-                    if reg.structure.skey == skey and reg.key in results
-                ),
-            )
+        return contextlib.nullcontext()
 
     def serve(
         self,
-        documents: Iterable[Union[str, io.TextIOBase]],
+        documents: Iterable[Union[str, io.TextIOBase, DocumentSource]],
         chunk_size: int = 256,
     ) -> Iterator[ServedDocument]:
         """Serve a stream of documents: one shared pass per document.
 
         The long-lived serving loop.  ``documents`` is any iterable of XML
-        texts or file-like objects; for each one the service opens a pass
-        over the *current* registrations, runs every registered plan (fresh
-        per-query runtimes per document; compiled plans are reused from the
-        registrations), and yields a :class:`ServedDocument`.  Because this
+        texts, file-like objects or :class:`DocumentSource` recipes; each
+        one is a :meth:`serve_document` step over the *current*
+        registrations (fresh per-query runtimes per document; compiled
+        plans are reused from the registrations), yielded as a
+        :class:`ServedDocument`.  Because this
         is a generator, callers may register, unregister, or replace
         queries between ``next()`` steps — the next document picks up the
         changed registrations, while per-pass metrics and the cumulative
@@ -523,18 +592,10 @@ class QueryService:
                 document = next(iterator)
             except StopIteration:
                 return
-            shared_pass = self.open_pass(chunk_size=chunk_size)
-            try:
-                with self._maybe_profile():
-                    self._feed_document(shared_pass, document)
-                    results = shared_pass.finish()
-            except BaseException:
-                shared_pass.abort()
-                raise
-            self._record_observations(shared_pass, results)
-            yield ServedDocument(
-                index=index, results=results, metrics=shared_pass.metrics
-            )
+            served = self.serve_document(document, index, chunk_size)
+            if served.error is not None:
+                raise served.error
+            yield served
             index += 1
 
     # ----------------------------------------------------------- reporting

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dtd.schema import DTD
 from repro.dtd.validator import StreamingValidator
@@ -73,6 +73,36 @@ def record_pass_observations(
     registry.histogram(
         "repro_pass_duration_seconds", "End-to-end duration of one shared pass."
     ).observe(pass_metrics.elapsed_seconds)
+
+
+def record_plan_observations(plan_cache, subscribers, pass_metrics, results) -> None:
+    """Fold one finished pass into the plan cache's observation sidecar.
+
+    ``subscribers`` is one ``(PlanStructure, subscriber key)`` pair per
+    structure the pass evaluated (:attr:`SharedPass.structure_subscribers`,
+    or a pool parent's mirror of it); ``results`` maps keys to the pass's
+    :class:`~repro.engines.base.QueryResult` objects.  One record per
+    structure key — aliases share calibration, and they share one
+    evaluation, so any subscriber's routed-event count and buffer peak
+    are the structure's: the routed events, the pass's document size and
+    elapsed time, and the measured buffer peak.  These are what
+    :func:`repro.analysis.query.cost.apply_observations` uses to replace
+    modeled figures with measured ones in ``repro explain`` and auto mode
+    selection; persisted by ``PlanCache.dump``.
+    """
+    seen = set()
+    for structure, key in subscribers:
+        result = results.get(key)
+        if result is None or structure.skey in seen:
+            continue
+        seen.add(structure.skey)  # dedup=False: private structures share keys
+        plan_cache.observe(
+            structure.entry,
+            events_routed=float(pass_metrics.per_query_forwarded.get(key, 0)),
+            document_bytes=float(pass_metrics.document_bytes),
+            elapsed_seconds=pass_metrics.elapsed_seconds,
+            peak_buffer_bytes=result.peak_buffer_bytes,
+        )
 
 
 class PlanStructure:
@@ -309,15 +339,13 @@ class SharedPass:
         return self._metrics
 
     @property
-    def registrations(self) -> List[RegisteredQuery]:
-        """The registration snapshot this pass executes (copy).
+    def structure_subscribers(self) -> "List[Tuple[PlanStructure, str]]":
+        """One ``(structure, subscriber key)`` pair per evaluated structure.
 
-        Registered/replaced/unregistered queries on the service do not
-        affect an open pass; callers folding pass results back into
-        per-plan records (observation recording, admission pricing) need
-        the snapshot, not the service's live table.
+        From the registration snapshot this pass executes — what
+        :func:`record_plan_observations` folds the results back through.
         """
-        return list(self._registrations)
+        return [(run.structure, run.group[0].key) for run in self._runs]
 
     @property
     def aborted(self) -> bool:

@@ -321,6 +321,27 @@ class TestMultiPool:
         assert "T0" in captured.out and "T1" in captured.out
         assert "[pool] 1 workers" in captured.err
 
+    @pytest.mark.parametrize(
+        "mode",
+        [["--backend", "threads"], ["--execution", "async"],
+         ["--backend", "processes"]],
+        ids=["threads", "async", "processes"],
+    )
+    def test_pool_reports_a_missing_file_as_a_failed_document(
+        self, files, query_dir, documents, mode, capsys
+    ):
+        # An unopenable document is a failed *document* on every pooled
+        # backend: reported, the rest of the stream served, exit 1.
+        missing = str(files["dir"] / "missing.xml")
+        exit_code = main(["multi", "-Q", str(query_dir), "-D",
+                          documents[0], missing, documents[1],
+                          "-d", files["dtd"], "--workers", "2", *mode])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "[missing] ERROR: FileNotFoundError" in captured.err
+        assert "T0" in captured.out and "T1" in captured.out
+        assert "3 documents (1 failed)" in captured.err
+
     def test_workers_must_be_positive(self, files, query_dir, capsys):
         exit_code = main(["multi", "-Q", str(query_dir),
                           "-i", files["document"], "--workers", "0"])
@@ -705,6 +726,25 @@ class TestExplainAnalyzer:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "calibrated from 1 observed pass(es)" in captured.out
+
+    @pytest.mark.parametrize(
+        "mode",
+        [["--backend", "threads"], ["--execution", "async"],
+         ["--backend", "processes"]],
+        ids=["threads", "async", "processes"],
+    )
+    def test_pooled_runs_persist_observations_for_explain(
+        self, files, query_dir, mode, capsys
+    ):
+        cache_file = files["dir"] / "plans.bin"
+        assert main(["multi", "-Q", str(query_dir), "-D", files["document"],
+                     files["document"], "-d", files["dtd"], "--workers", "2",
+                     *mode, "-p", str(cache_file)]) == 0
+        capsys.readouterr()
+        exit_code = main(["explain", "-q", files["query"], "-d", files["dtd"],
+                          "-p", str(cache_file)])
+        assert exit_code == 0
+        assert "calibrated from 2 observed pass(es)" in capsys.readouterr().out
 
     @pytest.fixture
     def query_dir(self, files):

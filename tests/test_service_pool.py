@@ -1,12 +1,18 @@
-"""The fault-isolated service pool: sharding, mirrored registration, shared
-cache, and the failure paths.
+"""The service pool contract, checked on every backend.
 
-The acceptance bar of the pool: documents sharded across N workers produce,
-for every (document, query) pair, output byte-identical to a fresh solo
-``FluxEngine.execute`` — including every *other* document when one document
-fails mid-pass, which must surface as an error-tagged ``ServedDocument``
+Thread, asyncio and process pools run one sharding loop
+(``PoolCore.serve``) and one document step
+(``QueryService.serve_document``) over three transports, so one suite
+checks all three: documents sharded across N workers produce, for every
+(document, query) pair, output byte-identical to a fresh solo
+``FluxEngine.execute`` — including every *other* document when one
+document fails, which must surface as an error-tagged ``ServedDocument``
 (not exhaust the loop), release the failing worker's pass slot, and leave
-the pool serving.
+the pool serving — and the loop's guards hold however it is driven.
+
+What only one transport can do (plan shipping, worker crashes and respawn:
+``tests/test_service_process_pool.py``; in-process mirrors and async chunk
+feeds: the last classes here) stays with that transport.
 """
 
 import asyncio
@@ -19,8 +25,11 @@ from repro.engines.flux_engine import FluxEngine
 from repro.errors import XMLSyntaxError
 from repro.runtime.plan_cache import PlanCache
 from repro.service import (
+    AsyncQueryService,
     AsyncServicePool,
+    FileDocument,
     PoolMetrics,
+    ProcessServicePool,
     QueryService,
     ServedDocument,
     ServicePool,
@@ -33,6 +42,12 @@ TITLES_QUERY = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
 
 #: Malformed mid-stream: opens a book that never closes.
 BAD_DOCUMENT = "<bib><book>"
+
+POOLS = {
+    "threads": ServicePool,
+    "async": AsyncServicePool,
+    "processes": ProcessServicePool,
+}
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +62,66 @@ def solo(query: str, document: str) -> str:
     return FluxEngine(BIB_DTD_STRONG).execute(query, document).output
 
 
-class TestPoolBasics:
-    def test_sharded_serve_matches_solo_per_document(self, documents):
+class _SyncFace:
+    """An async serve loop driven step by step on a private event loop."""
+
+    def __init__(self, agen, loop):
+        self._agen = agen
+        self._loop = loop
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        try:
+            return self._loop.run_until_complete(self._agen.__anext__())
+        except StopAsyncIteration:
+            raise StopIteration from None
+
+    def close(self):
+        self._loop.run_until_complete(self._agen.aclose())
+
+
+class Harness:
+    """One pool of the backend under test, behind a synchronous face."""
+
+    def __init__(self, backend, workers):
+        self.backend = backend
+        self.pool = POOLS[backend](BIB_DTD_STRONG, workers=workers)
+        self._loop = asyncio.new_event_loop() if backend == "async" else None
+
+    def serve(self, documents):
+        loop = self.pool.serve(documents)
+        return loop if self._loop is None else _SyncFace(loop, self._loop)
+
+    def close(self):
+        if self._loop is not None:
+            self._loop.close()
+        if self.backend == "processes":
+            self.pool.close()
+
+
+@pytest.fixture(params=sorted(POOLS))
+def make_pool(request):
+    """``make_pool(workers)`` → a :class:`Harness`, closed after the test."""
+    made = []
+
+    def make(workers=2):
+        made.append(Harness(request.param, workers))
+        return made[-1]
+
+    yield make
+    for harness in made:
+        harness.close()
+
+
+class TestServing:
+    def test_sharded_serve_matches_solo_per_document(self, make_pool, documents):
         q1 = get_query("BIB-Q1").xquery
-        pool = ServicePool(BIB_DTD_STRONG, workers=3)
-        pool.register(q1, key="q1")
-        pool.register(TITLES_QUERY, key="t")
-        served = list(pool.serve(documents))
+        harness = make_pool(3)
+        harness.pool.register(q1, key="q1")
+        harness.pool.register(TITLES_QUERY, key="t")
+        served = list(harness.serve(documents))
         # Every document exactly once, tagged with a worker, completion order.
         assert sorted(outcome.index for outcome in served) == list(
             range(len(documents))
@@ -66,83 +134,10 @@ class TestPoolBasics:
             assert outcome.results["q1"].output == solo(q1, document)
             assert outcome.results["t"].output == solo(TITLES_QUERY, document)
 
-    def test_registrations_are_mirrored_across_workers(self):
-        pool = ServicePool(BIB_DTD_STRONG, workers=3)
-        registration = pool.register(TITLES_QUERY, key="t")
-        assert registration.key == "t"
-        assert len(pool) == 1
-        assert set(pool.registrations) == {"t"}
-        for service in pool.services:
-            assert set(service.registrations) == {"t"}
-            # Every mirror shares the same compiled plan entry.
-            assert service.registrations["t"].entry is registration.entry
-        pool.unregister("t")
-        assert len(pool) == 0
-        for service in pool.services:
-            assert len(service) == 0
-
-    def test_register_all_and_autokeys(self):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        registrations = pool.register_all([TITLES_QUERY, get_query("BIB-Q1").xquery])
-        assert [r.key for r in registrations] == ["q1", "q2"]
-        assert len(pool) == 2
-
-    def test_unregister_unknown_key_raises_and_changes_nothing(self):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-        with pytest.raises(KeyError):
-            pool.unregister("nope")
-        assert len(pool) == 1
-
-    def test_pool_needs_at_least_one_worker(self):
-        with pytest.raises(ValueError, match="at least one worker"):
-            ServicePool(BIB_DTD_STRONG, workers=0)
-
-    def test_empty_pool_serve_raises_before_consuming(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        iterator = iter(documents)
-        with pytest.raises(ValueError, match="no queries registered"):
-            next(pool.serve(iterator))
-        # Nothing was pulled: catch-register-reserve loses no document.
-        pool.register(TITLES_QUERY, key="t")
-        served = list(pool.serve(iterator))
-        assert sorted(outcome.index for outcome in served) == list(
-            range(len(documents))
-        )
-
-    def test_registration_rejected_while_serving(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-        loop = pool.serve(documents)
-        next(loop)
-        with pytest.raises(RuntimeError, match="while a serve loop"):
-            pool.register(TITLES_QUERY, key="extra")
-        with pytest.raises(RuntimeError, match="while a serve loop"):
-            pool.unregister("t")
-        loop.close()
-        # Closing the loop re-enables registration.
-        pool.register(get_query("BIB-Q1").xquery, key="extra")
-        assert len(pool) == 2
-
-    def test_closing_the_loop_early_stops_the_shard(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-        loop = pool.serve(iter(documents))
-        first = next(loop)
-        assert first.ok
-        loop.close()  # workers finish in-flight passes and exit
-        # Outcome counters track *delivered* documents: results the closed
-        # loop drained away are not counted as served.
-        assert pool.metrics.documents_served == 1
-        # The pool remains serviceable for the next loop.
-        assert len(list(pool.serve(documents[:2]))) == 2
-        assert pool.metrics.documents_served == 3
-
-    def test_lazy_source_is_pulled_on_demand(self, documents):
-        # Backpressure: with the result queue bounded to the worker count,
-        # a stalled consumer caps the shard at (in flight) + (queued) +
-        # (consumed) = 2 * workers + taken documents, however long the
-        # stream.  The source must never be drained eagerly.
+    def test_lazy_source_is_pulled_on_demand(self, make_pool, documents):
+        # Backpressure: a document is pulled only for an idle worker, so a
+        # stalled consumer caps the shard at (in flight) + (taken)
+        # documents, however long the stream.
         pulled = []
 
         def source():
@@ -151,110 +146,214 @@ class TestPoolBasics:
                 yield document
 
         workers = 2
-        pool = ServicePool(BIB_DTD_STRONG, workers=workers)
-        pool.register(TITLES_QUERY, key="t")
-        loop = pool.serve(source())
+        harness = make_pool(workers)
+        harness.pool.register(TITLES_QUERY, key="t")
+        loop = harness.serve(source())
         next(loop)
-        deadline = time.time() + 1.0
-        while time.time() < deadline:  # give the shard every chance to run
-            time.sleep(0.01)
-        assert len(pulled) <= 2 * workers + 1 < len(documents)
+        time.sleep(0.3)  # give the workers every chance to run ahead
+        assert len(pulled) <= workers + 1 < len(documents)
+        next(loop)
+        assert len(pulled) <= workers + 2
         loop.close()
 
-    def test_second_serve_while_running_is_rejected(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
+    def test_file_documents_are_opened_by_the_worker_that_serves_them(
+        self, make_pool, documents, tmp_path
+    ):
+        # A recipe whose file is gone is a failed *document* on every
+        # backend — not a failed stream, worker, or source iterator.
+        good = tmp_path / "good.xml"
+        good.write_text(documents[0])
+        stream = [
+            FileDocument(str(good)),
+            FileDocument(str(tmp_path / "deleted.xml")),
+            FileDocument(str(good)),
+        ]
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
+        served = sorted(harness.serve(stream), key=lambda o: o.index)
+        assert [o.ok for o in served] == [True, False, True]
+        assert isinstance(served[1].error, FileNotFoundError)
+        for outcome in (served[0], served[2]):
+            assert outcome.results["t"].output == solo(TITLES_QUERY, documents[0])
+
+
+class TestRegistration:
+    def test_registration_is_mirrored_and_compiled_once(self, make_pool):
+        harness = make_pool(3)
+        pool = harness.pool
+        registration = pool.register(TITLES_QUERY, key="t")
+        assert registration.key == "t"
+        assert len(pool) == 1 and pool.workers == 3
+        assert set(pool.registrations) == {"t"}
+        assert pool.plan_cache.stats.misses == 1  # one optimizer run, pool-wide
+        pool.unregister("t")
+        assert len(pool) == 0
+
+    def test_register_all_and_autokeys(self, make_pool):
+        pool = make_pool(2).pool
+        registrations = pool.register_all([TITLES_QUERY, get_query("BIB-Q1").xquery])
+        assert [r.key for r in registrations] == ["q1", "q2"]
+        assert len(pool) == 2
+
+    def test_unregister_unknown_key_raises_and_changes_nothing(self, make_pool):
+        pool = make_pool(2).pool
         pool.register(TITLES_QUERY, key="t")
-        loop = pool.serve(documents)
+        with pytest.raises(KeyError):
+            pool.unregister("nope")
+        assert len(pool) == 1
+
+    def test_unregister_between_loops_reaches_the_workers(self, make_pool, documents):
+        harness = make_pool(2)
+        harness.pool.register(get_query("BIB-Q1").xquery, key="q1")
+        harness.pool.register(TITLES_QUERY, key="t")
+        (first,) = harness.serve(documents[:1])
+        assert set(first.results) == {"q1", "t"}
+        harness.pool.unregister("q1")
+        (second,) = harness.serve(documents[:1])
+        assert set(second.results) == {"t"}
+
+    @pytest.mark.parametrize("backend", sorted(POOLS))
+    def test_pool_needs_at_least_one_worker(self, backend):
+        with pytest.raises(ValueError, match="at least one worker"):
+            POOLS[backend](BIB_DTD_STRONG, workers=0)
+
+
+class TestLoopGuards:
+    def test_empty_pool_serve_raises_before_consuming(self, make_pool, documents):
+        harness = make_pool(2)
+        iterator = iter(documents)
+        with pytest.raises(ValueError, match="no queries registered"):
+            next(harness.serve(iterator))
+        # Nothing was pulled: catch-register-reserve loses no document.
+        harness.pool.register(TITLES_QUERY, key="t")
+        served = list(harness.serve(iterator))
+        assert sorted(outcome.index for outcome in served) == list(
+            range(len(documents))
+        )
+
+    def test_registration_rejected_while_serving(self, make_pool, documents):
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
+        loop = harness.serve(documents)
+        next(loop)
+        with pytest.raises(RuntimeError, match="while a serve loop"):
+            harness.pool.register(TITLES_QUERY, key="extra")
+        with pytest.raises(RuntimeError, match="while a serve loop"):
+            harness.pool.unregister("t")
+        loop.close()
+        # Closing the loop re-enables registration.
+        harness.pool.register(get_query("BIB-Q1").xquery, key="extra")
+        assert len(harness.pool) == 2
+
+    def test_second_serve_while_running_is_rejected(self, make_pool, documents):
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
+        loop = harness.serve(documents)
         next(loop)
         with pytest.raises(RuntimeError, match="already running"):
-            next(pool.serve(documents[:1]))
+            next(harness.serve(documents[:1]))
         loop.close()
         # The guard belongs to the owning loop: closing it re-enables serve.
-        assert len(list(pool.serve(documents[:2]))) == 2
+        assert len(list(harness.serve(documents[:2]))) == 2
 
-    def test_serve_on_a_non_iterable_does_not_lock_the_pool(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
+    def test_closing_the_loop_early_leaves_the_pool_serviceable(
+        self, make_pool, documents
+    ):
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
+        loop = harness.serve(iter(documents))
+        assert next(loop).ok
+        loop.close()  # in-flight passes are waited out (or cancelled)
+        # Outcome counters track *delivered* documents: results the closed
+        # loop drained away are not counted as served.
+        assert harness.pool.metrics.documents_served == 1
+        assert len(list(harness.serve(documents[:2]))) == 2
+        assert harness.pool.metrics.documents_served == 3
+
+    def test_serve_on_a_non_iterable_does_not_lock_the_pool(
+        self, make_pool, documents
+    ):
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
         with pytest.raises(TypeError):
-            next(pool.serve(None))
+            next(harness.serve(None))
         # The failed call must not leave the one-loop guard engaged.
-        pool.register(get_query("BIB-Q1").xquery, key="extra")
-        assert len(list(pool.serve(documents[:2]))) == 2
+        harness.pool.register(get_query("BIB-Q1").xquery, key="extra")
+        assert len(list(harness.serve(documents[:2]))) == 2
 
-    def test_source_iterator_failure_propagates(self, documents):
+    def test_source_iterator_failure_propagates(self, make_pool, documents):
         def broken():
             yield documents[0]
             raise RuntimeError("source went away")
 
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
         with pytest.raises(RuntimeError, match="source went away"):
-            list(pool.serve(broken()))
+            list(harness.serve(broken()))
         # The pool survives a source failure.
-        assert len(list(pool.serve(documents[:2]))) == 2
+        assert len(list(harness.serve(documents[:2]))) == 2
 
 
-class TestPoolFaultIsolation:
-    def test_failing_document_is_isolated_and_others_match_solo(self, documents):
+class TestFaultIsolation:
+    def test_failing_document_is_isolated_and_others_match_solo(
+        self, make_pool, documents
+    ):
         q1 = get_query("BIB-Q1").xquery
         stream = list(documents)
-        stream[2] = BAD_DOCUMENT
-        pool = ServicePool(BIB_DTD_STRONG, workers=3)
-        pool.register(q1, key="q1")
-        pool.register(TITLES_QUERY, key="t")
-        served = list(pool.serve(stream))
+        # A real document that goes bad halfway through its pass.
+        stream[2] = stream[2][: len(stream[2]) // 2] + "<<<"
+        harness = make_pool(3)
+        harness.pool.register(q1, key="q1")
+        harness.pool.register(TITLES_QUERY, key="t")
+        served = list(harness.serve(stream))
         assert sorted(outcome.index for outcome in served) == list(range(len(stream)))
         by_index = {outcome.index: outcome for outcome in served}
-        failed = by_index[2]
+        failed = by_index.pop(2)
         assert failed.outcome == "error" and not failed.ok
         assert isinstance(failed.error, XMLSyntaxError)
+        assert failed.error.__traceback__ is None  # outcomes pin no frames
         assert failed.results == {}
         assert failed.worker in range(3)
         # Every other document is byte-identical to its solo runs.
         for index, outcome in by_index.items():
-            if index == 2:
-                continue
             assert outcome.ok
             assert outcome.results["q1"].output == solo(q1, stream[index])
             assert outcome.results["t"].output == solo(TITLES_QUERY, stream[index])
 
-    def test_abort_releases_the_failed_workers_pass_slot(self, documents):
+    def test_abort_releases_the_failed_workers_pass_slot(self, make_pool, documents):
         # A single-worker pool must serve documents *after* the bad one on
         # the very worker that failed — the abort released its slot.
-        pool = ServicePool(BIB_DTD_STRONG, workers=1)
-        pool.register(TITLES_QUERY, key="t")
+        harness = make_pool(1)
+        harness.pool.register(TITLES_QUERY, key="t")
         stream = [documents[0], BAD_DOCUMENT, documents[1], documents[2]]
-        served = list(pool.serve(stream))
+        served = list(harness.serve(stream))
         assert [outcome.index for outcome in served] == [0, 1, 2, 3]
         assert [outcome.outcome for outcome in served] == [
-            "ok",
-            "error",
-            "ok",
-            "ok",
+            "ok", "error", "ok", "ok",
         ]
         assert all(outcome.worker == 0 for outcome in served)
         for index in (0, 2, 3):
             assert served[index].results["t"].output == solo(
                 TITLES_QUERY, stream[index]
             )
-        # The worker's service holds no stuck pass.
-        assert pool.services[0].active_pass is None
-
-    def test_error_outcome_carries_partial_pass_metrics(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=1)
-        pool.register(TITLES_QUERY, key="t")
-        served = list(pool.serve([BAD_DOCUMENT]))
-        (failed,) = served
-        assert failed.outcome == "error"
         # The pass ingested the bad document's bytes before failing.
-        assert failed.metrics.document_bytes == len(BAD_DOCUMENT.encode("utf-8"))
+        assert served[1].metrics.document_bytes == len(BAD_DOCUMENT.encode("utf-8"))
 
-    def test_pool_metrics_count_ok_and_failed_documents(self, documents):
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-        stream = [documents[0], BAD_DOCUMENT, documents[1]]
-        list(pool.serve(stream))
-        metrics = pool.metrics
+    def test_validation_failure_is_isolated_too(self, make_pool, documents):
+        # Well-formed XML that violates the DTD is an isolated error as well.
+        invalid = "<bib><title>not a book</title></bib>"
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
+        served = list(harness.serve([documents[0], invalid, documents[1]]))
+        by_index = {outcome.index: outcome for outcome in served}
+        assert not by_index[1].ok
+        assert by_index[0].ok and by_index[2].ok
+
+    def test_pool_metrics_count_ok_and_failed_documents(self, make_pool, documents):
+        harness = make_pool(2)
+        harness.pool.register(TITLES_QUERY, key="t")
+        list(harness.serve([documents[0], BAD_DOCUMENT, documents[1]]))
+        metrics = harness.pool.metrics
         assert isinstance(metrics, PoolMetrics)
         assert metrics.workers == 2
         assert metrics.documents_ok == 2
@@ -265,30 +364,86 @@ class TestPoolFaultIsolation:
         assert metrics.results_produced == 2
         assert sum(entry["documents_ok"] for entry in metrics.per_worker) == 2
         assert sum(entry["documents_failed"] for entry in metrics.per_worker) == 1
-        summary = pool.stats_summary()
+        summary = harness.pool.stats_summary()
         assert summary["documents_failed"] == 1
         assert summary["plan_cache"]["misses"] == 1
 
-    def test_validation_failure_is_isolated_too(self, documents):
-        # Well-formed XML that violates the DTD is an isolated error as well.
-        invalid = "<bib><title>not a book</title></bib>"
-        pool = ServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-        served = list(pool.serve([documents[0], invalid, documents[1]]))
-        by_index = {outcome.index: outcome for outcome in served}
-        assert not by_index[1].ok
-        assert by_index[0].ok and by_index[2].ok
+
+def _serve_with(face, documents):
+    """Serve ``documents`` through one of the five serving faces; return
+    ``(plan cache, registration)`` of its one standing query."""
+    if face in POOLS:
+        harness = Harness(face, workers=2)
+        try:
+            registration = harness.pool.register(TITLES_QUERY, key="t")
+            assert all(outcome.ok for outcome in harness.serve(documents))
+            return harness.pool.plan_cache, registration
+        finally:
+            harness.close()
+    if face == "service":
+        service = QueryService(BIB_DTD_STRONG)
+        registration = service.register(TITLES_QUERY, key="t")
+        assert len(list(service.serve(documents))) == len(documents)
+        return service.plan_cache, registration
+    service = AsyncQueryService(BIB_DTD_STRONG)
+    registration = service.register(TITLES_QUERY, key="t")
+
+    async def drive():
+        return [served async for served in service.serve(documents)]
+
+    assert len(asyncio.run(drive())) == len(documents)
+    return service.plan_cache, registration
 
 
-class TestPoolSharedCache:
-    def test_mirrored_registration_compiles_once(self):
-        pool = ServicePool(BIB_DTD_STRONG, workers=4)
-        pool.register(TITLES_QUERY, key="t")
-        stats = pool.plan_cache.stats
+@pytest.mark.parametrize("face", ["service", "async-service", *sorted(POOLS)])
+def test_every_serving_face_records_plan_observations(face, documents):
+    # Calibration for `explain` / auto mode must not depend on the face a
+    # fleet is served through: every pass lands in the shared plan cache
+    # (for the process pool: the *parent's*, folded from shipped results).
+    stream = documents[:3]
+    cache, registration = _serve_with(face, stream)
+    observed = cache.observations_for(registration.entry)
+    assert observed is not None and observed.passes == 3
+    assert observed.document_bytes == sum(len(d.encode("utf-8")) for d in stream)
+    assert observed.events_routed > 0
+
+
+class TestInProcessMirrors:
+    """Thread and asyncio pools hold N live services sharing one cache."""
+
+    @pytest.mark.parametrize("pool_class", [ServicePool, AsyncServicePool])
+    def test_mirrors_share_the_compiled_entry(self, pool_class):
+        pool = pool_class(BIB_DTD_STRONG, workers=4)
+        registration = pool.register(TITLES_QUERY, key="t")
+        for service in pool.services:
+            assert set(service.registrations) == {"t"}
+            assert service.registrations["t"].entry is registration.entry
         # One compilation; the three mirrors were cache hits.
-        assert stats.misses == 1
-        assert stats.hits == 3
+        stats = pool.plan_cache.stats
+        assert (stats.misses, stats.hits) == (1, 3)
         assert len(pool.plan_cache) == 1
+        pool.unregister("t")
+        assert all(len(service) == 0 for service in pool.services)
+
+    def test_failed_pass_leaves_no_active_pass_on_the_worker(self, documents):
+        pool = ServicePool(BIB_DTD_STRONG, workers=1)
+        pool.register(TITLES_QUERY, key="t")
+        assert [o.ok for o in pool.serve([BAD_DOCUMENT, documents[0]])] == [
+            False, True,
+        ]
+        assert pool.services[0].active_pass is None
+
+    def test_no_pool_thread_survives_a_finished_or_closed_loop(self, documents):
+        before = threading.active_count()
+        pool = ServicePool(BIB_DTD_STRONG, workers=3)
+        pool.register(TITLES_QUERY, key="t")
+        assert len(list(pool.serve(documents))) == len(documents)
+        assert threading.active_count() == before
+        loop = pool.serve(documents)
+        next(loop)
+        assert threading.active_count() > before
+        loop.close()
+        assert threading.active_count() == before
 
     def test_concurrent_registration_across_workers_compiles_once(self):
         """N workers registering the same query concurrently: one optimizer
@@ -334,41 +489,7 @@ class TestPoolSharedCache:
         assert cache.stats.hits == 3
 
 
-class TestAsyncPool:
-    def drive(self, pool, documents):
-        async def collect():
-            return [outcome async for outcome in pool.serve(documents)]
-
-        return asyncio.run(collect())
-
-    def test_sharded_serve_matches_solo(self, documents):
-        pool = AsyncServicePool(BIB_DTD_STRONG, workers=3)
-        pool.register(TITLES_QUERY, key="t")
-        served = self.drive(pool, documents)
-        assert sorted(outcome.index for outcome in served) == list(
-            range(len(documents))
-        )
-        for outcome in served:
-            assert outcome.ok and outcome.worker in range(3)
-            assert outcome.results["t"].output == solo(
-                TITLES_QUERY, documents[outcome.index]
-            )
-
-    def test_failing_document_is_isolated(self, documents):
-        stream = [documents[0], BAD_DOCUMENT, documents[1]]
-        pool = AsyncServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-        served = self.drive(pool, stream)
-        by_index = {outcome.index: outcome for outcome in served}
-        assert not by_index[1].ok
-        assert isinstance(by_index[1].error, XMLSyntaxError)
-        for index in (0, 2):
-            assert by_index[index].results["t"].output == solo(
-                TITLES_QUERY, stream[index]
-            )
-        metrics = pool.metrics
-        assert metrics.documents_ok == 2 and metrics.documents_failed == 1
-
+class TestAsyncTransport:
     def test_async_chunk_feeds_overlap_across_workers(self, documents):
         # Each document arrives as an async chunk feed; the pool serves
         # them all, byte-identical.
@@ -396,29 +517,3 @@ class TestAsyncPool:
             assert outcome.results["t"].output == solo(
                 TITLES_QUERY, documents[outcome.index]
             )
-
-    def test_empty_pool_serve_raises(self, documents):
-        pool = AsyncServicePool(BIB_DTD_STRONG, workers=2)
-        with pytest.raises(ValueError, match="no queries registered"):
-            self.drive(pool, documents)
-
-    def test_mirrored_registration_compiles_once(self):
-        pool = AsyncServicePool(BIB_DTD_STRONG, workers=4)
-        pool.register(TITLES_QUERY, key="t")
-        assert pool.plan_cache.stats.misses == 1
-        assert pool.plan_cache.stats.hits == 3
-
-    def test_second_serve_while_running_is_rejected(self, documents):
-        pool = AsyncServicePool(BIB_DTD_STRONG, workers=2)
-        pool.register(TITLES_QUERY, key="t")
-
-        async def drive():
-            loop = pool.serve(documents)
-            await loop.__anext__()
-            with pytest.raises(RuntimeError, match="already running"):
-                await pool.serve(documents[:1]).__anext__()
-            await loop.aclose()
-
-        asyncio.run(drive())
-        # Closing the first loop re-enables serving.
-        assert len(self.drive(pool, documents[:2])) == 2

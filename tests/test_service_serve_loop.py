@@ -132,6 +132,46 @@ class TestServeLoop:
         # The service survives: a fresh loop serves cleanly.
         assert service.run_pass(PAPER_DOCUMENT)["q3"].output
 
+    @pytest.mark.parametrize("face", ["run_pass", "serve", "serve_document"])
+    def test_the_document_step_tags_and_the_plain_faces_reraise(self, face):
+        # serve_document folds a failure into an error outcome; run_pass
+        # and serve raise that very exception — original type, traceback
+        # reaching down to the parser frame that raised it (only pools
+        # strip tracebacks).
+        import traceback
+
+        from repro.errors import XMLSyntaxError
+
+        service = QueryService(PAPER_FIGURE1_DTD)
+        service.register(PAPER_Q3, key="q3")
+        if face == "serve_document":
+            served = service.serve_document("<bib><book>", index=7)
+            assert (served.outcome, served.index, served.results) == ("error", 7, {})
+            assert served.metrics.document_bytes == len("<bib><book>")
+            error = served.error
+        else:
+            with pytest.raises(XMLSyntaxError) as raised:
+                if face == "run_pass":
+                    service.run_pass("<bib><book>")
+                else:
+                    list(service.serve(["<bib><book>"]))
+            error = raised.value
+        assert type(error) is XMLSyntaxError
+        frames = traceback.extract_tb(error.__traceback__)
+        assert frames[-1].filename.endswith("xmlstream/parser.py")
+        assert service.active_pass is None
+
+    def test_a_non_exception_aborts_the_pass_and_propagates(self):
+        class Interrupting:
+            def read(self, size):
+                raise KeyboardInterrupt
+
+        service = QueryService(PAPER_FIGURE1_DTD)
+        service.register(PAPER_Q3, key="q3")
+        with pytest.raises(KeyboardInterrupt):
+            service.serve_document(Interrupting())
+        assert service.active_pass is None
+
 
 class TestRegistrationChurn:
     """Register / unregister / replace between passes of one serve loop."""
