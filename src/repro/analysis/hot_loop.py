@@ -6,7 +6,7 @@ would amortize, no ``isinstance`` dispatch, no ``try``/``except`` entry.
 This checker enforces those rules for every function carrying a
 ``# hot-loop`` marker (on its ``def`` line or the line above), and
 insists that the known per-event functions — the projection router, the
-dispatcher feed, the incremental parser — stay marked.
+dispatcher feed, the incremental parser and its token scan — stay marked.
 
 Rules:
 
@@ -43,6 +43,7 @@ REQUIRED_HOT: Tuple[Tuple[str, str], ...] = (
     ("service/dispatcher.py", "SharedProjectionIndex._route_start"),
     ("service/dispatcher.py", "SharedDispatcher.dispatch"),
     ("xmlstream/parser.py", "StreamingXMLParser.feed"),
+    ("xmlstream/parser.py", "StreamingXMLParser._scan"),
 )
 
 _ALLOCATING_BUILTINS = {"list", "dict", "set", "frozenset", "bytearray", "tuple"}

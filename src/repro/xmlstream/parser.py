@@ -9,7 +9,8 @@ benchmarks measure a single, consistent parsing substrate for every engine.
 Supported XML subset
 --------------------
 
-* elements, attributes (single- or double-quoted), character data,
+* elements (a closing tag must name the element it closes), attributes
+  (single- or double-quoted), character data,
 * the five predefined entities plus decimal/hexadecimal character references,
 * comments, processing instructions, CDATA sections, and the XML declaration
   (all skipped, CDATA contributing its literal text),
@@ -36,6 +37,7 @@ is what the multi-query service uses to ingest documents as they arrive.
 from __future__ import annotations
 
 import io
+import re
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import XMLSyntaxError
@@ -58,6 +60,26 @@ _PREDEFINED_ENTITIES = {
 
 _NAME_START_EXTRA = set("_:")
 _NAME_EXTRA = set("_:.-")
+
+_CHAR_REFERENCE = re.compile(r"#(?:[xX]([0-9A-Fa-f]+)|([0-9]+))")
+
+# The common tokens, one match each in _scan():
+#   text? '<' name (ws attr '=' quoted)* ws? '/'? '>'   and   text? '</' name ws? '>'
+# Deliberately narrower than _parse_markup (ASCII names, the four XML
+# whitespace characters, whitespace before every attribute, no "<" or ">" in
+# a value): what the pattern does not match is left to _parse_markup, which
+# alone decides what is an error, so the two only have to agree on the
+# events of what the pattern does match.
+_WS = r"[ \t\r\n]"
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_TOKEN = re.compile(
+    rf"([^<]*)<(?:/({_NAME}){_WS}*>"
+    rf"|({_NAME})((?:{_WS}+{_NAME}{_WS}*={_WS}*(?:\"[^\"<>]*\"|'[^'<>]*'))*){_WS}*(/?)>)"
+)
+_ATTRIBUTE = re.compile(rf"({_NAME}){_WS}*={_WS}*(?:\"([^\"]*)\"|'([^']*)')")
+# Most events one step returns: keeps pull mode lazy and the events in
+# flight bounded however much input is buffered.
+_BATCH = 512
 
 
 class _Incomplete(Exception):
@@ -97,14 +119,15 @@ def resolve_entities(text: str, offset: int = 0) -> str:
         if semi < 0:
             raise XMLSyntaxError("unterminated entity reference", offset + amp)
         name = text[amp + 1 : semi]
-        if name.startswith("#x") or name.startswith("#X"):
+        if name.startswith("#"):
+            # Digits only: int() alone would also take "_", whitespace, a
+            # sign and non-ASCII digits.
+            reference = _CHAR_REFERENCE.fullmatch(name)
             try:
-                parts.append(chr(int(name[2:], 16)))
-            except ValueError as exc:
-                raise XMLSyntaxError(f"bad character reference &{name};", offset + amp) from exc
-        elif name.startswith("#"):
-            try:
-                parts.append(chr(int(name[1:], 10)))
+                if reference is None:
+                    raise ValueError(name)
+                hexadecimal, decimal = reference.groups()
+                parts.append(chr(int(hexadecimal, 16) if hexadecimal else int(decimal)))
             except ValueError as exc:
                 raise XMLSyntaxError(f"bad character reference &{name};", offset + amp) from exc
         elif name in _PREDEFINED_ENTITIES:
@@ -177,7 +200,7 @@ class StreamingXMLParser:
         # Document-level state of the resumable main loop.
         self._started = False
         self._finished = False
-        self._depth = 0
+        self._open: List[str] = []  # names of the open elements, root first
         self._saw_root = False
         self._text_parts: List[str] = []
         self.doctype_internal_subset: Optional[str] = None
@@ -291,8 +314,7 @@ class StreamingXMLParser:
                 "with feed()/close()"
             )
         while not self._finished:
-            for event in self._advance():
-                yield event
+            yield from self._advance()
 
     __iter__ = events
 
@@ -348,10 +370,11 @@ class StreamingXMLParser:
     def _advance(self) -> List[Event]:
         """Parse one step, returning its events (resumable on _Incomplete).
 
-        One step is the document start, one markup construct (with any text
-        preceding it), or the document end.  State mutated before an
-        :class:`_Incomplete` escape is limited to already-complete text
-        moved into ``self._text_parts``, so re-entering is always safe.
+        One step is the document start, a batch of common tokens
+        (:meth:`_scan`), one markup construct (with any text preceding it),
+        or the document end.  State mutated before an :class:`_Incomplete`
+        escape is limited to already-complete text moved into
+        ``self._text_parts``, so re-entering is always safe.
         """
         out: List[Event] = []
         if self._finished:
@@ -361,6 +384,13 @@ class StreamingXMLParser:
             out.append(StartDocument())
             return out
         self._compact()
+        # A step that scanned any tokens ends there: whatever stopped the
+        # scan raises or stalls in a step of its own, after these events
+        # were delivered.  (Text banked by a stall joins the slow step.)
+        if self._open and not self._text_parts:
+            self._scan(out)
+            if out:
+                return out
         self._fill(1)
         if self._pos >= len(self._buffer):
             return self._finish_document(out)
@@ -384,7 +414,7 @@ class StreamingXMLParser:
         if lt > self._pos:
             self._text_parts.append(self._buffer[self._pos : lt])
             self._pos = lt
-        flushed = self._flush_text(self._text_parts, self._depth)
+        flushed = self._flush_text(self._text_parts, len(self._open))
         if flushed is not None:
             out.append(flushed)
         try:
@@ -396,30 +426,88 @@ class StreamingXMLParser:
         if event is None:
             return out
         if isinstance(event, StartElement):
-            if self._depth == 0 and self._saw_root:
+            if not self._open and self._saw_root:
                 raise XMLSyntaxError("multiple root elements", self._offset(self._pos))
             self._saw_root = True
             out.append(event)
             if closed:
                 out.append(EndElement(event.name))
             else:
-                self._depth += 1
+                self._open.append(event.name)
         elif isinstance(event, EndElement):
-            self._depth -= 1
-            if self._depth < 0:
+            if not self._open:
                 raise XMLSyntaxError(
                     f"unexpected closing tag </{event.name}>", self._offset(self._pos)
                 )
+            if self._open[-1] != event.name:
+                raise XMLSyntaxError(
+                    f"closing tag </{event.name}> does not match <{self._open[-1]}>",
+                    self._offset(self._pos),
+                )
+            self._open.pop()
             out.append(event)
         else:  # pragma: no cover - defensive
             out.append(event)
         return out
 
+    def _scan(self, out: List[Event]) -> None:  # hot-loop
+        """Append the events of the common tokens at the read position.
+
+        Stops *before* the first construct :data:`_TOKEN` does not match at
+        the current position — comments, PIs, CDATA, anything cut by the
+        buffer end, attribute forms only the lenient character loop takes,
+        every malformed tag — and before a closing tag that does not match
+        the open element or a reference that does not resolve, leaving each
+        of them to :meth:`_parse_markup`; and after the root element closes,
+        because depth-0 content is the step machine's business.
+        """
+        buffer = self._buffer
+        pos = self._pos
+        open_names = self._open
+        keep_whitespace = self._keep_whitespace
+        match = _TOKEN.match
+        append = out.append
+        resolve, find_attributes = resolve_entities, _ATTRIBUTE.findall
+        text_event, start_event, end_event = Text, StartElement, EndElement
+        limit = _BATCH - 3  # one more token adds at most three events
+        # hot-loop-ok: entered once per batch; a reference that does not resolve ends the batch
+        try:
+            while open_names and len(out) <= limit:
+                token = match(buffer, pos)
+                if token is None:
+                    break
+                text, closing, name, attrs, empty = token.groups()
+                if closing is not None and closing != open_names[-1]:
+                    break
+                # Everything that can raise comes before the first append,
+                # so a token is delivered whole or not at all.
+                if "&" in text:
+                    text = resolve(text)
+                elif not keep_whitespace and text.isspace():
+                    text = ""
+                if attrs:
+                    # hot-loop-ok: the pairs are the event's payload
+                    attrs = tuple([(n, resolve(d or s)) for n, d, s in find_attributes(attrs)])
+                if text:
+                    append(text_event(text))
+                if closing is not None:
+                    open_names.pop()
+                    append(end_event(closing))
+                else:
+                    append(start_event(name, attrs or ()))
+                    if empty:
+                        append(end_event(name))
+                    else:
+                        open_names.append(name)
+                pos = token.end()
+        except XMLSyntaxError:
+            pass  # _parse_markup meets the same reference and raises it
+        self._pos = pos
+
     def _finish_document(self, out: List[Event]) -> List[Event]:
-        flushed = self._flush_text(self._text_parts, self._depth)
-        if flushed is not None and self._depth > 0:
-            out.append(flushed)
-        if self._depth != 0:
+        # Trailing text is whitespace after the root, or raises here.
+        self._flush_text(self._text_parts, len(self._open))
+        if self._open:
             raise XMLSyntaxError("unexpected end of document: unclosed elements")
         if not self._saw_root:
             raise XMLSyntaxError("document has no root element")

@@ -125,6 +125,23 @@ class TestPushModeErrors:
         with pytest.raises(XMLSyntaxError):
             parser.feed("<b/>")
 
+    @pytest.mark.parametrize("document", ["<a><b></a></b>", "<a></b>"])
+    def test_mismatched_closing_tag_at_every_split_point(self, document):
+        one_shot = []
+        with pytest.raises(XMLSyntaxError) as expected:
+            for event in parse_events(document):
+                one_shot.append(event)
+        assert "does not match" in str(expected.value)
+        for cut in range(len(document) + 1):
+            parser = StreamingXMLParser.incremental()
+            events = []
+            with pytest.raises(XMLSyntaxError) as error:
+                events.extend(parser.feed(document[:cut]))
+                events.extend(parser.feed(document[cut:]))
+                events.extend(parser.close())
+            assert events == one_shot
+            assert str(error.value) == str(expected.value)
+
     def test_error_is_deferred_until_the_completed_prefix_is_delivered(self):
         # A one-shot parse yields five events before failing on "</x>"; a
         # single feed() of the same text must deliver the same prefix and

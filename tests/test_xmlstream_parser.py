@@ -86,6 +86,15 @@ class TestEntities:
         with pytest.raises(XMLSyntaxError):
             events_of("<a>&amp</a>")
 
+    @pytest.mark.parametrize("reference", ["&#x1_0;", "&# 65;", "&#+65;", "&#1114112;"])
+    def test_character_references_are_digits_in_range(self, reference):
+        # int() alone takes "_", whitespace and a sign; chr() bounds the range.
+        with pytest.raises(XMLSyntaxError) as error:
+            resolve_entities("ab" + reference, offset=10)
+        assert str(error.value) == f"bad character reference {reference} (at offset 12)"
+        with pytest.raises(XMLSyntaxError):
+            events_of(f"<a>{reference}</a>")
+
     def test_quote_and_apos(self):
         assert resolve_entities("&quot;&apos;") == "\"'"
 
@@ -120,7 +129,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "xml",
         [
-            "<a><b></a>",          # mismatched nesting
+            "<a><b></a>",          # mismatched nesting, and unclosed
+            "<a><b></a></b>",      # crossed nesting, every element closed
+            "<a></b>",             # closing tag names another element
             "<a>",                 # unclosed element
             "</a>",                # stray closing tag
             "<a></a><b></b>",      # two root elements
@@ -134,6 +145,11 @@ class TestErrors:
     def test_malformed_documents_raise(self, xml):
         with pytest.raises(XMLSyntaxError):
             events_of(xml)
+
+    def test_mismatched_closing_tag_names_both_elements(self):
+        with pytest.raises(XMLSyntaxError) as error:
+            events_of("<a><b></a></b>")
+        assert str(error.value) == "closing tag </a> does not match <b> (at offset 10)"
 
     def test_text_outside_root_rejected(self):
         with pytest.raises(XMLSyntaxError):
@@ -165,3 +181,100 @@ class TestFileLikeInput:
     def test_large_document_streams(self, small_bibliography):
         count = sum(1 for e in parse_events(small_bibliography) if isinstance(e, StartElement))
         assert count > 20
+
+
+class TestTokenPatternSeam:
+    """What the bulk token pattern hands to the character-level fallback.
+
+    The expectations are the behaviour of the parser before the pattern
+    existed; the pattern accepts a subset, so each of these must still come
+    out of ``_parse_markup`` unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "body, events",
+        [
+            # non-ASCII names
+            ('<é à="1">ü</é>', [StartElement("é", (("à", "1"),)), Text("ü"), EndElement("é")]),
+            # no whitespace between attributes
+            ('<a x="1"y="2"/>', [StartElement("a", (("x", "1"), ("y", "2"))), EndElement("a")]),
+            # "<" inside a value
+            ('<a x="a<b"/>', [StartElement("a", (("x", "a<b"),)), EndElement("a")]),
+            # whitespace around a closing tag's name
+            ("<a>t</ a >", [StartElement("a"), Text("t"), EndElement("a")]),
+            # attribute names the lenient loop takes
+            ('<a 1x="v" -y="w"/>', [StartElement("a", (("1x", "v"), ("-y", "w"))), EndElement("a")]),
+            # whitespace that is not one of XML's four characters
+            ('<a\x0bx="1"/>\x0c', [StartElement("a", (("x", "1"),)), EndElement("a")]),
+            # the constructs the pattern never starts
+            ("<!--c--><a/><?p d?><![CDATA[<x>]]>", [StartElement("a"), EndElement("a"), Text("<x>")]),
+        ],
+    )
+    def test_lenient_forms_still_parse(self, body, events):
+        expected = [StartDocument(), StartElement("r"), *events, EndElement("r"), EndDocument()]
+        assert events_of(f"<r>{body}</r>") == expected
+
+    @pytest.mark.parametrize(
+        "xml, message",
+        [
+            ("<r/>tail", "character data outside the root element"),
+            ("lead<r/>", "character data outside the root element"),
+            ("<r>&nope;</r>", "unknown entity &nope; (at offset 0)"),
+            ("<r><a/>t&nope;<b/></r>", "unknown entity &nope; (at offset 1)"),
+            ('<r><a x="&nope;"/></r>', "unknown entity &nope; (at offset 0)"),
+            ('<r><a x="1>2"/></r>', "unterminated value for attribute 'x' (at offset 3)"),
+            ("<r><a x=1/></r>", "attribute 'x' value must be quoted (at offset 3)"),
+            ("<r><a x/></r>", "attribute 'x' is missing a value (at offset 3)"),
+            ("<r><a / ></r>", "malformed attribute in <a /> (at offset 3)"),
+            ("<r><a/b></r>", "malformed attribute in <a/b> (at offset 3)"),
+            ("<r></></r>", "empty closing tag (at offset 3)"),
+            ("<r><a/></r></r>", "unexpected closing tag </r> (at offset 15)"),
+        ],
+    )
+    def test_errors_keep_message_and_offset(self, xml, message):
+        with pytest.raises(XMLSyntaxError) as error:
+            events_of(xml)
+        assert str(error.value) == message
+
+    def test_a_tag_split_at_any_byte_is_delivered_once_complete(self):
+        document = '<r><a x="1">t</a></r>'
+        delivered = []
+        for cut in range(len(document) + 1):
+            parser = StreamingXMLParser.incremental()
+            first = parser.feed(document[:cut])
+            assert first + parser.feed(document[cut:]) + parser.close() == events_of(document)
+            delivered.append(len(first))
+        # StartDocument at once; text as soon as the "<" after it arrives.
+        assert delivered == [1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6]
+
+    def test_an_error_behind_completed_events_waits_for_the_next_call(self):
+        parser = StreamingXMLParser.incremental()
+        assert parser.feed("<r><a/>t<b x=1/>") == [
+            StartDocument(),
+            StartElement("r"),
+            StartElement("a"),
+            EndElement("a"),
+        ]
+        with pytest.raises(XMLSyntaxError) as error:
+            parser.feed("</r>")
+        assert str(error.value) == "attribute 'x' value must be quoted (at offset 8)"
+
+    def test_reader_buffer_stays_within_two_chunks_and_a_construct(self):
+        item = '<item n="12345">value 12345</item>'
+        document = "<r>" + item * (2_000_000 // len(item)) + "</r>"
+        parser = StreamingXMLParser(io.StringIO(document), chunk_size=4096)
+        held = 0
+        for _ in parser.events():
+            held = max(held, len(parser._buffer))
+        assert held <= 2 * 4096 + len(item)
+
+    def test_pull_mode_tokenizes_one_batch_per_step(self):
+        # cli._load_dtd and statically empty plans stop after a few events;
+        # they must not pay for the whole document.
+        item = "<i>x</i>"
+        parser = StreamingXMLParser("<r>" + item * 131072 + "</r>")
+        events = parser.events()
+        assert [next(events), next(events)] == [StartDocument(), StartElement("r")]
+        assert parser._pos == len("<r>")
+        next(events)
+        assert parser._pos <= 512 * len(item)
