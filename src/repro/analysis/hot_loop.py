@@ -6,7 +6,9 @@ would amortize, no ``isinstance`` dispatch, no ``try``/``except`` entry.
 This checker enforces those rules for every function carrying a
 ``# hot-loop`` marker (on its ``def`` line or the line above), and
 insists that the known per-event functions — the projection router, the
-dispatcher feed, the incremental parser and its token scan — stay marked.
+dispatcher feed, the incremental parser and its token scan, the validator's
+``feed`` and the XSAX reader's ``__next__`` with its start/end handlers —
+stay marked.
 
 Rules:
 
@@ -44,6 +46,10 @@ REQUIRED_HOT: Tuple[Tuple[str, str], ...] = (
     ("service/dispatcher.py", "SharedDispatcher.dispatch"),
     ("xmlstream/parser.py", "StreamingXMLParser.feed"),
     ("xmlstream/parser.py", "StreamingXMLParser._scan"),
+    ("dtd/validator.py", "StreamingValidator.feed"),
+    ("runtime/xsax.py", "XSAXReader.__next__"),
+    ("runtime/xsax.py", "XSAXReader._start"),
+    ("runtime/xsax.py", "XSAXReader._end"),
 )
 
 _ALLOCATING_BUILTINS = {"list", "dict", "set", "frozenset", "bytearray", "tuple"}

@@ -14,6 +14,62 @@ from repro.errors import DTDSyntaxError
 from repro.dtd.model import ANY, EMPTY, PCDATA, AttributeDecl, ElementDecl
 
 
+class ElementTable:
+    """What the per-event path needs to know about one element type.
+
+    Derived once from the element's declaration and content-model automaton
+    so the validator and XSAX step an open element with one dict lookup
+    instead of ``has_element`` + ``automaton`` + ``step`` per start tag.
+    Per automaton state, ``next`` holds the ``{child: successor}`` dict and
+    ``remaining`` the labels that may still occur; ``accepting`` are the
+    states an end tag may arrive in.  All three are ``None`` for an element
+    whose children are not stepped (undeclared, or ``ANY`` content), and
+    ``start`` is ``None`` for an undeclared one.
+    """
+
+    __slots__ = (
+        "name", "declared", "any", "allows_text", "start", "next", "remaining", "accepting"
+    )
+
+    def __init__(self, name: str, decl: Optional[ElementDecl] = None, automaton=None) -> None:
+        self.name = name
+        self.declared = decl is not None
+        self.any = automaton is not None and automaton.allows_any
+        self.allows_text = decl.allows_text() if decl is not None else True
+        self.start: Optional[int] = automaton.start_state if automaton is not None else None
+        self.next: Optional[List[Dict[str, int]]] = None
+        self.remaining: Optional[List[FrozenSet[str]]] = None
+        self.accepting: Optional[FrozenSet[int]] = None
+        if automaton is not None and not automaton.allows_any:
+            states = range(automaton.state_count)
+            self.next = [automaton.transitions_from(state) for state in states]
+            self.remaining = [automaton.reachable_labels(state) for state in states]
+            self.accepting = frozenset(s for s in states if automaton.is_accepting(s))
+
+
+#: Undeclared names a table memo keeps; past it they are rebuilt per use,
+#: so a document inventing names cannot grow a long-lived DTD without bound.
+MAX_UNDECLARED_TABLES = 1024
+
+
+class _ElementTables(dict):
+    """``{element name: ElementTable}``; a missing name is built on first use."""
+
+    def __init__(self, dtd: "DTD") -> None:
+        super().__init__()
+        self._dtd = dtd
+
+    def __missing__(self, name: str) -> ElementTable:
+        dtd = self._dtd
+        if dtd.has_element(name):
+            table = ElementTable(name, dtd.element(name), dtd.automaton(name))
+        else:
+            table = ElementTable(name)
+        if table.declared or len(self) < MAX_UNDECLARED_TABLES:
+            self[name] = table
+        return table
+
+
 class DTD:
     """A parsed document type definition.
 
@@ -49,6 +105,18 @@ class DTD:
             raise DTDSyntaxError(f"root element {self.root!r} is not declared")
         self._automata: Dict[str, "ContentModelAutomaton"] = {}
         self._constraints: Optional["SchemaConstraints"] = None
+        self._element_tables: Optional[_ElementTables] = None
+
+    def __getstate__(self) -> dict:
+        # The element tables are derived data that refers back to this
+        # object; a worker rebuilds them on its first event.
+        state = dict(self.__dict__)
+        del state["_element_tables"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._element_tables = None
 
     # ------------------------------------------------------------ accessors
 
@@ -94,6 +162,16 @@ class DTD:
 
             self._automata[name] = build_automaton(self.element(name))
         return self._automata[name]
+
+    def element_tables(self) -> Dict[str, ElementTable]:
+        """The (cached) per-element lookup tables of the per-event path.
+
+        Index the mapping with ``[name]``: the table of a name not seen
+        before — declared or not — is built and kept on that first access.
+        """
+        if self._element_tables is None:
+            self._element_tables = _ElementTables(self)
+        return self._element_tables
 
     def constraints(self) -> "SchemaConstraints":
         """The (cached) schema constraints derived from this DTD."""

@@ -3,8 +3,10 @@
 The validator consumes the event vocabulary of :mod:`repro.xmlstream.events`
 and checks conformance against a :class:`~repro.dtd.schema.DTD` using the
 content-model automata, maintaining one automaton state per open element —
-exactly the bookkeeping the paper's XSAX parser performs (XSAX itself, in
-:mod:`repro.runtime.xsax`, reuses this class and adds on-first events).
+exactly the bookkeeping the paper's XSAX parser performs.  XSAX itself
+(:mod:`repro.runtime.xsax`) walks the same per-element lookup tables
+(:meth:`DTD.element_tables <repro.dtd.schema.DTD.element_tables>`) and adds
+on-first events.
 
 Elements that appear in content models but carry no declaration of their own
 are treated as having ``ANY`` content, matching common lenient-validation
@@ -13,31 +15,18 @@ practice; strict mode turns this into an error.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import XMLValidationError
-from repro.dtd.schema import DTD
+from repro.dtd.schema import DTD, ElementTable
 from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     Event,
-    StartDocument,
     StartElement,
     Text,
 )
 from repro.xmlstream.tree import XMLElement, tree_to_events
-
-
-class _OpenElement:
-    """Validation state for one open element."""
-
-    __slots__ = ("name", "state", "declared", "allows_text")
-
-    def __init__(self, name: str, state: Optional[int], declared: bool, allows_text: bool):
-        self.name = name
-        self.state = state
-        self.declared = declared
-        self.allows_text = allows_text
 
 
 class StreamingValidator:
@@ -61,7 +50,9 @@ class StreamingValidator:
     def __init__(self, dtd: DTD, strict: bool = False):
         self.dtd = dtd
         self.strict = strict
-        self._stack: List[_OpenElement] = []
+        self._tables = dtd.element_tables()
+        # One ``[element table, automaton state]`` per open element.
+        self._stack: List[list] = []
         self._saw_root = False
         self.elements_validated = 0
 
@@ -76,24 +67,48 @@ class StreamingValidator:
         """``(element name, automaton state)`` of the innermost open element."""
         if not self._stack:
             return None
-        top = self._stack[-1]
-        return top.name, top.state
+        table, state = self._stack[-1]
+        return table.name, state
 
-    def feed(self, event: Event) -> None:
+    def feed(self, event: Event) -> None:  # hot-loop
         """Validate a single event, raising :class:`XMLValidationError` on
         violations."""
-        if isinstance(event, StartDocument):
-            return
-        if isinstance(event, EndDocument):
-            if self._stack:
-                raise XMLValidationError("document ended with unclosed elements")
-            return
-        if isinstance(event, StartElement):
-            self._feed_start(event)
-        elif isinstance(event, EndElement):
-            self._feed_end(event)
-        elif isinstance(event, Text):
-            self._feed_text(event)
+        kind = type(event)
+        stack = self._stack
+        if kind is StartElement:
+            name = event.name
+            if stack:
+                parent = stack[-1]
+                steps = parent[0].next
+                if steps is not None:
+                    state = steps[parent[1]].get(name)
+                    if state is None:
+                        self._reject_child(parent[0], name)
+                    parent[1] = state
+            else:
+                self._open_root(name)
+            table = self._tables[name]
+            if self.strict and not table.declared:
+                # hot-loop-ok: raises
+                raise XMLValidationError(f"element <{name}> is not declared in the DTD")
+            # hot-loop-ok: the one frame per open element (depth-bounded)
+            stack.append([table, table.start])
+            self.elements_validated += 1
+        elif kind is EndElement:
+            if not stack:
+                self._reject_end(None, event)
+            table, state = stack.pop()
+            accepting = table.accepting
+            # hot-loop-ok: the start tag's branch, which loads event.name too, is exclusive
+            if table.name != event.name or (accepting is not None and state not in accepting):
+                self._reject_end(table, event)  # hot-loop-ok: raises, as the call above does
+        elif kind is Text:
+            # Cold in data documents: text sits in elements that allow it.
+            if not stack or not stack[-1][0].allows_text:
+                self._check_text(event.text)
+        elif kind is EndDocument and stack:
+            # hot-loop-ok: raises
+            raise XMLValidationError("document ended with unclosed elements")
 
     def validate(self, events: Iterable[Event]) -> Iterator[Event]:
         """Yield ``events`` unchanged while validating them."""
@@ -101,69 +116,44 @@ class StreamingValidator:
             self.feed(event)
             yield event
 
-    # ------------------------------------------------------------ handlers
+    # ---------------------------------------------------------- violations
 
-    def _feed_start(self, event: StartElement) -> None:
-        name = event.name
-        if not self._stack:
-            if self._saw_root:
-                raise XMLValidationError("multiple root elements")
-            self._saw_root = True
-            if name != self.dtd.root:
-                raise XMLValidationError(
-                    f"root element is <{name}>, expected <{self.dtd.root}>"
-                )
-        else:
-            parent = self._stack[-1]
-            if parent.declared and parent.state is not None:
-                automaton = self.dtd.automaton(parent.name)
-                next_state = automaton.step(parent.state, name)
-                if next_state is None:
-                    raise XMLValidationError(
-                        f"element <{name}> is not allowed here inside <{parent.name}> "
-                        f"(content model: "
-                        f"{self.dtd.element(parent.name).content.to_dtd_syntax()})"
-                    )
-                parent.state = next_state
-            elif self.strict and parent.declared:
-                raise XMLValidationError(
-                    f"element <{parent.name}> does not allow child elements"
-                )
-        declared = self.dtd.has_element(name)
-        if not declared and self.strict:
-            raise XMLValidationError(f"element <{name}> is not declared in the DTD")
-        allows_text = self.dtd.element(name).allows_text() if declared else True
-        state = self.dtd.automaton(name).start_state if declared else None
-        self._stack.append(_OpenElement(name, state, declared, allows_text))
-        self.elements_validated += 1
+    def _open_root(self, name: str) -> None:
+        if self._saw_root:
+            raise XMLValidationError("multiple root elements")
+        self._saw_root = True
+        if name != self.dtd.root:
+            raise XMLValidationError(f"root element is <{name}>, expected <{self.dtd.root}>")
 
-    def _feed_end(self, event: EndElement) -> None:
-        if not self._stack:
+    def _content_model(self, table: ElementTable) -> str:
+        return f"(content model: {self.dtd.element(table.name).content.to_dtd_syntax()})"
+
+    def _reject_child(self, parent: ElementTable, name: str) -> None:
+        raise XMLValidationError(
+            f"element <{name}> is not allowed here inside <{parent.name}> "
+            + self._content_model(parent)
+        )
+
+    def _reject_end(self, table: Optional[ElementTable], event: EndElement) -> None:
+        if table is None:
             raise XMLValidationError(f"unexpected closing tag </{event.name}>")
-        top = self._stack.pop()
-        if top.name != event.name:
+        if table.name != event.name:
             raise XMLValidationError(
-                f"closing tag </{event.name}> does not match open element <{top.name}>"
+                f"closing tag </{event.name}> does not match open element <{table.name}>"
             )
-        if top.declared and top.state is not None:
-            automaton = self.dtd.automaton(top.name)
-            if not automaton.is_accepting(top.state):
-                raise XMLValidationError(
-                    f"element <{top.name}> closed with incomplete content "
-                    f"(content model: {self.dtd.element(top.name).content.to_dtd_syntax()})"
-                )
+        raise XMLValidationError(
+            f"element <{table.name}> closed with incomplete content " + self._content_model(table)
+        )
 
-    def _feed_text(self, event: Text) -> None:
-        if not self._stack:
-            if event.text.strip():
-                raise XMLValidationError("character data outside the root element")
+    def _check_text(self, text: str) -> None:
+        if not text.strip():
             return
-        top = self._stack[-1]
-        if not top.allows_text and event.text.strip():
-            if self.strict:
-                raise XMLValidationError(
-                    f"element <{top.name}> has element-only content but contains text"
-                )
+        if not self._stack:
+            raise XMLValidationError("character data outside the root element")
+        if self.strict:
+            raise XMLValidationError(
+                f"element <{self._stack[-1][0].name}> has element-only content but contains text"
+            )
 
 
 def validate_events(events: Iterable[Event], dtd: DTD, strict: bool = False) -> int:

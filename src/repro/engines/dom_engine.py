@@ -62,7 +62,7 @@ class _CountingEvents:
     def __iter__(self):
         for event in self._events:
             self._stats.events_processed += 1
-            if isinstance(event, StartElement):
+            if type(event) is StartElement:
                 self._stats.elements_parsed += 1
             yield event
 

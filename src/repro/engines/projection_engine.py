@@ -237,7 +237,7 @@ class ProjectionEngine(Engine):
         root_element: Optional[XMLElement] = None
         stack: List[_StackEntry] = []
         for event in events:
-            if isinstance(event, StartElement):
+            if type(event) is StartElement:
                 if not stack:
                     # The root element is always materialized (it is the
                     # spine of every document-rooted path).
@@ -266,10 +266,10 @@ class ProjectionEngine(Engine):
                     stack.append(_StackEntry(element, matched, keep_region))
                 else:
                     stack.append(_StackEntry(None, [], False))
-            elif isinstance(event, EndElement):
+            elif type(event) is EndElement:
                 if stack:
                     stack.pop()
-            elif isinstance(event, Text):
+            elif type(event) is Text:
                 if stack:
                     top = stack[-1]
                     if top.element is not None and top.in_kept_subtree:

@@ -54,7 +54,6 @@ one session per distinct plan structure, over one shared document scan.
 from __future__ import annotations
 
 import io
-import math
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -92,22 +91,16 @@ from repro.xquery.evaluator import TreeEvaluator, string_value
 class _Scope:
     """Runtime state of one ``process-stream`` element instance."""
 
-    __slots__ = ("tag", "attrs", "source", "buffers", "consumed", "is_document")
+    __slots__ = ("tag", "attrs", "source", "buffers", "consumed")
 
     def __init__(
-        self,
-        tag: str,
-        attrs: Dict[str, str],
-        source: Iterator[Event],
-        buffers: ScopeBuffers,
-        is_document: bool = False,
+        self, tag: str, attrs: Dict[str, str], source: Iterator[Event], buffers: ScopeBuffers
     ):
         self.tag = tag
         self.attrs = attrs
         self.source = source
         self.buffers = buffers
         self.consumed = False
-        self.is_document = is_document
 
 
 Binding = Union[_Scope, XMLElement, str, int, float]
@@ -129,26 +122,6 @@ class StarvedInput(Exception):
 #: Yielded by the execution generators while their input source is starved.
 _NEED_INPUT = object()
 
-#: Returned by :func:`_pull` when the source is exhausted for good.
-_END_OF_INPUT = object()
-
-
-def _pull(source: Iterator[Event]):
-    """Coroutine: the next event from ``source``, or ``_END_OF_INPUT``.
-
-    Suspends (yielding ``_NEED_INPUT``) for as long as the source raises
-    :class:`StarvedInput`; pull-based sources never do, so callers driving
-    a pull source run straight through.
-    """
-    while True:
-        try:
-            return next(source)
-        except StopIteration:
-            return _END_OF_INPUT
-        except StarvedInput:
-            yield _NEED_INPUT
-
-
 class StreamedEvaluator:
     """Executes a physical plan over an input event stream."""
 
@@ -161,6 +134,8 @@ class StreamedEvaluator:
         self.plan = plan
         self.dtd = dtd if dtd is not None else plan.dtd
         self.validate = validate
+        # ``id(op) -> its on-first handlers``; the frozen ops cannot carry it.
+        self._on_first: Dict[int, Tuple[OnFirstHandlerOp, ...]] = {}
 
     # -------------------------------------------------------------- driver
 
@@ -201,24 +176,23 @@ class StreamedEvaluator:
         """
         self._stats = stats if stats is not None else RuntimeStats()
         self._buffers = BufferManager(self._stats)
-        sink = output if output is not None else io.StringIO()
-        self._serializer = EventSerializer(sink)
+        self._serializer = EventSerializer(output if output is not None else io.StringIO())
         self._env: Dict[str, Binding] = {}
         self._stats.start_timer()
         try:
             reader = XSAXReader(
                 events, self.dtd, self.plan.conditions, validate=self.validate, stats=self._stats
             )
-            first = yield from _pull(reader)
-            if first is not _END_OF_INPUT and not isinstance(first, StartDocument):
+            while True:
+                try:
+                    first = next(reader, None)
+                except StarvedInput:
+                    yield _NEED_INPUT
+                    continue
+                break
+            if first is not None and type(first) is not StartDocument:
                 raise EvaluationError("input stream did not start with StartDocument")
-            document_scope = _Scope(
-                tag="#document",
-                attrs={},
-                source=reader,
-                buffers=ScopeBuffers(self._buffers),
-                is_document=True,
-            )
+            document_scope = _Scope("#document", {}, reader, ScopeBuffers(self._buffers))
             self._env["ROOT"] = document_scope
             yield from self._eval(self.plan.root)
             self._serializer.close()
@@ -257,7 +231,7 @@ class StreamedEvaluator:
             yield from self._eval_copy(op)
             return
         if isinstance(op, BufferedEvalOp):
-            self._eval_buffered(op)
+            self._write_items(TreeEvaluator(self._evaluation_bindings()).evaluate(op.expr))
             return
         if isinstance(op, IfOp):
             evaluator = TreeEvaluator(self._evaluation_bindings())
@@ -284,13 +258,8 @@ class StreamedEvaluator:
                 previous_atomic = True
             else:
                 element = item.to_element() if hasattr(item, "to_element") else item
-                for event in tree_to_events(element):
-                    self._serializer.write(event)
+                self._serializer.write_all(tree_to_events(element))
                 previous_atomic = False
-
-    def _eval_buffered(self, op: BufferedEvalOp) -> None:
-        evaluator = TreeEvaluator(self._evaluation_bindings())
-        self._write_items(evaluator.evaluate(op.expr))
 
     def _eval_copy(self, op: CopyVarOp):
         binding = self._env.get(op.var)
@@ -298,42 +267,18 @@ class StreamedEvaluator:
             raise EvaluationError(f"copy of unbound variable ${op.var}")
         if isinstance(binding, _Scope):
             if not binding.consumed and binding.buffers.full_element is None:
-                yield from self._stream_copy(binding)
+                # Copy the element to the output directly from the stream.
+                write = self._serializer.write
+                write(StartElement(binding.tag, tuple(binding.attrs.items())))
+                yield from self._drain_subtree(binding.source, write)
+                write(EndElement(binding.tag))
+                binding.consumed = True
                 return
-            element = StreamScopeNode(binding.tag, binding.attrs, binding.buffers).to_element()
-            for event in tree_to_events(element):
-                self._serializer.write(event)
-            return
+            binding = StreamScopeNode(binding.tag, binding.attrs, binding.buffers).to_element()
         if isinstance(binding, XMLElement):
-            for event in tree_to_events(binding):
-                self._serializer.write(event)
-            return
-        self._serializer.write(Text(string_value(binding)))
-
-    def _stream_copy(self, scope: _Scope):
-        """Copy the scope's element to the output directly from the stream."""
-        self._serializer.write(StartElement(scope.tag, tuple(scope.attrs.items())))
-        depth = 0
-        while True:
-            event = yield from _pull(scope.source)
-            if event is _END_OF_INPUT:
-                break
-            if isinstance(event, OnFirstEvent):
-                continue
-            if isinstance(event, StartElement):
-                depth += 1
-                self._serializer.write(event)
-            elif isinstance(event, EndElement):
-                if depth == 0:
-                    break
-                depth -= 1
-                self._serializer.write(event)
-            elif isinstance(event, Text):
-                self._serializer.write(event)
-            elif isinstance(event, EndDocument):
-                break
-        self._serializer.write(EndElement(scope.tag))
-        scope.consumed = True
+            self._serializer.write_all(tree_to_events(binding))
+        else:
+            self._serializer.write(Text(string_value(binding)))
 
     # ----------------------------------------------------------- bindings
 
@@ -349,146 +294,108 @@ class StreamedEvaluator:
     # ------------------------------------------------------ process-stream
 
     def _eval_process_stream(self, op: ProcessStreamOp):
-        binding = self._env.get(op.var)
-        if not isinstance(binding, _Scope):
+        scope = self._env.get(op.var)
+        if not isinstance(scope, _Scope):
             raise EvaluationError(
                 f"process-stream ${op.var} is not bound to an active stream element"
             )
-        scope = binding
         if scope.consumed:
             raise EvaluationError(
                 f"process-stream ${op.var}: the element's children were already consumed"
             )
-        on_first_handlers = [
-            handler for handler in op.handlers if isinstance(handler, OnFirstHandlerOp)
-        ]
+        on_first = self._on_first.get(id(op))
+        if on_first is None:
+            on_first = self._on_first[id(op)] = tuple(
+                [handler for handler in op.handlers if isinstance(handler, OnFirstHandlerOp)]
+            )
+        # On-first handlers fire strictly in order: on_first[:position] have.
+        position = 0
         satisfied: set = set()
-        fired: set = set()
-
-        def fire_ready(max_index: float):
-            for handler in on_first_handlers:
-                if handler.index in fired:
-                    continue
-                if handler.index >= max_index:
-                    break
-                ready = handler.always_satisfied or (
-                    handler.condition_id is not None and handler.condition_id in satisfied
-                )
-                if not ready:
-                    break
-                fired.add(handler.index)
-                yield from self._eval(handler.body)
-
-        def fire_remaining():
-            for handler in on_first_handlers:
-                if handler.index not in fired:
-                    fired.add(handler.index)
-                    yield from self._eval(handler.body)
-
-        if op.buffer_whole:
-            scope.buffers.ensure_full_element(scope.tag, scope.attrs)
+        source, buffers = scope.source, scope.buffers
+        buffer_whole, buffer_labels, on_index = op.buffer_whole, op.buffer_labels, op.on_index
+        if buffer_whole:
+            buffers.ensure_full_element(scope.tag, scope.attrs)
 
         while True:
-            event = yield from _pull(scope.source)
-            if event is _END_OF_INPUT:
+            try:
+                event = next(source)
+            except StarvedInput:
+                yield _NEED_INPUT
+                continue
+            except StopIteration:
+                # Replayed subtrees end exactly at their closing tag.
                 break
-            if isinstance(event, OnFirstEvent):
+            kind = type(event)
+            if kind is StartElement:
+                label = event.name
+                handler_index = on_index.get(label)
+                subtree: Optional[XMLElement] = None
+                if buffer_whole or label in buffer_labels:
+                    subtree = yield from self._materialize(event, source)
+                    if buffer_whole:
+                        buffers.append_full_child(subtree)
+                    else:
+                        buffers.add_child(label, subtree)
+                # Satisfied handlers whose output precedes this child's.
+                while position < len(on_first):
+                    handler = on_first[position]
+                    if (handler_index is not None and handler.index >= handler_index) or not (
+                        handler.always_satisfied or handler.condition_id in satisfied
+                    ):
+                        break
+                    position += 1
+                    yield from self._eval(handler.body)
+                if handler_index is not None:
+                    yield from self._run_handler(op.handlers[handler_index], event, source, subtree)
+                elif subtree is None:
+                    yield from self._drain_subtree(source)
+            elif kind is OnFirstEvent:
                 satisfied.add(event.condition_id)
-                continue
-            if isinstance(event, Text):
-                if op.buffer_whole:
-                    scope.buffers.append_full_text(event.text)
-                continue
-            if isinstance(event, StartElement):
-                yield from self._process_child(op, scope, event, fire_ready)
-                continue
-            if isinstance(event, (EndElement, EndDocument)):
-                yield from fire_remaining()
-                scope.consumed = True
-                return
-        # The source was exhausted without an explicit end event (replayed
-        # subtrees end exactly at their closing tag).
-        yield from fire_remaining()
+            elif kind is Text:
+                if buffer_whole:
+                    buffers.append_full_text(event.text)
+            elif kind is EndElement or kind is EndDocument:
+                break
+        # The element closed: every ``past`` condition holds trivially.
+        for handler in on_first[position:]:
+            yield from self._eval(handler.body)
         scope.consumed = True
-
-    def _process_child(
-        self,
-        op: ProcessStreamOp,
-        scope: _Scope,
-        event: StartElement,
-        fire_ready,
-    ):
-        label = event.name
-        handler_index = op.on_index.get(label)
-        max_index = handler_index if handler_index is not None else math.inf
-        need_buffer = op.buffer_whole or label in op.buffer_labels
-        subtree: Optional[XMLElement] = None
-        if need_buffer:
-            subtree = yield from self._materialize(event, scope.source)
-            if op.buffer_whole:
-                scope.buffers.append_full_child(subtree)
-            else:
-                scope.buffers.add_child(label, subtree)
-        yield from fire_ready(max_index)
-        if handler_index is not None:
-            handler = op.handlers[handler_index]
-            assert isinstance(handler, OnHandlerOp)
-            if subtree is not None:
-                yield from self._run_handler_on_tree(handler, subtree)
-            else:
-                yield from self._run_handler_streaming(handler, event, scope.source)
-        elif subtree is None:
-            yield from self._skip_subtree(scope.source)
 
     # ------------------------------------------------------------ handlers
 
-    def _run_handler_streaming(
-        self, handler: OnHandlerOp, event: StartElement, source: Iterator[Event]
+    def _run_handler(
+        self,
+        handler: OnHandlerOp,
+        event: StartElement,
+        source: Iterator[Event],
+        subtree: Optional[XMLElement],
     ):
-        child_scope = _Scope(
-            tag=event.name,
-            attrs=event.attributes,
-            source=source,
-            buffers=ScopeBuffers(self._buffers),
-        )
-        yield from self._with_binding(handler.var, child_scope, handler.body)
-        if not child_scope.consumed:
-            yield from self._skip_subtree(source)
-        child_scope.buffers.close()
+        """Run an ``on`` handler over the child opened by ``event``.
 
-    def _run_handler_on_tree(self, handler: OnHandlerOp, subtree: XMLElement):
-        events = tree_to_events(subtree)
-        # Skip the subtree's own start tag: the scope reads children only.
-        iterator = iter(events)
-        first = next(iterator, None)
-        if not isinstance(first, StartElement):  # pragma: no cover - defensive
-            raise EvaluationError("replayed subtree did not start with a start tag")
-        replay = XSAXReader(
-            _chain_one(first, iterator), self.dtd, self.plan.conditions, validate=False
-        )
-        # Consume the start tag again from the XSAX reader so conditions of
-        # the replayed element are tracked exactly as on the live stream.
-        next(replay, None)
-        child_scope = _Scope(
-            tag=subtree.tag,
-            attrs=dict(subtree.attrs),
-            source=replay,
-            buffers=ScopeBuffers(self._buffers),
-        )
-        yield from self._with_binding(handler.var, child_scope, handler.body)
-        child_scope.buffers.close()
-
-    def _with_binding(self, name: str, binding: Binding, body: PlanOp):
-        previous = self._env.get(name)
-        had_previous = name in self._env
-        self._env[name] = binding
+        The child's events come from ``source``, or — when the child had to
+        be buffered as well — from a replay of ``subtree`` through an XSAX
+        reader of its own, so the conditions of the replayed element are
+        tracked exactly as on the live stream.
+        """
+        if subtree is not None:
+            source = XSAXReader(
+                tree_to_events(subtree), self.dtd, self.plan.conditions, validate=False
+            )
+            next(source)  # the subtree's own start tag: the scope reads children only
+        child_scope = _Scope(event.name, event.attributes, source, ScopeBuffers(self._buffers))
+        env, name = self._env, handler.var
+        shadowed = env.get(name)
+        env[name] = child_scope
         try:
-            yield from self._eval(body)
+            yield from self._eval(handler.body)
         finally:
-            if had_previous:
-                self._env[name] = previous
+            if shadowed is None:
+                env.pop(name, None)
             else:
-                self._env.pop(name, None)
+                env[name] = shadowed
+        if subtree is None and not child_scope.consumed:
+            yield from self._drain_subtree(source)
+        child_scope.buffers.close()
 
     # --------------------------------------------------------------- input
 
@@ -496,46 +403,50 @@ class StreamedEvaluator:
         """Build the subtree rooted at ``event`` by consuming its events."""
         root = XMLElement(event.name, event.attributes)
         stack: List[XMLElement] = [root]
-        while True:
-            item = yield from _pull(source)
-            if item is _END_OF_INPUT:
-                break
-            if isinstance(item, OnFirstEvent):
+        while stack:
+            try:
+                item = next(source)
+            except StarvedInput:
+                yield _NEED_INPUT
                 continue
-            if isinstance(item, StartElement):
+            except StopIteration:
+                break
+            kind = type(item)
+            if kind is StartElement:
                 child = XMLElement(item.name, item.attributes)
                 stack[-1].append(child)
                 stack.append(child)
-            elif isinstance(item, Text):
-                stack[-1].append_text(item.text)
-            elif isinstance(item, EndElement):
+            elif kind is EndElement:
                 stack.pop()
-                if not stack:
-                    return root
-            elif isinstance(item, EndDocument):  # pragma: no cover - defensive
-                break
+            elif kind is Text:
+                stack[-1].append_text(item.text)
         return root
 
-    def _skip_subtree(self, source: Iterator[Event]):
-        """Consume and discard the events of one child subtree."""
+    def _drain_subtree(self, source: Iterator[Event], write=None):
+        """Consume the events of one child subtree, up to and including its
+        end tag; its content goes to ``write`` when given, else nowhere."""
         depth = 0
         while True:
-            item = yield from _pull(source)
-            if item is _END_OF_INPUT:
+            try:
+                event = next(source)
+            except StarvedInput:
+                yield _NEED_INPUT
+                continue
+            except StopIteration:
                 return
-            if isinstance(item, StartElement):
+            kind = type(event)
+            if kind is StartElement:
                 depth += 1
-            elif isinstance(item, EndElement):
+            elif kind is EndElement:
                 if depth == 0:
                     return
                 depth -= 1
-            elif isinstance(item, EndDocument):  # pragma: no cover - defensive
+            elif kind is EndDocument:
                 return
-
-
-def _chain_one(first: Event, rest: Iterator[Event]) -> Iterator[Event]:
-    yield first
-    yield from rest
+            elif kind is not Text:
+                continue  # on-first events are not content
+            if write is not None:
+                write(event)
 
 
 # ---------------------------------------------------------------- push mode

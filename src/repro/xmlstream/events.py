@@ -5,22 +5,59 @@ classes defined here; the FluX runtime, the DTD validator and the XSAX parser
 all operate on this event vocabulary.  Events are small immutable value
 objects so they can be freely shared, compared in tests, and replayed.
 
+The classes are hand-written with ``__slots__``: no instance ``__dict__``,
+each field written once through its slot descriptor, assignment and deletion
+refused afterwards.  The leaf classes are closed to subclassing, because
+every per-event consumer dispatches on exact type (``type(event) is Text``).
+
 The XSAX parser of the paper extends the vocabulary with *on-first* events;
-that extension lives in :mod:`repro.runtime.xsax` because it depends on the
-DTD machinery, not on raw XML.
+that extension (a direct subclass of :class:`Event`, same contract) lives in
+:mod:`repro.runtime.xsax` because it depends on the DTD machinery, not on
+raw XML.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 
-@dataclass(frozen=True)
 class Event:
-    """Base class for all streaming events."""
+    """Base class for all streaming events: a closed, immutable value type."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if Event not in cls.__bases__:
+            raise TypeError(
+                f"cannot subclass {cls.__bases__[0].__name__}: consumers dispatch on "
+                "the exact event class"
+            )
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # Default slot pickling restores through setattr, which is closed.
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: events are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: events are immutable")
 
     def size_estimate(self) -> int:
         """Return the approximate number of bytes this event represents.
@@ -31,21 +68,18 @@ class Event:
         return 8
 
 
-@dataclass(frozen=True)
 class StartDocument(Event):
     """Emitted once, before any other event."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EndDocument(Event):
     """Emitted once, after the root element has been closed."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class StartElement(Event):
     """Opening tag of an element.
 
@@ -53,8 +87,13 @@ class StartElement(Event):
     stays hashable; :attr:`attributes` exposes them as a dict.
     """
 
+    __slots__ = ("name", "attrs")
     name: str
-    attrs: Tuple[Tuple[str, str], ...] = ()
+    attrs: Tuple[Tuple[str, str], ...]
+
+    def __init__(self, name: str, attrs: Tuple[Tuple[str, str], ...] = ()) -> None:
+        _set_start_name(self, name)
+        _set_start_attrs(self, attrs)
 
     @property
     def attributes(self) -> Dict[str, str]:
@@ -66,17 +105,19 @@ class StartElement(Event):
         return 16 + len(self.name) + attr_bytes
 
 
-@dataclass(frozen=True)
 class EndElement(Event):
     """Closing tag of an element."""
 
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set_end_name(self, name)
 
     def size_estimate(self) -> int:
         return 8 + len(self.name)
 
 
-@dataclass(frozen=True)
 class Text(Event):
     """Character data between tags.
 
@@ -85,10 +126,21 @@ class Text(Event):
     but preserves whitespace inside mixed content.
     """
 
+    __slots__ = ("text",)
     text: str
+
+    def __init__(self, text: str) -> None:
+        _set_text(self, text)
 
     def size_estimate(self) -> int:
         return len(self.text)
+
+
+# The slot descriptors' own setters: the one way past ``Event.__setattr__``.
+_set_start_name = StartElement.name.__set__  # type: ignore[attr-defined]
+_set_start_attrs = StartElement.attrs.__set__  # type: ignore[attr-defined]
+_set_end_name = EndElement.name.__set__  # type: ignore[attr-defined]
+_set_text = Text.text.__set__  # type: ignore[attr-defined]
 
 
 def element_events(name: str, attrs: Dict[str, str], body: Iterable[Event]) -> Iterator[Event]:
@@ -97,8 +149,7 @@ def element_events(name: str, attrs: Dict[str, str], body: Iterable[Event]) -> I
     Convenience used by constructors in the runtime and by tests.
     """
     yield StartElement(name, tuple(sorted(attrs.items())) if attrs else ())
-    for event in body:
-        yield event
+    yield from body
     yield EndElement(name)
 
 
@@ -110,9 +161,9 @@ def events_depth_ok(events: Iterable[Event]) -> bool:
     """
     stack: List[str] = []
     for event in events:
-        if isinstance(event, StartElement):
+        if type(event) is StartElement:
             stack.append(event.name)
-        elif isinstance(event, EndElement):
+        elif type(event) is EndElement:
             if not stack or stack[-1] != event.name:
                 return False
             stack.pop()

@@ -425,7 +425,7 @@ class StreamingXMLParser:
             raise
         if event is None:
             return out
-        if isinstance(event, StartElement):
+        if type(event) is StartElement:
             if not self._open and self._saw_root:
                 raise XMLSyntaxError("multiple root elements", self._offset(self._pos))
             self._saw_root = True
@@ -434,7 +434,7 @@ class StreamingXMLParser:
                 out.append(EndElement(event.name))
             else:
                 self._open.append(event.name)
-        elif isinstance(event, EndElement):
+        elif type(event) is EndElement:
             if not self._open:
                 raise XMLSyntaxError(
                     f"unexpected closing tag </{event.name}>", self._offset(self._pos)
@@ -456,10 +456,11 @@ class StreamingXMLParser:
         Stops *before* the first construct :data:`_TOKEN` does not match at
         the current position — comments, PIs, CDATA, anything cut by the
         buffer end, attribute forms only the lenient character loop takes,
-        every malformed tag — and before a closing tag that does not match
-        the open element or a reference that does not resolve, leaving each
-        of them to :meth:`_parse_markup`; and after the root element closes,
-        because depth-0 content is the step machine's business.
+        every malformed tag, a tag that repeats an attribute name — and
+        before a closing tag that does not match the open element or a
+        reference that does not resolve, leaving each of them to
+        :meth:`_parse_markup`; and after the root element closes, because
+        depth-0 content is the step machine's business.
         """
         buffer = self._buffer
         pos = self._pos
@@ -488,6 +489,9 @@ class StreamingXMLParser:
                 if attrs:
                     # hot-loop-ok: the pairs are the event's payload
                     attrs = tuple([(n, resolve(d or s)) for n, d, s in find_attributes(attrs)])
+                    # hot-loop-ok: tags with two or more attributes only
+                    if len(attrs) > 1 and len(dict(attrs)) != len(attrs):
+                        break  # a repeated name: _parse_markup owns the message
                 if text:
                     append(text_event(text))
                 if closing is not None:
@@ -675,6 +679,8 @@ class StreamingXMLParser:
                 raise XMLSyntaxError(
                     f"unterminated value for attribute {attr_name!r}", self._offset(pos)
                 )
+            if any(attr_name == seen for seen, _ in attrs):
+                raise XMLSyntaxError(f"duplicate attribute {attr_name!r}", self._offset(pos))
             attrs.append((attr_name, resolve_entities(raw[i:value_end])))
             i = value_end + 1
         return name, tuple(attrs)

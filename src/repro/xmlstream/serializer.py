@@ -84,24 +84,23 @@ class EventSerializer:
 
     def write(self, event: Event) -> None:
         """Serialize a single event."""
-        if isinstance(event, (StartDocument, EndDocument)):
-            return
-        if isinstance(event, StartElement):
+        kind = type(event)
+        if kind is Text:
+            self._emit(escape_text(event.text))
+        elif kind is StartElement:
             attrs = "".join(
                 f' {name}="{escape_attribute(value)}"' for name, value in event.attrs
             )
             self._emit(f"<{event.name}{attrs}>")
             self._stack.append(event.name)
-        elif isinstance(event, EndElement):
+        elif kind is EndElement:
             if not self._stack or self._stack[-1] != event.name:
                 raise XMLSyntaxError(
                     f"serializer received unbalanced end tag </{event.name}>"
                 )
             self._stack.pop()
             self._emit(f"</{event.name}>")
-        elif isinstance(event, Text):
-            self._emit(escape_text(event.text))
-        else:  # pragma: no cover - future event kinds
+        elif kind is not StartDocument and kind is not EndDocument:  # pragma: no cover
             raise XMLSyntaxError(f"cannot serialize event {event!r}")
 
     def write_all(self, events: Iterable[Event]) -> None:

@@ -187,9 +187,8 @@ def build_tree(events: Iterable[Event]) -> XMLElement:
     root: Optional[XMLElement] = None
     stack: List[XMLElement] = []
     for event in events:
-        if isinstance(event, (StartDocument, EndDocument)):
-            continue
-        if isinstance(event, StartElement):
+        kind = type(event)
+        if kind is StartElement:
             element = XMLElement(event.name, event.attributes)
             if stack:
                 stack[-1].append(element)
@@ -198,11 +197,11 @@ def build_tree(events: Iterable[Event]) -> XMLElement:
             else:
                 raise XMLSyntaxError("multiple root elements in event stream")
             stack.append(element)
-        elif isinstance(event, EndElement):
+        elif kind is EndElement:
             if not stack or stack[-1].tag != event.name:
                 raise XMLSyntaxError(f"mismatched end tag </{event.name}> in event stream")
             stack.pop()
-        elif isinstance(event, Text):
+        elif kind is Text:
             if not stack:
                 raise XMLSyntaxError("text outside the root element in event stream")
             stack[-1].append_text(event.text)

@@ -69,6 +69,10 @@ class TestHotLoop:
         findings = [f for f in findings_for(".") if f.path == "service/dispatcher.py"]
         assert codes_and_lines(findings) == [("HL005", 1)]
         assert "SharedProjectionIndex.route" in findings[0].message
+        # The runtime/xsax.py fixture strips the end handler's marker only.
+        findings = [f for f in findings_for(".") if f.path == "runtime/xsax.py"]
+        assert codes_and_lines(findings) == [("HL005", 1)]
+        assert "XSAXReader._end" in findings[0].message
 
 
 class TestAsyncBlocking:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import XMLSyntaxError
 from repro.workloads import generate_auction_site, generate_bibliography
 from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.xmlstream.events import EndElement, StartElement, Text
@@ -85,6 +86,27 @@ def test_bibliography_documents(seed):
 def test_xmark_documents(seed):
     document = generate_auction_site(scale=0.05, seed=seed)
     assert_matches_expat(document, [1, 100, len(document) - 1], False)
+
+
+# ------------------------------------------------------- rejected by both
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '<a x="1" x="2"/>',            # an attribute name twice in one tag
+        "<a><b></a></b>",              # crossed nesting
+        "<a>&#x1_0;</a>",              # character reference with a non-digit
+        "<a></a><b></b>",              # two root elements
+    ],
+)
+def test_not_well_formed_documents_are_rejected_by_both(document):
+    with pytest.raises(expat.ExpatError):
+        expat_events(document)
+    with pytest.raises(XMLSyntaxError):
+        list(StreamingXMLParser(document).events())
+    with pytest.raises(XMLSyntaxError):
+        pushed(document, [len(document) // 2], False)
 
 
 # ------------------------------------------------ drawn well-formed documents

@@ -151,6 +151,36 @@ class TestErrors:
             events_of("<a><b></a></b>")
         assert str(error.value) == "closing tag </a> does not match <b> (at offset 10)"
 
+    @pytest.mark.parametrize(
+        "xml, offset",
+        [
+            ('<a x="1" x="2"/>', 0),
+            ("<r><a x='1' y='2' x='3'>t</a></r>", 3),
+            ('<r>text<a\n x="1"\n x="1"></a></r>', 7),
+        ],
+    )
+    def test_duplicate_attribute_rejected_in_every_mode(self, xml, offset):
+        # Not well formed (expat refuses it too); accepted, the stream copy
+        # would write both pairs and the tree keep only the last.
+        message = f"duplicate attribute 'x' (at offset {offset})"
+        runs = [lambda: StreamingXMLParser(xml).events()]
+        for size in (1, 7):
+            runs.append(lambda size=size: StreamingXMLParser(io.StringIO(xml), chunk_size=size).events())
+        for run in runs:
+            with pytest.raises(XMLSyntaxError) as error:
+                list(run())
+            assert str(error.value) == message
+        for cut in range(len(xml) + 1):
+            parser = StreamingXMLParser.incremental()
+            with pytest.raises(XMLSyntaxError) as error:
+                parser.feed(xml[:cut])
+                parser.feed(xml[cut:])
+                parser.close()
+            assert str(error.value) == message
+
+    def test_repeated_value_under_two_names_is_fine(self):
+        assert events_of('<a x="1" y="1"/>')[1] == StartElement("a", (("x", "1"), ("y", "1")))
+
     def test_text_outside_root_rejected(self):
         with pytest.raises(XMLSyntaxError):
             events_of("<a/>trailing")
