@@ -99,10 +99,15 @@ def render_plan(plan: PhysicalPlan, analysis: PlanBufferAnalysis) -> str:
     .classify_plan` so handler annotations line up.
     """
     by_path = analysis.by_path()
+    lowered = plan.lowered()
     lines: List[str] = []
 
     def visit(op: PlanOp, depth: int, path: str) -> None:
         lines.append("  " * depth + _op_label(op, by_path.get(path)))
+        if id(op) in lowered:
+            # The physical nodes the runtime runs inside this expression.
+            for join in lowered[id(op)].joins:
+                lines.append("  " * (depth + 1) + join.describe())
         for index, child in enumerate(op.children()):
             visit(child, depth + 1, "{0}/{1}".format(path, index))
 

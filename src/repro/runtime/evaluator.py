@@ -85,7 +85,7 @@ from repro.xmlstream.events import (
 )
 from repro.xmlstream.serializer import EventSerializer
 from repro.xmlstream.tree import XMLElement, tree_to_events
-from repro.xquery.evaluator import TreeEvaluator, string_value
+from repro.xquery.evaluator import effective_boolean_value, string_value
 
 
 class _Scope:
@@ -231,17 +231,27 @@ class StreamedEvaluator:
             yield from self._eval_copy(op)
             return
         if isinstance(op, BufferedEvalOp):
-            self._write_items(TreeEvaluator(self._evaluation_bindings()).evaluate(op.expr))
+            self._write_items(self._evaluate_buffered(op))
             return
         if isinstance(op, IfOp):
-            evaluator = TreeEvaluator(self._evaluation_bindings())
-            branch = op.then_branch if evaluator.evaluate_boolean(op.condition) else op.else_branch
-            yield from self._eval(branch)
+            holds = effective_boolean_value(self._evaluate_buffered(op))
+            yield from self._eval(op.then_branch if holds else op.else_branch)
             return
         if isinstance(op, ProcessStreamOp):
             yield from self._eval_process_stream(op)
             return
         raise EvaluationError(f"cannot execute plan operator {op!r}")
+
+    def _evaluate_buffered(self, op: Union[BufferedEvalOp, IfOp]) -> List[object]:
+        """The value of ``op``'s expression over the bindings it reads."""
+        lowered = self.plan.lowered()[id(op)]
+        bindings: Dict[str, object] = {}
+        for name in lowered.free_variables & self._env.keys():
+            binding = self._env[name]
+            if isinstance(binding, _Scope):
+                binding = StreamScopeNode(binding.tag, binding.attrs, binding.buffers)
+            bindings[name] = binding
+        return lowered.evaluate(bindings, self._stats)
 
     # -------------------------------------------------------------- output
 
@@ -279,17 +289,6 @@ class StreamedEvaluator:
             self._serializer.write_all(tree_to_events(binding))
         else:
             self._serializer.write(Text(string_value(binding)))
-
-    # ----------------------------------------------------------- bindings
-
-    def _evaluation_bindings(self) -> Dict[str, object]:
-        bindings: Dict[str, object] = {}
-        for name, binding in self._env.items():
-            if isinstance(binding, _Scope):
-                bindings[name] = StreamScopeNode(binding.tag, binding.attrs, binding.buffers)
-            else:
-                bindings[name] = binding
-        return bindings
 
     # ------------------------------------------------------ process-stream
 

@@ -162,6 +162,29 @@ class PhysicalPlan:
     bdf: "BufferDescriptionForest"
     dtd: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        self._lowered: Optional[Dict[int, "LoweredExpr"]] = None
+
+    def __getstate__(self) -> dict:
+        # The lowered expressions are derived data keyed by object identity;
+        # a worker lowers the plan again on its first document.
+        state = dict(self.__dict__)
+        del state["_lowered"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lowered = None
+
+    def lowered(self) -> Dict[int, "LoweredExpr"]:
+        """``id(op) -> lowered expression`` of every buffered expression of
+        the plan (:mod:`repro.runtime.buffered`), lowered once per plan."""
+        if self._lowered is None:
+            from repro.runtime.buffered import lower_plan
+
+            self._lowered = lower_plan(self.root)
+        return self._lowered
+
     def operator_count(self) -> int:
         return self.root.operator_count()
 

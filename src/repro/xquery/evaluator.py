@@ -6,8 +6,11 @@ This is the reference semantics of the library.  It is used in three places:
   materialized documents,
 * the **projection baseline engine** evaluates queries against projected
   trees,
-* the **FluX runtime** evaluates *buffered* sub-expressions (the bodies of
-  ``on-first`` handlers) against the buffer contents.
+* the **FluX runtime**'s buffered executor (:mod:`repro.runtime.buffered`)
+  evaluates *buffered* sub-expressions (the bodies of ``on-first`` handlers)
+  against the buffer contents with it, node by node, apart from the value
+  joins it runs as hash joins — an optimisation this module and the two
+  baseline engines deliberately do not share.
 
 The evaluator is deliberately simple and allocation-happy; its purpose is
 correctness and comparability, not speed.  Memory accounting is the job of
@@ -25,6 +28,7 @@ XQuery.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence as Seq, Union
 
 from repro.errors import EvaluationError
@@ -103,13 +107,19 @@ def effective_boolean_value(items: Seq[Item]) -> bool:
     return True
 
 
+#: The ``xs:double`` lexical space, after XML whitespace trimming.
+_DOUBLE = re.compile(
+    r"[ \t\r\n]*(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?INF|NaN)[ \t\r\n]*"
+)
+
+
 def _as_number(value: Union[str, int, float]) -> Optional[float]:
+    """``value`` as an ``xs:double``; ``None`` when it compares as a string."""
     if isinstance(value, (int, float)):
         return float(value)
-    try:
-        return float(value.strip())
-    except (ValueError, AttributeError):
-        return None
+    if isinstance(value, str) and _DOUBLE.fullmatch(value):
+        return float(value)
+    return None
 
 
 def compare_atomic(op: str, left: Union[str, int, float], right: Union[str, int, float]) -> bool:

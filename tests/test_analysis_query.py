@@ -216,6 +216,20 @@ class TestExplainReport:
         assert "predicted score" in report
         assert "chosen:" in report
 
+    def test_join_is_named_under_its_buffered_eval_node(self):
+        from repro.workloads import get_query
+        from repro.workloads.dtds import AUCTION_DTD
+
+        entry = compiled(get_query("AUC-A3").xquery, AUCTION_DTD)
+        lines = explain_compiled(entry).splitlines()
+        (at,) = [i for i, line in enumerate(lines) if line.lstrip().startswith("buffered-eval ")]
+        indent = len(lines[at]) - len(lines[at].lstrip())
+        assert lines[at + 1] == " " * (indent + 2) + "hash-join build $c/buyer/@person probe $p/@id"
+        # Printed by the recogniser the runtime runs, not by a second one.
+        (join,) = [j for lowered in entry.plan.lowered().values() for j in lowered.joins]
+        assert lines[at + 1].strip() == join.describe()
+        assert "hash-join" not in explain_compiled(compiled(PAPER_Q3, None))
+
     def test_streaming_report_says_so(self, paper_dtd):
         report = explain_compiled(compiled(PAPER_Q3, paper_dtd))
         assert "fully streaming: no buffered handlers" in report

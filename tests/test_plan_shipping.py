@@ -17,13 +17,14 @@ import pytest
 
 from repro.bench.fleets import alias_query
 from repro.core.optimizer import OptimizerPipeline
+from repro.engines.dom_engine import DomEngine
 from repro.engines.flux_engine import FluxEngine
 from repro.runtime.compiler import CompiledQueryPlan, compile_query
-from repro.runtime.plan_cache import PlanArtifact, PlanCache, cache_key
-from repro.service import QueryService
+from repro.runtime.plan_cache import PlanArtifact, PlanCache, cache_key, structure_key
+from repro.service import ProcessServicePool, QueryService
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG
-from repro.workloads.queries import queries_for_workload
+from repro.workloads.queries import get_query, queries_for_workload
 from repro.workloads.xmark import generate_auction_site
 
 WORKLOADS = {
@@ -63,6 +64,39 @@ class TestPlanPickleRoundTrips:
             # And both must match a solo engine run of the query text.
             solo = FluxEngine(dtd_text).execute(spec.xquery, document).output
             assert outputs[1] == solo, spec.key
+
+    def test_lowered_join_is_not_shipped_and_is_rebuilt_by_the_worker(self):
+        query = get_query("AUC-A3").xquery
+        document = generate_auction_site(scale=0.3, seed=7)
+        entry = compile_query(query, pipeline=OptimizerPipeline(AUCTION_DTD))
+        never_lowered = pickle.dumps(entry)
+        assert any(lowered.joins for lowered in entry.plan.lowered().values())
+
+        # The memo is derived data keyed by object identity: it stays behind.
+        assert pickle.dumps(entry) == never_lowered
+        restored = pickle.loads(never_lowered)
+        assert restored.plan._lowered is None
+
+        expected = DomEngine(AUCTION_DTD).execute(query, document).output
+        service = QueryService(AUCTION_DTD)
+        service.register_compiled(restored, key="q")
+        result = service.run_pass(document)["q"]
+        assert result.output == expected
+        assert result.stats.extra["join_probes"] > 0
+        with ProcessServicePool(AUCTION_DTD, workers=1) as pool:
+            pool.register(query, key="q")
+            (served,) = pool.serve([document])
+            assert served.ok and served.results["q"].output == expected
+            assert served.results["q"].stats.extra["join_probes"] > 0
+
+    def test_alpha_renamed_joins_share_one_structure_key(self):
+        query = get_query("AUC-A3").xquery
+        pipeline = OptimizerPipeline(AUCTION_DTD)
+        entries = [compile_query(alias_query(query, k), pipeline=pipeline) for k in (0, 1, 2)]
+        for entry in entries:
+            assert any(lowered.joins for lowered in entry.plan.lowered().values())
+        assert len({entry.source for entry in entries}) == 3
+        assert len({structure_key(entry) for entry in entries}) == 1
 
     @pytest.mark.parametrize("workload", ["bib", "xmark"])
     def test_artifact_key_is_the_cache_key(self, workload):

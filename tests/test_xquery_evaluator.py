@@ -148,6 +148,57 @@ class TestComparisonSemantics:
         assert compare_atomic("<", "abc", "abd")
         assert not compare_atomic("=", "abc", "ABC")
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [("1_0", "10"), ("infinity", "inf"), ("\uff11\uff12", "12"), ("+INF", "INF"), ("0x10", "16")],
+    )
+    def test_only_the_xs_double_lexical_space_is_numeric(self, left, right):
+        # Python's float() grammar is wider than XQuery's: these are strings.
+        assert not compare_atomic("=", left, right)
+        assert compare_atomic("!=", left, right)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [(" 7 ", "7.0"), ("1e2", "100"), ("-0", "0.0"), ("1.", "+1"), (".5", "0.5E0"),
+         ("INF", " INF\n"), ("-INF", "-INF")],
+    )
+    def test_numerically_equal_spellings_are_equal(self, left, right):
+        assert compare_atomic("=", left, right)
+
+    def test_nan_is_a_number_and_nan_spelled_otherwise_is_a_string(self):
+        assert not compare_atomic("=", "NaN", "NaN")
+        assert compare_atomic("!=", "NaN", " NaN ")
+        assert compare_atomic("=", "nan", "nan")
+        assert not compare_atomic("=", "nan", "NaN")
+        # Only XML whitespace is trimmed.
+        assert not compare_atomic("=", "\u00a07", "7")
+
+    def test_both_engines_join_on_the_same_number_grammar(self):
+        from repro import FluxEngine
+        from repro.engines.dom_engine import DomEngine
+
+        dtd = (
+            "<!ELEMENT db (a*, b*)><!ELEMENT a (#PCDATA)><!ELEMENT b (#PCDATA)>"
+        )
+        query = (
+            "<o>{ for $a in $ROOT/db/a return for $b in $ROOT/db/b "
+            "where $a/text() = $b/text() return <m>{ $a }{ $b }</m> }</o>"
+        )
+        compiled = FluxEngine(dtd).compile(query)
+        assert any(entry.joins for entry in compiled.plan.lowered().values())
+        values = ["1_0", "10", "1e1", "infinity", "inf", "INF", "nan", "NaN", " 7 ", "7.0", "-0", "0.0"]
+        sides = "".join(f"<a>{v}</a>" for v in values) + "".join(f"<b>{v}</b>" for v in values)
+        flux = compiled.execute(f"<db>{sides}</db>").output
+        assert flux == DomEngine(dtd).execute(query, f"<db>{sides}</db>").output
+        pairs = {
+            tuple(part.split("</a><b>"))
+            for part in flux[len("<o><m><a>"):-len("</b></m></o>")].split("</b></m><m><a>")
+        }
+        equal = {("10", "1e1"), (" 7 ", "7.0"), ("-0", "0.0")}
+        assert pairs == (
+            {(v, v) for v in values if v != "NaN"} | equal | {(b, a) for a, b in equal}
+        )
+
     def test_unsupported_operator_raises(self):
         with pytest.raises(EvaluationError):
             compare_atomic("~", 1, 2)
