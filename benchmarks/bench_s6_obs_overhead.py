@@ -206,7 +206,7 @@ def _assert_tier_live(mode: str, obs: Optional[Observability],
         assert spans_recorded > 0, f"{mode}: tracing tier recorded no spans"
     if obs is not None and obs.metrics is not None:
         snap = obs.metrics.snapshot()
-        passes = snap["repro_passes_total"]["values"][0]["value"]
+        passes = snap["repro_pass_duration_seconds"]["values"][0]["count"]
         assert passes >= passes_expected, (
             f"{mode}: metrics tier counted no passes: registry is not wired"
         )

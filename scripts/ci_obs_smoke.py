@@ -2,12 +2,15 @@
 """CI smoke test for the observability CLI surface.
 
 Runs ``python -m repro multi`` with ``--metrics-out``, ``--trace-out``
-and ``--log-json`` on a small generated bib workload, once through the
-plain serve loop and once through the process pool, then validates every
-emitted artifact with the same validators the golden tests use
-(:mod:`repro.obs.validate`):
+and ``--log-json`` on a small generated bib workload, once each through
+the plain serve loop, a two-worker thread pool and a two-worker process
+pool, then validates every emitted artifact with the same validators the
+golden tests use (:mod:`repro.obs.validate`):
 
-* the metrics snapshot parses as JSON and carries the headline families;
+* the metrics snapshot parses as JSON, carries the headline families and
+  publishes every counter once: none of the retired push-style counter
+  families, and ``<prefix>_passes_completed`` equal to the
+  ``repro_pass_duration_seconds`` count equal to the documents served;
 * the ``.prom`` twin passes the Prometheus text-exposition validator;
 * the trace file is span JSON-lines, one trace id per served document,
   with the pool run's worker-side pass spans joined to parent traces;
@@ -44,6 +47,23 @@ from repro.workloads.queries import queries_for_workload  # noqa: E402
 
 DOCUMENTS = 3
 
+#: Counter families that duplicated the service/pool lifetime gauges and
+#: were retired; a snapshot carrying one counts something twice.
+RETIRED_FAMILIES = (
+    "repro_passes_total",
+    "repro_events_total",
+    "repro_results_total",
+    "repro_document_bytes_total",
+    "repro_subtrees_pruned_total",
+)
+
+#: Extra ``multi`` arguments per smoke-tested backend.
+BACKENDS = {
+    "serve-loop": [],
+    "threads": ["--workers", "2"],
+    "processes": ["--workers", "2", "--backend", "processes"],
+}
+
 
 def _cli_env() -> dict:
     env = dict(os.environ)
@@ -77,14 +97,26 @@ def _check_artifacts(base, backend, problems):
         problems.append(f"{prefix}: metrics snapshot unreadable: {exc}")
         snapshot = {}
     if snapshot:
-        for family in ("repro_passes_total", "repro_stage_duration_seconds"):
+        summary_prefix = "repro_service" if backend == "serve-loop" else "repro_pool"
+        passes_family = f"{summary_prefix}_passes_completed"
+        for family in (
+            passes_family,
+            "repro_stage_duration_seconds",
+            "repro_pass_duration_seconds",
+        ):
             if family not in snapshot:
                 problems.append(f"{prefix}: metrics snapshot lacks {family}")
-        summary_prefix = "repro_pool" if backend == "processes" else "repro_service"
-        if not any(name.startswith(summary_prefix) for name in snapshot):
-            problems.append(
-                f"{prefix}: metrics snapshot lacks {summary_prefix}_* lifetime totals"
-            )
+        for family in RETIRED_FAMILIES:
+            if family in snapshot:
+                problems.append(f"{prefix}: metrics snapshot carries retired {family}")
+        if passes_family in snapshot and "repro_pass_duration_seconds" in snapshot:
+            passes = snapshot[passes_family]["values"][0]["value"]
+            observed = snapshot["repro_pass_duration_seconds"]["values"][0]["count"]
+            if not passes == observed == DOCUMENTS:
+                problems.append(
+                    f"{prefix}: {passes_family}={passes}, pass histogram "
+                    f"count={observed}, documents served={DOCUMENTS}"
+                )
 
     with open(metrics_path + ".prom", "r", encoding="utf-8") as handle:
         prom_problems = validate_prometheus_text(handle.read())
@@ -112,7 +144,7 @@ def _check_artifacts(base, backend, problems):
             problems.append(
                 f"{prefix}: trace: a document trace lacks stage spans: {sorted(names)}"
             )
-        if backend == "processes" and "pool.shard" not in names:
+        if backend != "serve-loop" and "pool.shard" not in names:
             problems.append(
                 f"{prefix}: trace: worker-side pass spans did not merge "
                 f"under the parent shard trace: {sorted(names)}"
@@ -127,14 +159,14 @@ def _check_artifacts(base, backend, problems):
     events = {
         json.loads(line).get("event") for line in log_lines if line.strip()
     }
-    # Worker-side pass lifecycle events stay in the worker (only spans and
-    # metrics are forwarded), so the pool's parent-side log carries the
-    # pool lifecycle instead.
-    expected = (
-        {"pool.register", "pool.ship"}
-        if backend == "processes"
-        else {"service.register", "pass.start", "pass.finish"}
-    )
+    # Pool workers' lifecycle events stay unlogged (a process worker
+    # forwards only spans and pass metrics; thread workers share no
+    # logger), so the pool's log carries the pool lifecycle instead.
+    expected = {
+        "serve-loop": {"service.register", "pass.start", "pass.finish"},
+        "threads": {"pool.register"},
+        "processes": {"pool.register", "pool.ship"},
+    }[backend]
     missing = expected - events
     if missing:
         problems.append(f"{prefix}: log: lifecycle events missing: {sorted(missing)}")
@@ -159,7 +191,7 @@ def main() -> int:
                 handle.write(generate_bibliography(num_books=20, seed=7 + index))
             documents.append(path)
 
-        for backend in ("serve-loop", "processes"):
+        for backend, extra in BACKENDS.items():
             base = os.path.join(tmp, backend)
             os.makedirs(base)
             argv = [
@@ -171,9 +203,8 @@ def main() -> int:
                 "--metrics-out", os.path.join(base, "metrics.json"),
                 "--trace-out", os.path.join(base, "trace.jsonl"),
                 "--log-json", os.path.join(base, "log.jsonl"),
+                *extra,
             ]
-            if backend == "processes":
-                argv += ["--workers", "2", "--backend", "processes"]
             before = len(problems)
             _run_cli(argv, problems, f"multi[{backend}]")
             if len(problems) == before:
@@ -182,10 +213,11 @@ def main() -> int:
                     ["stats", os.path.join(base, "metrics.json")],
                     problems, f"stats[{backend}]",
                 )
-                if stats.returncode == 0 and "repro_passes_total" not in stats.stdout:
+                if (stats.returncode == 0
+                        and "repro_pass_duration_seconds" not in stats.stdout):
                     problems.append(
                         f"stats[{backend}]: pretty-printed snapshot lacks "
-                        "repro_passes_total"
+                        "repro_pass_duration_seconds"
                     )
             print(f"[obs-smoke] {backend}: "
                   + ("FAIL" if len(problems) > before else "ok"))

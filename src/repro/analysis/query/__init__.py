@@ -6,9 +6,8 @@ runs at compile time over the optimized physical plan plus the DTD and
 answers three questions the paper's whole approach revolves around:
 
 1. **How much does each buffered region hold?**  :mod:`.bounds` lifts the
-   per-label occurrence bounds of the content-model automata
-   (:meth:`repro.dtd.automaton.ContentModelAutomaton.occurrence_bounds`)
-   over the element graph and classifies every ``on-first`` handler the
+   per-label occurrence bounds of the content models
+   (:func:`repro.dtd.automaton.axis_max_count`) over the element graph and classifies every ``on-first`` handler the
    scheduler emitted as ``CONST`` (statically bounded), ``FANOUT`` (one
    repeating axis), or ``DOC`` (unbounded or recursive).
 2. **How expensive is the query per document?**  :mod:`.cost` folds

@@ -44,9 +44,8 @@ Installed as the ``fluxrepro`` console script, or run as a module::
   ``--metrics-out FILE`` writes a metrics snapshot (JSON plus
   ``FILE.prom`` Prometheus text), ``--trace-out FILE`` writes stage spans
   as JSON-lines (one trace id per document, propagated into pool
-  workers), ``--log-json [FILE]`` writes structured lifecycle events, and
-  ``--profile`` prints a per-stage cProfile report; with all four off the
-  serving path is the uninstrumented one.
+  workers), and ``--log-json [FILE]`` writes structured lifecycle events;
+  with all three off the serving path is the uninstrumented one.
 * ``stats`` pretty-prints a metrics snapshot written by
   ``multi --metrics-out``.
 
@@ -77,7 +76,6 @@ from repro.obs import (
     JsonLogger,
     MetricsRegistry,
     Observability,
-    StageProfiler,
     Tracer,
     format_snapshot,
 )
@@ -378,12 +376,12 @@ def _build_observability(args: argparse.Namespace) -> Optional[Observability]:
     """The observability hub for one ``multi`` run (``None``: all flags off).
 
     Each flag enables exactly one component: ``--metrics-out`` the
-    registry, ``--trace-out`` a JSON-lines span sink, ``--log-json`` the
-    structured event log (to a file, or stderr for the bare flag), and
-    ``--profile`` the per-stage cProfile hooks.  With every flag off the
-    serving code keeps its original, uninstrumented path.
+    registry, ``--trace-out`` a JSON-lines span sink, and ``--log-json``
+    the structured event log (to a file, or stderr for the bare flag).
+    With every flag off the serving code keeps its original,
+    uninstrumented path.
     """
-    if not (args.metrics_out or args.trace_out or args.log_json or args.profile):
+    if not (args.metrics_out or args.trace_out or args.log_json):
         return None
     return Observability(
         metrics=MetricsRegistry() if args.metrics_out else None,
@@ -393,25 +391,18 @@ def _build_observability(args: argparse.Namespace) -> Optional[Observability]:
             if args.log_json
             else None
         ),
-        profiler=StageProfiler() if args.profile else None,
     )
 
 
-def _finalize_observability(obs, args, summary_source, pooled: bool) -> None:
-    """Write the run's metrics snapshot and profile report, flush sinks.
+def _finalize_observability(obs, args) -> None:
+    """Write the run's metrics snapshot and close the sinks.
 
-    The registry gets the run's final service/pool totals and the plan
-    cache's counters folded in (the push-style pass/stage series are
-    already there), then ``--metrics-out`` receives the JSON snapshot and
+    Runs on every exit path of ``multi``, so a run that stopped at a
+    failing document still leaves a snapshot of the passes that
+    completed.  ``--metrics-out`` receives the JSON snapshot and
     ``--metrics-out``+``.prom`` the Prometheus text exposition.
     """
     if obs.metrics is not None:
-        summary = summary_source.stats_summary()
-        summary.pop("plan_cache", None)
-        obs.metrics.set_from_dict(
-            "repro_pool" if pooled else "repro_service", summary
-        )
-        summary_source.plan_cache.register_metrics(obs.metrics)
         snapshot = obs.metrics.snapshot()
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
@@ -423,8 +414,6 @@ def _finalize_observability(obs, args, summary_source, pooled: bool) -> None:
             f"(Prometheus text: {prom_path})",
             file=sys.stderr,
         )
-    if obs.profiler is not None:
-        print(obs.profiler.report(), file=sys.stderr)
     obs.close()
 
 
@@ -442,14 +431,8 @@ def _command_multi(args: argparse.Namespace) -> int:
     if args.backend == "processes" and args.workers is None:
         print("multi: --backend processes requires --workers N", file=sys.stderr)
         return 2
-    if args.execution == "threads":
-        print(
-            "multi: --execution threads is deprecated (the worker-thread "
-            "driver was removed); running the inline driver",
-            file=sys.stderr,
-        )
     if args.execution != "async":
-        args.execution = "inline"  # unset, auto and the deprecated alias
+        args.execution = "inline"  # unset or auto
     if args.backend == "processes" and args.execution == "async":
         print(
             "multi: --execution async is the asyncio front end of the "
@@ -615,10 +598,12 @@ def _command_multi(args: argparse.Namespace) -> int:
         )
     else:
         service = QueryService(dtd, validate=validate, plan_cache=plan_cache, obs=obs)
-    for key, text in queries:
-        service.register(text, key=key)
+    if obs is not None and obs.metrics is not None:
+        service.register_metrics(obs.metrics)
 
     try:
+        for key, text in queries:
+            service.register(text, key=key)
         if args.execution == "async":
             import asyncio
 
@@ -627,17 +612,17 @@ def _command_multi(args: argparse.Namespace) -> int:
                     report(outcome)
 
             asyncio.run(drive())
-            summary_source = service if pooled else service.service
         else:
             for outcome in service.serve(documents()):
                 report(outcome)
-            summary_source = service
     finally:
         if args.backend == "processes":
             service.close()
+        if obs is not None:
+            _finalize_observability(obs, args)
 
     if args.plan_cache_file:
-        saved = summary_source.plan_cache.dump(args.plan_cache_file)
+        saved = service.plan_cache.dump(args.plan_cache_file)
         print(
             f"[plan-cache] snapshot saved: {saved} plans to "
             f"{args.plan_cache_file}",
@@ -645,8 +630,8 @@ def _command_multi(args: argparse.Namespace) -> int:
         )
 
     failures = sum(1 for _, accounting, _ in served if accounting["outcome"] != "ok")
+    totals = service.metrics
     if pooled:
-        totals = summary_source.metrics
         shipping = (
             f", {totals.ship_count} plans shipped ({totals.ship_bytes} B)"
             if totals.ship_count
@@ -665,7 +650,6 @@ def _command_multi(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     elif per_document:
-        totals = summary_source.metrics
         print(
             f"[serve] {totals.passes_completed} documents, "
             f"{len(queries)} standing queries, "
@@ -675,7 +659,7 @@ def _command_multi(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.json:
-        summary = summary_source.stats_summary()
+        summary = service.stats_summary()
         summary["execution"] = args.execution
         summary["backend"] = args.backend
         summary["workers"] = workers
@@ -696,8 +680,6 @@ def _command_multi(args: argparse.Namespace) -> int:
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
-    if obs is not None:
-        _finalize_observability(obs, args, summary_source, pooled)
     return 1 if failures else 0
 
 
@@ -792,14 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
     multi_parser.add_argument(
         "--execution",
         "-x",
-        choices=["threads", "inline", "async", "auto"],
+        choices=["inline", "async", "auto"],
         default=None,
         help="serving front end: inline (the default) drives each pass on "
         "the feeding thread, async is the asyncio front end over the same "
         "pass, auto lets the static cost model fill in --backend/--workers "
         "from the fleet's predicted per-event cost, the document sizes, "
-        "and the machine's CPU count; threads is a deprecated alias of "
-        "inline",
+        "and the machine's CPU count",
     )
     multi_parser.add_argument(
         "--workers",
@@ -841,15 +822,16 @@ def build_parser() -> argparse.ArgumentParser:
     multi_parser.add_argument(
         "--metrics-out",
         metavar="FILE",
-        help="collect pass/pool/plan-cache metrics and stage latency "
-        "histograms into one registry and write the snapshot to FILE as "
-        "JSON plus FILE.prom as Prometheus text exposition (pretty-print "
-        "the JSON later with `repro stats FILE`)",
+        help="publish the service/pool lifetime totals and plan-cache "
+        "counters, each once, beside stage and pass latency histograms, "
+        "and write the snapshot to FILE as JSON plus FILE.prom as "
+        "Prometheus text exposition — also when a failing document stops "
+        "the run (pretty-print the JSON later with `repro stats FILE`)",
     )
     multi_parser.add_argument(
         "--trace-out",
         metavar="FILE",
-        help="record stage spans (pass parse/route/dispatch/evaluate/emit; "
+        help="record stage spans (pass parse/route/evaluate/emit; "
         "pool shard/ship/respawn) as JSON-lines to FILE; one trace id per "
         "document, propagated to pool workers — including across process "
         "pipes and crash-respawns, so a document's worker-side spans merge "
@@ -863,14 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write structured JSON-lines lifecycle events (register/"
         "unregister, pass start/finish, fault isolation, crash-respawn, "
         "plan shipping) to FILE, or to stderr when no FILE is given",
-    )
-    multi_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile serving with cProfile and print a per-stage "
-        "top-of-profile report to stderr (off by default; most useful "
-        "without --workers — pool passes run on worker threads/processes "
-        "the single profiler cannot follow)",
     )
     multi_parser.set_defaults(handler=_command_multi)
 

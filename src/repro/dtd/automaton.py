@@ -16,11 +16,10 @@ exactly that substrate:
 ``ANY`` content models produce a one-state automaton that accepts every child
 sequence; constraint extraction treats it as unconstrained.
 
-The static query analyzer (:mod:`repro.analysis.query`) adds a second use of
-the same automata: *counting*.  :meth:`ContentModelAutomaton
-.occurrence_bounds` derives, per child label, the minimum and maximum number
-of occurrences over all accepted child sequences (``?``/``1`` vs ``*``/``+``
-fan-out), and :func:`recursive_elements` / :func:`subtree_growth_degree`
+The static query analyzer (:mod:`repro.analysis.query`) adds a second use:
+*counting*.  :func:`axis_max_count` reads the per-level occurrence bound of
+a child label (``?``/``1`` vs ``*``/``+`` fan-out) from the schema
+constraints, and :func:`recursive_elements` / :func:`subtree_growth_degree`
 lift those per-level bounds to the whole element graph — how many nested
 unbounded axes a subtree of a given element type can contain.  Together they
 bound how much a buffered region of a plan can grow with the document.
@@ -226,224 +225,6 @@ class ContentModelAutomaton:
                 return False
         return self.is_accepting(state)
 
-    # ------------------------------------------------------------- counting
-
-    def occurrence_bounds(self) -> Dict[str, Tuple[float, float]]:
-        """Per-label ``(min, max)`` occurrence counts over accepted words.
-
-        For every label of the content model: the fewest and the most times
-        it can occur in a *valid* child sequence.  ``max`` is
-        :data:`~repro.dtd.model.INFINITY` exactly when some useful edge
-        carrying the label lies on a cycle of the automaton (a ``*``/``+``
-        repetition reaches it); otherwise both bounds are finite and exact
-        (longest/shortest paths over the cycle-free condensation).  ``ANY``
-        content has no enumerable labels and returns ``{}`` — callers must
-        treat it (via :attr:`allows_any`) as unbounded in everything.
-
-        Computed once and memoized; the automaton is immutable.
-        """
-        cached = getattr(self, "_occurrence_bounds", None)
-        if cached is not None:
-            return dict(cached)
-        bounds = self._compute_occurrence_bounds()
-        self._occurrence_bounds = bounds
-        return dict(bounds)
-
-    def _compute_occurrence_bounds(self) -> Dict[str, Tuple[float, float]]:
-        if self.allows_any:
-            return {}
-        n = len(self._transitions)
-        # Useful states: reachable from the start *and* co-accessible (some
-        # accepting state reachable).  Only edges between useful states can
-        # appear in an accepted word.
-        reachable: Set[int] = {0}
-        frontier = [0]
-        while frontier:
-            state = frontier.pop()
-            for successor in self._transitions[state].values():
-                if successor not in reachable:
-                    reachable.add(successor)
-                    frontier.append(successor)
-        co_accessible = set(self._accepting)
-        changed = True
-        while changed:
-            changed = False
-            for state in range(n):
-                if state in co_accessible:
-                    continue
-                if any(
-                    successor in co_accessible
-                    for successor in self._transitions[state].values()
-                ):
-                    co_accessible.add(state)
-                    changed = True
-        useful = reachable & co_accessible
-        edges = [
-            (state, label, successor)
-            for state in useful
-            for label, successor in self._transitions[state].items()
-            if successor in useful
-        ]
-        components = self._strongly_connected(useful, edges)
-        # A label edge inside one SCC is on a cycle: pumping the cycle
-        # repeats the label arbitrarily often in accepted words.
-        unbounded = {
-            label for state, label, successor in edges
-            if components[state] == components[successor]
-        }
-        maxima = self._bounded_maxima(useful, edges, components, unbounded)
-        minima = self._minima(useful, edges)
-        result: Dict[str, Tuple[float, float]] = {}
-        for label in self.labels:
-            high = INFINITY if label in unbounded else maxima.get(label, 0.0)
-            result[label] = (minima.get(label, 0.0), high)
-        return result
-
-    @staticmethod
-    def _strongly_connected(
-        useful: Set[int], edges: List[Tuple[int, str, int]]
-    ) -> Dict[int, int]:
-        """Map each useful state to its SCC id (iterative Tarjan)."""
-        graph: Dict[int, List[int]] = {state: [] for state in useful}
-        for state, _, successor in edges:
-            graph[state].append(successor)
-        index: Dict[int, int] = {}
-        lowlink: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        stack: List[int] = []
-        components: Dict[int, int] = {}
-        counter = [0]
-        comp_counter = [0]
-        for root in sorted(useful):
-            if root in index:
-                continue
-            # Explicit work stack: (state, iterator position) frames.
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                state, child_index = work[-1]
-                if child_index == 0:
-                    index[state] = lowlink[state] = counter[0]
-                    counter[0] += 1
-                    stack.append(state)
-                    on_stack.add(state)
-                recurse = False
-                successors = graph[state]
-                while child_index < len(successors):
-                    successor = successors[child_index]
-                    child_index += 1
-                    if successor not in index:
-                        work[-1] = (state, child_index)
-                        work.append((successor, 0))
-                        recurse = True
-                        break
-                    if successor in on_stack:
-                        lowlink[state] = min(lowlink[state], index[successor])
-                if recurse:
-                    continue
-                work.pop()
-                if lowlink[state] == index[state]:
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        components[member] = comp_counter[0]
-                        if member == state:
-                            break
-                    comp_counter[0] += 1
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[state])
-        return components
-
-    def _bounded_maxima(
-        self,
-        useful: Set[int],
-        edges: List[Tuple[int, str, int]],
-        components: Dict[int, int],
-        unbounded: Set[str],
-    ) -> Dict[str, float]:
-        """Longest-path label counts over the (acyclic) SCC condensation.
-
-        Only labels *not* flagged unbounded are counted; every edge carrying
-        such a label crosses SCCs, so the condensation DAG sees each one at
-        most once per path and a topological dynamic program is exact.
-        """
-        if 0 not in useful:
-            return {}
-        cross = [
-            (components[state], label, components[successor])
-            for state, label, successor in edges
-            if components[state] != components[successor]
-        ]
-        incoming: Dict[int, List[Tuple[int, Optional[str]]]] = {}
-        indegree: Dict[int, int] = {components[state]: 0 for state in useful}
-        for src, label, dst in cross:
-            incoming.setdefault(dst, []).append(
-                (src, label if label not in unbounded else None)
-            )
-            indegree[dst] += 1
-        order: List[int] = [comp for comp, degree in indegree.items() if degree == 0]
-        queue = list(order)
-        remaining = dict(indegree)
-        while queue:
-            comp = queue.pop()
-            for src, label, dst in cross:
-                if src != comp:
-                    continue
-                remaining[dst] -= 1
-                if remaining[dst] == 0:
-                    order.append(dst)
-                    queue.append(dst)
-        start_comp = components[0]
-        best: Dict[int, Dict[str, float]] = {start_comp: {}}
-        for comp in order:
-            for src, label in incoming.get(comp, []):
-                source_counts = best.get(src)
-                if source_counts is None:
-                    continue
-                candidate = dict(source_counts)
-                if label is not None:
-                    candidate[label] = candidate.get(label, 0.0) + 1.0
-                merged = best.setdefault(comp, {})
-                for name, count in candidate.items():
-                    if count > merged.get(name, 0.0):
-                        merged[name] = count
-        maxima: Dict[str, float] = {}
-        accepting_comps = {components[state] for state in self._accepting if state in useful}
-        for comp in accepting_comps:
-            for name, count in best.get(comp, {}).items():
-                if count > maxima.get(name, 0.0):
-                    maxima[name] = count
-        return maxima
-
-    def _minima(
-        self, useful: Set[int], edges: List[Tuple[int, str, int]]
-    ) -> Dict[str, float]:
-        """Per-label minimum counts: shortest paths start → any acceptor."""
-        if 0 not in useful:
-            return {}
-        minima: Dict[str, float] = {}
-        for target in self.labels:
-            # Bellman-Ford style fixpoint; weights are 0/1 and the automata
-            # are tiny, so the quadratic loop is fine.
-            dist: Dict[int, float] = {0: 0.0}
-            changed = True
-            while changed:
-                changed = False
-                for state, label, successor in edges:
-                    base = dist.get(state)
-                    if base is None:
-                        continue
-                    weight = 1.0 if label == target else 0.0
-                    if base + weight < dist.get(successor, INFINITY):
-                        dist[successor] = base + weight
-                        changed = True
-            best = min(
-                (dist[state] for state in self._accepting if state in dist),
-                default=0.0,
-            )
-            minima[target] = best
-        return minima
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ContentModelAutomaton(states={self.state_count}, "
@@ -555,21 +336,14 @@ def axis_max_count(dtd, element_type: str, label: str) -> float:
     """Maximum occurrences of child ``label`` under one ``element_type``.
 
     :data:`~repro.dtd.model.INFINITY` for repeating axes (``*``/``+``,
-    mixed content, ``ANY``, undeclared parents); the exact automaton bound
+    mixed content, ``ANY``, undeclared parents); the exact content-model
+    bound (:meth:`~repro.dtd.constraints.SchemaConstraints.max_occurrences`)
     otherwise.  ``element_type`` may be the synthetic document type — the
     document node has exactly one child, the root element.
     """
     if element_type == "#document":
         return 1.0
-    if not dtd.has_element(element_type):
-        return INFINITY
-    automaton = dtd.automaton(element_type)
-    if automaton.allows_any:
-        return INFINITY
-    bounds = automaton.occurrence_bounds().get(label)
-    if bounds is None:
-        return 0.0
-    return bounds[1]
+    return float(dtd.constraints().max_occurrences(element_type, label))
 
 
 def subtree_growth_degree(dtd, name: str) -> float:

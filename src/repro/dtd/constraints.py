@@ -15,19 +15,15 @@ that drive the algebraic optimizer and the XQuery→FluX scheduler:
   ``editor`` under the DTD of Figure 1), which lets the optimizer delete
   unsatisfiable conditionals.
 
-All three are decided on the deterministic content-model automaton of the
-parent element, so they are exact for the supported DTD fragment.  Elements
+Cardinalities are read off the content particle; order and co-occurrence
+are decided on the deterministic content-model automaton of the parent
+element.  All three are exact for the supported DTD fragment.  Elements
 with ``ANY`` content yield no constraints.
-
-The class additionally exposes the *past tables* used by XSAX: given a DFA
-state of the parent's content model and a label set ``X``, whether any label
-of ``X`` may still occur — the ``on-first past(X)`` event fires the first time
-this becomes false.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.dtd.model import INFINITY
 from repro.dtd.schema import DTD
@@ -50,15 +46,13 @@ class SchemaConstraints:
     def max_occurrences(self, parent: str, label: str) -> float:
         """Maximum number of ``label`` children of a ``parent`` element.
 
-        Returns :data:`~repro.dtd.model.INFINITY` when unbounded, ``0`` when
-        the DTD forbids such children entirely.
+        Returns :data:`~repro.dtd.model.INFINITY` when unbounded (``*``/``+``
+        axes, ``ANY`` content, undeclared parents), ``0`` when the DTD
+        forbids such children entirely.
         """
         if not self.dtd.has_element(parent):
             return INFINITY
-        decl = self.dtd.element(parent)
-        if decl.content.labels() == frozenset() and decl.allows_text():
-            return 0
-        return decl.content.max_count(label)
+        return self.dtd.element(parent).content.max_count(label)
 
     def min_occurrences(self, parent: str, label: str) -> float:
         """Minimum number of ``label`` children of a ``parent`` element."""
@@ -194,31 +188,6 @@ class SchemaConstraints:
                     seen.add(config)
                     frontier.append(config)
         return False
-
-    # -------------------------------------------------------- past tables
-
-    def past_table(self, parent: str, labels: FrozenSet[str]) -> Dict[int, bool]:
-        """Per-DFA-state table: ``True`` when *no* label of ``labels`` can
-        still occur among the remaining children.
-
-        This is the lookup table XSAX consults to fire
-        ``on-first past(labels)`` events for ``parent`` elements.
-        """
-        automaton = self.dtd.automaton(parent) if self.dtd.has_element(parent) else None
-        table: Dict[int, bool] = {}
-        if automaton is None or automaton.allows_any:
-            return table
-        for state in range(automaton.state_count):
-            table[state] = not automaton.can_still_occur(state, labels)
-        return table
-
-    def labels_past_at_state(self, parent: str, state: int) -> FrozenSet[str]:
-        """Labels that can no longer occur from ``state`` of ``parent``'s
-        content-model automaton."""
-        automaton = self.dtd.automaton(parent)
-        if automaton.allows_any:
-            return frozenset()
-        return frozenset(automaton.labels) - automaton.reachable_labels(state)
 
     # ------------------------------------------------------------ summary
 

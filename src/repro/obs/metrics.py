@@ -1,8 +1,8 @@
 """Thread-safe labeled metrics: counters, gauges, fixed-bucket histograms.
 
-One :class:`MetricsRegistry` describes the whole system — pass counters,
-service lifetime totals, pool shard accounting, plan-cache hit rates, and
-stage latency distributions — in one snapshot, exportable two ways:
+One :class:`MetricsRegistry` describes the whole system — service
+lifetime totals, pool shard accounting, plan-cache hit rates, and stage
+latency distributions — in one snapshot, exportable two ways:
 
 * :meth:`MetricsRegistry.snapshot` — a plain JSON-able dict (what
   ``multi --metrics-out`` writes and ``repro stats`` pretty-prints);
@@ -289,9 +289,9 @@ class MetricsRegistry:
     meaning); the returned objects are cheap handles safe to cache and to
     use from any thread.  ``add_collector`` registers a callback run at
     the top of every :meth:`snapshot` / :meth:`to_prometheus`, which is
-    how *pull*-style sources (live :class:`ServiceMetrics`, pool
-    aggregates, :class:`~repro.runtime.plan_cache.CacheStats`) fold into
-    the same snapshot as the *push*-style stage observations.
+    how the counting dataclasses (live ``ServiceMetrics``, pool
+    aggregates, ``CacheStats``) are published beside the *push*-style
+    duration histograms.
 
     Thread-safety: one registry-wide lock guards every value mutation and
     the whole snapshot assembly, so concurrent writers can never tear a
@@ -352,13 +352,12 @@ class MetricsRegistry:
     def set_from_dict(self, prefix: str, mapping: Dict, **labels: str) -> None:
         """Set one gauge per numeric scalar in ``mapping``, as ``prefix_key``.
 
-        The folding bridge for the pre-existing stats dataclasses: a
-        collector calls this with ``ServiceMetrics.as_dict()`` /
-        ``PoolMetrics.as_dict()`` / ``CacheStats.as_dict()`` output, so
-        the whole system's counters land in one snapshot without the
-        dataclasses knowing about the registry.  Nested dicts/lists
-        (per-query, per-worker breakdowns) are skipped — they stay in the
-        source dataclass reports.
+        The publishing bridge for the counting dataclasses: the serving
+        faces' collector (``register_metrics``) calls this with their
+        ``stats_summary()``, so the whole system's counters land in one
+        snapshot without the dataclasses knowing about the registry.
+        Nested dicts/lists (per-query, per-worker breakdowns) are skipped
+        — they stay in the source dataclass reports.
         """
         for key, value in mapping.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -160,7 +160,7 @@ class Tracer:
     * :meth:`span` — a context manager for work bracketed in one place
       (a whole pass, a pool shard, a plan shipment);
     * :meth:`record` — for durations accumulated *across* many small
-      slices (the dispatcher sums per-chunk route/dispatch/evaluate time
+      slices (the dispatcher sums per-chunk parse/route/evaluate time
       and records one span per stage at pass finish, so tracing never
       adds a per-event timestamp pair to the hot loop).
 

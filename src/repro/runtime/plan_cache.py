@@ -622,24 +622,6 @@ class PlanCache:
             self._structure_refs.clear()
             self._entry_structures.clear()
 
-    def register_metrics(self, registry, prefix: str = "repro_plan_cache") -> None:
-        """Fold this cache's counters into ``registry`` at every snapshot.
-
-        ``registry`` is a :class:`repro.obs.MetricsRegistry` (duck-typed —
-        this module stays import-free of the observability layer).  A
-        pull-style collector is registered: each ``registry.snapshot()`` /
-        ``to_prometheus()`` re-reads :attr:`stats` plus the live entry
-        count, so the exported ``<prefix>_*`` gauges are always current
-        without the cache pushing on its own lookup path.
-        """
-
-        def collect(reg) -> None:
-            values = self.stats.as_dict()
-            values["size"] = len(self)
-            reg.set_from_dict(prefix, values)
-
-        registry.add_collector(collect)
-
     # ------------------------------------------------- warm-start snapshots
 
     #: Leading magic of a cache snapshot file (format versioning).

@@ -40,7 +40,7 @@ from repro.dtd.schema import DTD
 from repro.engines.base import QueryResult
 from repro.obs import Observability
 from repro.runtime.plan_cache import PlanCache
-from repro.service.metrics import PassMetrics, ServiceMetrics
+from repro.service.metrics import MetricsPublisher, PassMetrics, ServiceMetrics
 from repro.service.service import (
     QueryService,
     ServedDocument,
@@ -122,7 +122,7 @@ async def _iter_documents(documents) -> AsyncIterator[Union[str, io.TextIOBase]]
             yield document
 
 
-class AsyncQueryService:
+class AsyncQueryService(MetricsPublisher):
     """The multi-query service behind an asyncio-native API.
 
     Construction mirrors :class:`~repro.service.service.QueryService`
@@ -190,10 +190,6 @@ class AsyncQueryService:
     @property
     def plan_cache(self) -> PlanCache:
         return self._service.plan_cache
-
-    def stats_summary(self) -> Dict[str, object]:
-        """Service metrics plus plan-cache counters, for logs and benches."""
-        return self._service.stats_summary()
 
     # ---------------------------------------------------------- execution
 

@@ -1,6 +1,6 @@
-"""Accounting for the multi-query service.
+"""Accounting for the multi-query service — the one place anything is counted.
 
-Two layers of counters:
+Three layers of counters:
 
 * :class:`PassMetrics` — one shared scan: how many events the parser
   produced, how many survived the shared routing index (``events_forwarded``
@@ -18,13 +18,20 @@ Two layers of counters:
   :class:`~repro.service.service.ServedDocument` it produced).  Plan-cache
   hit/miss counts live on the cache itself
   (:class:`repro.runtime.plan_cache.CacheStats`) and are merged into
-  :meth:`ServiceMetrics.as_dict` by the service.
+  :meth:`MetricsPublisher.stats_summary`.
 * :class:`PoolMetrics` — one :class:`~repro.service.pool.ServicePool`'s
   view across its workers: the per-worker :class:`ServiceMetrics` folded
   into fleet totals, plus the pool's own serve-loop accounting (documents
   delivered vs. fault-isolated failures, by worker).  Built on demand by
   :meth:`PoolMetrics.aggregate` from a snapshot of the worker metrics, so
   it carries no live references.
+
+The :mod:`repro.obs` metrics registry only *reads* these: a serving face's
+:meth:`MetricsPublisher.register_metrics` publishes its lifetime totals
+and plan-cache counters as gauges at snapshot time, and
+:func:`record_pass_durations` pushes each finished pass's stage and pass
+durations into the two latency histograms — the one number a gauge cannot
+carry is a distribution.
 
 Thread-safety: these dataclasses are plain counters mutated by the single
 thread driving the service/pass; they carry no locks.  Read them between
@@ -35,11 +42,23 @@ on its own thread).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
 #: The pass stage taxonomy, in pipeline order.
 PASS_STAGES = ("parse", "route", "evaluate", "emit")
+
+#: Lifetime totals folded from every completed pass, by the
+#: :class:`PassMetrics` field each one sums.
+_PASS_TOTALS = {
+    "parser_events_total": "parser_events",
+    "document_bytes_total": "document_bytes",
+    "events_forwarded_total": "events_forwarded",
+    "subtrees_pruned_total": "subtrees_pruned",
+    "events_pruned_total": "events_pruned",
+    "text_events_dropped_total": "text_events_dropped",
+    "elapsed_seconds_total": "elapsed_seconds",
+}
 
 
 @dataclass
@@ -79,22 +98,8 @@ class PassMetrics:
         """Parser events avoided versus one independent run per query."""
         return max(0, self.queries - 1) * self.parser_events
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "queries": self.queries,
-            "structures": self.structures,
-            "document_bytes": self.document_bytes,
-            "parser_events": self.parser_events,
-            "events_forwarded": self.events_forwarded,
-            "subtrees_pruned": self.subtrees_pruned,
-            "events_pruned": self.events_pruned,
-            "text_events_dropped": self.text_events_dropped,
-            "events_saved_vs_solo": self.events_saved_vs_solo,
-            "elapsed_seconds": self.elapsed_seconds,
-            "stage_seconds": dict(self.stage_seconds),
-            "per_query_forwarded": dict(self.per_query_forwarded),
-            "per_query_pruned": dict(self.per_query_pruned),
-        }
+    def as_dict(self) -> Dict[str, object]:
+        return {**asdict(self), "events_saved_vs_solo": self.events_saved_vs_solo}
 
 
 @dataclass
@@ -116,6 +121,7 @@ class ServiceMetrics:
     queries_deduped: int = 0
     passes_completed: int = 0
     parser_events_total: int = 0
+    document_bytes_total: int = 0
     events_forwarded_total: int = 0
     subtrees_pruned_total: int = 0
     events_pruned_total: int = 0
@@ -127,33 +133,13 @@ class ServiceMetrics:
     def record_pass(self, pass_metrics: PassMetrics, results: int) -> None:
         """Fold one completed pass into the lifetime totals."""
         self.passes_completed += 1
-        self.parser_events_total += pass_metrics.parser_events
-        self.events_forwarded_total += pass_metrics.events_forwarded
-        self.subtrees_pruned_total += pass_metrics.subtrees_pruned
-        self.events_pruned_total += pass_metrics.events_pruned
-        self.text_events_dropped_total += pass_metrics.text_events_dropped
-        self.elapsed_seconds_total += pass_metrics.elapsed_seconds
+        for total, counter in _PASS_TOTALS.items():
+            setattr(self, total, getattr(self, total) + getattr(pass_metrics, counter))
         self.results_produced += results
         self.last_pass = pass_metrics
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "queries_registered": self.queries_registered,
-            "queries_unregistered": self.queries_unregistered,
-            "queries_replaced": self.queries_replaced,
-            "structures_registered": self.structures_registered,
-            "structures_released": self.structures_released,
-            "queries_deduped": self.queries_deduped,
-            "passes_completed": self.passes_completed,
-            "parser_events_total": self.parser_events_total,
-            "events_forwarded_total": self.events_forwarded_total,
-            "subtrees_pruned_total": self.subtrees_pruned_total,
-            "events_pruned_total": self.events_pruned_total,
-            "text_events_dropped_total": self.text_events_dropped_total,
-            "elapsed_seconds_total": self.elapsed_seconds_total,
-            "results_produced": self.results_produced,
-            "last_pass": self.last_pass.as_dict(),
-        }
+    def as_dict(self) -> Dict[str, object]:
+        return {**asdict(self), "last_pass": self.last_pass.as_dict()}
 
 
 @dataclass
@@ -175,6 +161,7 @@ class PoolMetrics:
     passes_completed: int = 0
     results_produced: int = 0
     parser_events_total: int = 0
+    document_bytes_total: int = 0
     events_forwarded_total: int = 0
     subtrees_pruned_total: int = 0
     events_pruned_total: int = 0
@@ -212,14 +199,8 @@ class PoolMetrics:
             failed = documents_failed.get(worker_id, 0)
             pool.documents_ok += ok
             pool.documents_failed += failed
-            pool.passes_completed += metrics.passes_completed
-            pool.results_produced += metrics.results_produced
-            pool.parser_events_total += metrics.parser_events_total
-            pool.events_forwarded_total += metrics.events_forwarded_total
-            pool.subtrees_pruned_total += metrics.subtrees_pruned_total
-            pool.events_pruned_total += metrics.events_pruned_total
-            pool.text_events_dropped_total += metrics.text_events_dropped_total
-            pool.elapsed_seconds_total += metrics.elapsed_seconds_total
+            for total in ("passes_completed", "results_produced", *_PASS_TOTALS):
+                setattr(pool, total, getattr(pool, total) + getattr(metrics, total))
             pool.per_worker.append(
                 {
                     "worker": worker_id,
@@ -233,20 +214,65 @@ class PoolMetrics:
         return pool
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "workers": self.workers,
-            "documents_served": self.documents_served,
-            "documents_ok": self.documents_ok,
-            "documents_failed": self.documents_failed,
-            "passes_completed": self.passes_completed,
-            "results_produced": self.results_produced,
-            "parser_events_total": self.parser_events_total,
-            "events_forwarded_total": self.events_forwarded_total,
-            "subtrees_pruned_total": self.subtrees_pruned_total,
-            "events_pruned_total": self.events_pruned_total,
-            "text_events_dropped_total": self.text_events_dropped_total,
-            "elapsed_seconds_total": self.elapsed_seconds_total,
-            "ship_count": self.ship_count,
-            "ship_bytes": self.ship_bytes,
-            "per_worker": [dict(entry) for entry in self.per_worker],
-        }
+        return {**asdict(self), "documents_served": self.documents_served}
+
+
+class MetricsPublisher:
+    """The reporting half every serving face shares.
+
+    Mixed into :class:`~repro.service.service.QueryService`,
+    :class:`~repro.service.async_service.AsyncQueryService` and
+    :class:`~repro.service.pool_core.PoolCore`, each of which exposes a
+    ``metrics`` dataclass (:class:`ServiceMetrics` / :class:`PoolMetrics`)
+    and a ``plan_cache``; ``_metrics_prefix`` names its gauge family.
+    """
+
+    _metrics_prefix = "repro_service"
+
+    def stats_summary(self) -> Dict[str, object]:
+        """Lifetime metrics plus plan-cache counters, for logs and benches."""
+        summary = self.metrics.as_dict()
+        summary["plan_cache"] = self.plan_cache.stats.as_dict()
+        summary["plan_cache"]["size"] = len(self.plan_cache)
+        return summary
+
+    def register_metrics(self, registry) -> None:
+        """Publish :meth:`stats_summary` into ``registry`` at every snapshot.
+
+        ``registry`` is a :class:`repro.obs.MetricsRegistry`; a pull-style
+        collector re-reads the live counters on each ``snapshot()`` /
+        ``to_prometheus()`` and sets one gauge per numeric scalar:
+        ``<prefix>_*`` for the lifetime totals and ``repro_plan_cache_*``
+        for the cache (nested breakdowns stay in :meth:`stats_summary`).
+        The counters themselves are never duplicated into the registry.
+        """
+
+        def collect(reg) -> None:
+            summary = self.stats_summary()
+            reg.set_from_dict(self._metrics_prefix, summary)
+            reg.set_from_dict("repro_plan_cache", summary["plan_cache"])
+
+        registry.add_collector(collect)
+
+
+def record_pass_durations(obs, pass_metrics: PassMetrics) -> None:
+    """Push one finished pass's stage and pass durations into ``obs``'s
+    metrics registry (a no-op without one).
+
+    The only push into the registry: called by
+    :meth:`~repro.service.session.SharedPass.finish` where passes run in
+    the registry's process, and by the process pool's parent for each pass
+    a worker ships home — the histograms come from the very
+    :attr:`PassMetrics.stage_seconds` every served document carries.
+    """
+    if obs is None or obs.metrics is None:
+        return
+    stages = obs.metrics.histogram(
+        "repro_stage_duration_seconds",
+        "Per-pass duration of each pipeline stage, in seconds.",
+    )
+    for stage in PASS_STAGES:
+        stages.observe(pass_metrics.stage_seconds[stage], stage=stage)
+    obs.metrics.histogram(
+        "repro_pass_duration_seconds", "End-to-end duration of one shared pass."
+    ).observe(pass_metrics.elapsed_seconds)

@@ -50,7 +50,7 @@ from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import DTD
 from repro.obs import Observability, new_trace_id
 from repro.runtime.plan_cache import PlanCache
-from repro.service.metrics import PoolMetrics, ServiceMetrics
+from repro.service.metrics import MetricsPublisher, PoolMetrics, ServiceMetrics
 from repro.service.service import ServedDocument
 from repro.service.session import RegisteredQuery
 
@@ -66,7 +66,7 @@ class _InFlight(NamedTuple):
     sent_perf: float
 
 
-class PoolCore:
+class PoolCore(MetricsPublisher):
     """Registration mirroring, the sharding loop, and outcome delivery.
 
     Subclasses implement the backend hooks:
@@ -86,6 +86,8 @@ class PoolCore:
     * optionally :meth:`_ship_stats` — cumulative ``(count, bytes)`` of
       plan artifacts shipped to workers (zero for in-process backends).
     """
+
+    _metrics_prefix = "repro_pool"
 
     def __init__(self, dtd: Union[DTD, str, None], workers: int,
                  plan_cache: Optional[PlanCache], cache_size: int,
@@ -355,13 +357,6 @@ class PoolCore:
             self._worker_metrics(), ok, failed,
             ship_count=ship_count, ship_bytes=ship_bytes,
         )
-
-    def stats_summary(self) -> Dict[str, object]:
-        """Pool metrics plus shared plan-cache counters, for logs/benches."""
-        summary = self.metrics.as_dict()
-        summary["plan_cache"] = self.plan_cache.stats.as_dict()
-        summary["plan_cache"]["size"] = len(self.plan_cache)
-        return summary
 
 
 class ServiceBackedPool(PoolCore):

@@ -38,9 +38,11 @@ truly in parallel on separate cores:
   the full registration set re-shipped — the stream keeps serving.
 * **the parent mirrors what it cannot see** — each shipped-home
   :class:`~repro.service.service.ServedDocument` *is* the worker's metric
-  delta: ``_fold`` adds it to the slot's mirrored service metrics, the
-  parent's registry and the parent's plan-cache observations, and the
-  worker-side spans it travelled with are merged into the parent's trace.
+  delta: ``_fold`` adds it to the slot's mirrored service metrics, pushes
+  its stage and pass durations into the parent registry's histograms and
+  folds it into the parent's plan-cache observations; the worker-side
+  spans it travelled with (only when the parent traces) are merged into
+  the parent's trace.
 
 **Why pipes, not a shared queue.**  Every cross-process channel here is a
 single-writer/single-reader :func:`multiprocessing.Pipe`: the parent
@@ -107,7 +109,7 @@ from repro.dtd.schema import DTD
 from repro.errors import WorkerCrashError
 from repro.obs import MemorySink, Observability, Tracer
 from repro.runtime.plan_cache import PlanArtifact, PlanCache, structure_key
-from repro.service.metrics import PassMetrics, ServiceMetrics
+from repro.service.metrics import PassMetrics, ServiceMetrics, record_pass_durations
 from repro.service.pool_core import PoolCore
 from repro.service.service import (
     DocumentSource,
@@ -118,7 +120,6 @@ from repro.service.service import (
 from repro.service.session import (
     PlanStructure,
     RegisteredQuery,
-    record_pass_observations,
     record_plan_observations,
 )
 
@@ -162,7 +163,7 @@ def _worker_main(
     dtd_blob: bytes,
     validate: bool,
     crash_marker: Optional[str],
-    observe: bool,
+    trace: bool,
     inbox,
     results,
 ) -> None:
@@ -179,18 +180,17 @@ def _worker_main(
     (the worker's plan-cache miss counter) lets the parent *verify* the
     worker never ran the optimizer.
 
-    With ``observe`` set the worker runs its passes under an in-memory
+    With ``trace`` set the worker runs its passes under an in-memory
     tracer: pass and stage spans — carrying the trace id the parent
     stamped into the ``doc`` message — are drained after each document and
     shipped home in the ``served`` reply, where the parent merges them
-    into its own trace file and folds their stage durations into its
-    metrics registry.  The worker keeps no registry of its own; its
+    into its own trace file.  The worker keeps no registry of its own; its
     metric delta *is* the :class:`PassMetrics` every served document
     already carries.
     """
     dtd = pickle.loads(dtd_blob)
-    span_sink = MemorySink() if observe else None
-    worker_obs = Observability(tracer=Tracer(span_sink)) if observe else None
+    span_sink = MemorySink() if trace else None
+    worker_obs = Observability(tracer=Tracer(span_sink)) if trace else None
     service = QueryService(dtd, validate=validate, obs=worker_obs)
     # Shipped plans by structure key: each artifact is unpickled once and
     # every alias registration reuses the same plan object, so the
@@ -329,12 +329,9 @@ class ProcessServicePool(PoolCore):
         self._closed = False
         self._ship_count = 0
         self._ship_bytes = 0
-        # Workers trace their passes whenever the parent can use the spans:
-        # to merge into a trace file, or to fold stage durations into the
-        # registry's histograms.
-        self._observe_workers = obs is not None and (
-            obs.tracer is not None or obs.metrics is not None
-        )
+        # Workers trace their passes only when the parent merges the spans
+        # into a trace; stage histograms come from the shipped PassMetrics.
+        self._trace_workers = obs is not None and obs.tracer is not None
 
     # ---------------------------------------------------------- back hooks
 
@@ -478,7 +475,7 @@ class ProcessServicePool(PoolCore):
                 self._dtd_blob,
                 self.validate,
                 self._crash_marker,
-                self._observe_workers,
+                self._trace_workers,
                 inbox_read,
                 results_write,
             ),
@@ -620,19 +617,10 @@ class ProcessServicePool(PoolCore):
 
     def _merge_worker_spans(self, spans: List[Dict]) -> None:
         """Re-emit one reply's worker-side spans into the parent's tracer —
-        what makes ``--trace-out`` a *single merged* trace file — and land
-        their ``pass.<stage>`` durations in the parent registry's stage
-        histograms (the worker has no registry; spans double as the
-        stage-latency delta)."""
-        obs = self.obs
-        if obs is None:
-            return
-        for span in spans:
-            if obs.tracer is not None:
-                obs.tracer.emit(span)
-            name = span.get("name", "")
-            if name.startswith("pass."):
-                obs.observe_stage(name[5:], span.get("duration_s", 0.0))
+        what makes ``--trace-out`` a *single merged* trace file."""
+        if self._trace_workers:
+            for span in spans:
+                self.obs.tracer.emit(span)
 
     def _subscribers(self) -> List[Tuple[PlanStructure, str]]:
         """One ``(structure, live key)`` pair per mirrored structure."""
@@ -647,13 +635,14 @@ class ProcessServicePool(PoolCore):
 
     def _fold(self, served: ServedDocument) -> None:
         """The metric delta of one worker pass *is* the ``ServedDocument``:
-        fold it into the slot's mirrored service metrics, the parent's
-        registry, and the parent's plan-cache observations."""
+        fold it into the slot's mirrored service metrics, the parent
+        registry's duration histograms, and the parent's plan-cache
+        observations."""
         if served.ok:
             self._slot_metrics[served.worker].record_pass(
                 served.metrics, len(served.results)
             )
-            record_pass_observations(self.obs, served.metrics, len(served.results))
+            record_pass_durations(self.obs, served.metrics)
             record_plan_observations(
                 self.plan_cache, self._subscribers(), served.metrics, served.results
             )

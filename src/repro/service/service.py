@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -62,7 +61,7 @@ from repro.errors import PassInProgressError
 from repro.obs import Observability
 from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.plan_cache import PlanCache, dtd_fingerprint, structure_key
-from repro.service.metrics import PassMetrics, ServiceMetrics
+from repro.service.metrics import MetricsPublisher, PassMetrics, ServiceMetrics
 from repro.service.session import (
     PlanStructure,
     RegisteredQuery,
@@ -193,7 +192,7 @@ def failed_document(shared_pass, exc: BaseException, index: int,
     )
 
 
-class QueryService:
+class QueryService(MetricsPublisher):
     """Shared single-pass execution of many standing XQuery registrations.
 
     Parameters
@@ -210,11 +209,9 @@ class QueryService:
         serving different schemas); by default the service owns a fresh
         cache of ``cache_size`` plans.
     execution:
-        Deprecated alias kept for one release; it selects nothing.  Every
-        pass round-robins re-entrant evaluations on the feeding thread
-        (what ``"inline"`` used to name).  ``"inline"`` is accepted
-        silently, ``"threads"`` with a :class:`DeprecationWarning`,
-        anything else raises :class:`ValueError`.
+        Only ``"inline"`` is accepted: every pass round-robins re-entrant
+        evaluations on the feeding thread.  Anything else raises
+        :class:`ValueError`.
     dedup:
         Whether structurally identical registrations (same
         :func:`~repro.runtime.plan_cache.structure_key`: identical
@@ -229,11 +226,12 @@ class QueryService:
     obs:
         An optional :class:`~repro.obs.Observability` hub.  With the
         default ``None`` the service runs the pre-instrumentation code
-        paths unchanged; with a hub, passes record stage latency
-        histograms and counters into its metrics registry, emit spans to
-        its tracer, lifecycle events (register/unregister, pass
-        start/finish/abort) go to its JSON-lines logger, and its profiler
-        (if any) wraps each pass driven by :meth:`run_pass`/:meth:`serve`.
+        paths unchanged; with a hub, passes record stage and pass latency
+        histograms into its metrics registry, emit spans to its tracer,
+        and lifecycle events (register/unregister, pass
+        start/finish/abort) go to its JSON-lines logger.  The lifetime
+        counters stay on :attr:`metrics`; :meth:`register_metrics`
+        publishes them into a registry.
     """
 
     def __init__(
@@ -248,14 +246,7 @@ class QueryService:
     ):
         if isinstance(dtd, str):
             dtd = parse_dtd(dtd)
-        if execution == "threads":
-            warnings.warn(
-                'QueryService(execution="threads") is deprecated: the worker-thread '
-                "driver is gone and every pass runs on the feeding thread",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        elif execution != "inline":
+        if execution != "inline":
             raise ValueError(
                 f"unknown execution mode {execution!r}; expected 'inline'"
             )
@@ -330,21 +321,9 @@ class QueryService:
             self._counter += 1
             key = f"q{self._counter}"
         entry, from_cache = self.plan_cache.get_or_compile(query, self.pipeline)
-        registration = RegisteredQuery(
-            key,
-            entry,
-            from_cache=from_cache,
-            structure=self._acquire_structure(entry),
-            # Echo what this registrant submitted: under plan-cache
-            # interning, entry.source may be an alias's spelling.
-            source=query,
-        )
-        displaced = self._registrations.get(key)
-        if displaced is not None:
-            self.metrics.queries_replaced += 1
-            self._release_structure(displaced)
-        self._registrations[key] = registration
-        self.metrics.queries_registered += 1
+        # Echo what this registrant submitted: under plan-cache interning,
+        # entry.source may be an alias's spelling.
+        registration = self._add_registration(key, entry, from_cache, query)
         if self.obs is not None:
             self.obs.log("service.register", key=key, from_cache=from_cache)
         return registration
@@ -378,13 +357,24 @@ class QueryService:
         if key is None:
             self._counter += 1
             key = f"q{self._counter}"
+        # A shipped alias carries its registrant's own spelling; the
+        # artifact's entry may hold the structure's canonical text.
+        registration = self._add_registration(key, entry, from_cache=True, source=source)
+        if self.obs is not None:
+            self.obs.log("service.register", key=key, shipped=True)
+        return registration
+
+    def _add_registration(
+        self, key: str, entry: "CompiledQueryPlan", from_cache: bool,
+        source: Optional[str],
+    ) -> RegisteredQuery:
+        """Subscribe ``key`` to ``entry``'s structure, displacing (and
+        counting) any registration the key already named."""
         registration = RegisteredQuery(
             key,
             entry,
-            from_cache=True,
+            from_cache=from_cache,
             structure=self._acquire_structure(entry),
-            # A shipped alias carries its registrant's own spelling; the
-            # artifact's entry may hold the structure's canonical text.
             source=source,
         )
         displaced = self._registrations.get(key)
@@ -393,8 +383,6 @@ class QueryService:
             self._release_structure(displaced)
         self._registrations[key] = registration
         self.metrics.queries_registered += 1
-        if self.obs is not None:
-            self.obs.log("service.register", key=key, shipped=True)
         return registration
 
     def register_all(self, queries: Iterable[str]) -> List[RegisteredQuery]:
@@ -510,7 +498,7 @@ class QueryService:
         """
         shared_pass = None
         try:
-            with self._maybe_profile(), materialized(document) as opened:
+            with materialized(document) as opened:
                 shared_pass = self.open_pass(chunk_size=chunk_size, trace_id=trace_id)
                 if isinstance(opened, str):
                     shared_pass.feed(opened)
@@ -537,12 +525,6 @@ class QueryService:
         if served.error is not None:
             raise served.error
         return served.results
-
-    def _maybe_profile(self):
-        """The pass profiler as a context manager, or a no-op without one."""
-        if self.obs is not None and self.obs.profiler is not None:
-            return self.obs.profiler
-        return contextlib.nullcontext()
 
     def serve(
         self,
@@ -597,12 +579,3 @@ class QueryService:
                 raise served.error
             yield served
             index += 1
-
-    # ----------------------------------------------------------- reporting
-
-    def stats_summary(self) -> Dict[str, object]:
-        """Service metrics plus plan-cache counters, for logs and benches."""
-        summary = self.metrics.as_dict()
-        summary["plan_cache"] = self.plan_cache.stats.as_dict()
-        summary["plan_cache"]["size"] = len(self.plan_cache)
-        return summary

@@ -31,48 +31,11 @@ from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.evaluator import EvaluatorSession
 from repro.runtime.plan_cache import structure_key
 from repro.service.dispatcher import PlanProfile, SharedDispatcher, SharedProjectionIndex
-from repro.service.metrics import PASS_STAGES, PassMetrics
+from repro.service.metrics import PASS_STAGES, PassMetrics, record_pass_durations
 from repro.xmlstream.parser import StreamingXMLParser
 
 #: Engine label stamped on results produced by a shared pass.
 SHARED_ENGINE_NAME = "flux-shared"
-
-
-def record_pass_observations(
-    obs: Optional[Observability], pass_metrics: PassMetrics, results: int
-) -> None:
-    """Push one finished pass's counters into the metrics registry.
-
-    Shared by :meth:`SharedPass.finish` (passes that run where the
-    registry lives) and the :class:`~repro.service.process_pool
-    .ProcessServicePool` parent, which calls it with the
-    :class:`PassMetrics` each worker ships home — the "metric deltas"
-    folding that keeps one registry describing the whole fleet.
-    """
-    if obs is None or obs.metrics is None:
-        return
-    registry = obs.metrics
-    registry.counter(
-        "repro_passes_total", "Shared passes completed."
-    ).inc()
-    registry.counter(
-        "repro_results_total", "Per-query results produced by shared passes."
-    ).inc(results)
-    registry.counter(
-        "repro_document_bytes_total", "Document bytes ingested by shared passes."
-    ).inc(pass_metrics.document_bytes)
-    events = registry.counter(
-        "repro_events_total", "Parser events by routing outcome."
-    )
-    events.inc(pass_metrics.events_forwarded, outcome="forwarded")
-    events.inc(pass_metrics.events_pruned, outcome="pruned")
-    events.inc(pass_metrics.text_events_dropped, outcome="text_dropped")
-    registry.counter(
-        "repro_subtrees_pruned_total", "Whole subtrees skipped by the shared router."
-    ).inc(pass_metrics.subtrees_pruned)
-    registry.histogram(
-        "repro_pass_duration_seconds", "End-to-end duration of one shared pass."
-    ).observe(pass_metrics.elapsed_seconds)
 
 
 def record_plan_observations(plan_cache, subscribers, pass_metrics, results) -> None:
@@ -420,10 +383,8 @@ class SharedPass:
         obs = self._obs
         if obs is None:
             return
+        record_pass_durations(obs, self._metrics)
         stage_seconds = self._metrics.stage_seconds
-        for stage in PASS_STAGES:
-            obs.observe_stage(stage, stage_seconds[stage])
-        record_pass_observations(obs, self._metrics, results)
         if obs.tracer is not None and self.trace_id is not None:
             for stage in PASS_STAGES:
                 obs.tracer.record(

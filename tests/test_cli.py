@@ -176,21 +176,14 @@ class TestMultiServeLoop:
             assert f"T{index}" in captured.out
         assert "[serve] 3 documents" in captured.err
 
-    def test_deprecated_threads_value_notes_and_runs_the_one_driver(
+    def test_removed_threads_value_is_an_argparse_error(
         self, files, query_dir, documents, capsys
     ):
-        import json
-
-        json_path = files["dir"] / "threads.json"
-        exit_code = main(["multi", "-Q", str(query_dir), "-D", *documents,
-                          "-d", files["dtd"], "--execution", "threads",
-                          "-j", str(json_path)])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        notes = [line for line in captured.err.splitlines() if "deprecated" in line]
-        assert len(notes) == 1 and "--execution threads" in notes[0]
-        assert "[serve] 3 documents" in captured.err
-        assert json.loads(json_path.read_text())["execution"] == "inline"
+        with pytest.raises(SystemExit) as raised:
+            main(["multi", "-Q", str(query_dir), "-D", *documents,
+                  "-d", files["dtd"], "--execution", "threads"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
     def test_documents_output_dir_is_per_document(self, files, query_dir, documents):
         outdir = files["dir"] / "served"
@@ -512,8 +505,16 @@ class TestMultiPlanCacheFile:
         assert "snapshot" in capsys.readouterr().err
 
 
+#: Counter families the registry no longer carries: each duplicated a
+#: lifetime total that the service/pool gauges already publish.
+DELETED_FAMILIES = (
+    "repro_passes_total", "repro_events_total", "repro_results_total",
+    "repro_document_bytes_total", "repro_subtrees_pruned_total",
+)
+
+
 class TestObservabilityFlags:
-    """`multi --metrics-out/--trace-out/--log-json/--profile` and `stats`."""
+    """`multi --metrics-out/--trace-out/--log-json` and `stats`."""
 
     @pytest.fixture
     def query_dir(self, files):
@@ -548,13 +549,73 @@ class TestObservabilityFlags:
                           "--metrics-out", str(metrics)])
         assert exit_code == 0
         snapshot = json_module.loads(metrics.read_text())
-        assert snapshot["repro_passes_total"]["values"][0]["value"] == 2
+        assert snapshot["repro_service_passes_completed"]["values"][0]["value"] == 2
         assert "repro_stage_duration_seconds" in snapshot
         assert "repro_plan_cache_misses" in snapshot
-        assert "repro_service_passes_completed" in snapshot
         prom = (files["dir"] / "metrics.json.prom").read_text()
         assert validate_prometheus_text(prom) == []
-        assert "# TYPE repro_passes_total counter" in prom
+        assert "# TYPE repro_service_passes_completed gauge" in prom
+
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["-w", "2"], ["-w", "2", "--backend", "processes"]],
+        ids=["inline", "threads", "processes"],
+    )
+    def test_snapshot_publishes_every_counter_once(
+        self, files, query_dir, documents, mode, capsys
+    ):
+        import json as json_module
+        import os
+
+        from repro.obs.validate import validate_prometheus_text
+
+        metrics = files["dir"] / "metrics.json"
+        exit_code = main(["multi", "-Q", str(query_dir), "-D", *documents,
+                          "-d", files["dtd"], "-O", str(files["dir"] / "out"),
+                          "--metrics-out", str(metrics), *mode])
+        assert exit_code == 0
+        snapshot = json_module.loads(metrics.read_text())
+        for family in DELETED_FAMILIES:
+            assert family not in snapshot
+        prefix = "repro_pool" if mode else "repro_service"
+        (passes,) = snapshot["repro_pass_duration_seconds"]["values"]
+        assert (
+            snapshot[f"{prefix}_passes_completed"]["values"][0]["value"]
+            == passes["count"]
+            == len(documents)
+        )
+        assert snapshot[f"{prefix}_document_bytes_total"]["values"][0]["value"] == sum(
+            os.path.getsize(path) for path in documents
+        )
+        gauges = [name for name, family in snapshot.items() if family["kind"] == "gauge"]
+        assert all(name.startswith((prefix, "repro_plan_cache_")) for name in gauges)
+        assert set(snapshot) - set(gauges) == {
+            "repro_stage_duration_seconds", "repro_pass_duration_seconds"
+        }
+        prom = (files["dir"] / "metrics.json.prom").read_text()
+        assert validate_prometheus_text(prom) == []
+
+    def test_metrics_out_is_written_when_the_serve_loop_fails(
+        self, files, query_dir, documents, capsys
+    ):
+        import json as json_module
+
+        from repro.errors import XMLSyntaxError
+
+        bad = files["dir"] / "bad.xml"
+        bad.write_text("<bib><book>")
+        metrics = files["dir"] / "metrics.json"
+        with pytest.raises(XMLSyntaxError):
+            main(["multi", "-Q", str(query_dir), "-D", documents[0], str(bad),
+                  "-d", files["dtd"], "-O", str(files["dir"] / "out"),
+                  "--metrics-out", str(metrics)])
+        # The all-or-nothing loop still raises, but the snapshot describes
+        # the pass that completed before the failing document.
+        snapshot = json_module.loads(metrics.read_text())
+        assert snapshot["repro_service_passes_completed"]["values"][0]["value"] == 1
+        (passes,) = snapshot["repro_pass_duration_seconds"]["values"]
+        assert passes["count"] == 1
+        assert (files["dir"] / "metrics.json.prom").exists()
 
     def test_trace_out_writes_one_trace_per_document(
         self, files, query_dir, documents, capsys
@@ -592,16 +653,14 @@ class TestObservabilityFlags:
         assert exit_code == 0
         assert '"event": "pass.finish"' in capsys.readouterr().err
 
-    def test_profile_prints_per_stage_report(
+    def test_removed_profile_flag_is_an_argparse_error(
         self, files, query_dir, documents, capsys
     ):
-        exit_code = main(["multi", "-Q", str(query_dir), "-D", *documents,
-                          "-d", files["dtd"], "-O", str(files["dir"] / "out"),
-                          "--profile"])
-        assert exit_code == 0
-        err = capsys.readouterr().err
-        assert "per-stage profile (2 pass(es) profiled)" in err
-        assert "parse" in err
+        with pytest.raises(SystemExit) as raised:
+            main(["multi", "-Q", str(query_dir), "-D", *documents,
+                  "-d", files["dtd"], "--profile"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
     def test_obs_flags_work_with_the_pool_backends(
         self, files, query_dir, documents, capsys
@@ -631,7 +690,7 @@ class TestObservabilityFlags:
         exit_code = main(["stats", str(metrics)])
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "repro_passes_total (counter)" in captured.out
+        assert "repro_service_passes_completed (gauge)" in captured.out
         assert "p50=" in captured.out
 
     def test_stats_rejects_non_snapshot_files(self, files, capsys):

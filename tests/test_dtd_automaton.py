@@ -16,6 +16,15 @@ def automaton_for(model):
     return build_automaton(parse_element_decl("x", model))
 
 
+def occurrence_bounds(model, label):
+    """``(min, max)`` occurrences of child ``label`` under content ``model``."""
+    constraints = parse_dtd(f"<!ELEMENT x {model}>").constraints()
+    return (
+        constraints.min_occurrences("x", label),
+        constraints.max_occurrences("x", label),
+    )
+
+
 class TestAcceptance:
     @pytest.mark.parametrize(
         "model,word,accepted",
@@ -126,16 +135,19 @@ class TestOccurrenceBounds:
         ],
     )
     def test_bounds_match_model(self, model, label, bounds):
-        assert automaton_for(model).occurrence_bounds()[label] == bounds
+        assert occurrence_bounds(model, label) == bounds
 
-    def test_any_model_has_no_enumerable_bounds(self):
-        assert automaton_for("ANY").occurrence_bounds() == {}
+    def test_any_model_is_unbounded_in_everything(self):
+        assert occurrence_bounds("ANY", "a") == (0.0, INFINITY)
 
     def test_mixed_content_children_are_unbounded(self):
         # (#PCDATA | em | code)* — mixed content repeats every child label.
-        bounds = automaton_for("(#PCDATA|em|code)*").occurrence_bounds()
-        assert bounds["em"] == (0.0, INFINITY)
-        assert bounds["code"] == (0.0, INFINITY)
+        assert occurrence_bounds("(#PCDATA|em|code)*", "em") == (0.0, INFINITY)
+        assert occurrence_bounds("(#PCDATA|em|code)*", "code") == (0.0, INFINITY)
+
+    def test_absent_label_never_occurs(self):
+        assert occurrence_bounds("(a,(b|c)*,d)", "z") == (0.0, 0.0)
+        assert occurrence_bounds("(#PCDATA)", "a") == (0.0, 0.0)
 
 
 RECURSIVE_DTD = """
@@ -173,6 +185,9 @@ class TestDtdLevelAnalyses:
         assert axis_max_count(dtd, "#document", "doc") == 1.0
         # Undeclared parents behave like ANY: no bound.
         assert axis_max_count(dtd, "mystery", "name") == INFINITY
+        # ANY content repeats every label.
+        dtd = parse_dtd("<!ELEMENT doc (a*)>\n<!ELEMENT a ANY>")
+        assert axis_max_count(dtd, "a", "doc") == INFINITY
 
     def test_subtree_growth_degree_recursive_is_unbounded(self):
         dtd = parse_dtd(RECURSIVE_DTD)

@@ -50,6 +50,29 @@ class TestCardinalityConstraints:
         assert figure1.max_occurrences("unknown-element", "x") == INFINITY
         assert not figure1.at_most_once("unknown-element", "x")
 
+    def test_any_parent_is_unconstrained(self):
+        # ANY content admits every child any number of times; it used to
+        # read as "no element children" because ANY also allows text.
+        constraints = parse_dtd("<!ELEMENT a ANY>\n<!ELEMENT b (#PCDATA)>").constraints()
+        assert constraints.max_occurrences("a", "b") == INFINITY
+        assert not constraints.at_most_once("a", "b")
+        assert not constraints.never_occurs("a", "b")
+
+    def test_any_parent_children_are_not_optimized_away(self):
+        from repro import DomEngine, FluxEngine
+        from repro.errors import UnsafeFluxQueryError
+
+        dtd = parse_dtd("<!ELEMENT a ANY>\n<!ELEMENT b (#PCDATA)>")
+        query = "<r>{ for $x in $ROOT/a return if (exists($x/b)) then <yes/> else <no/> }</r>"
+        document = "<a><b>1</b></a>"
+        expected = DomEngine(dtd).execute(query, document).output
+        assert expected == "<r><yes></yes></r>"
+        try:
+            output = FluxEngine(dtd).execute(query, document).output
+        except UnsafeFluxQueryError:
+            return  # refusing the plan is sound; answering <no/> was not
+        assert output == expected
+
 
 class TestOrderConstraints:
     def test_title_before_author(self, figure1):
@@ -110,24 +133,7 @@ class TestCoOccurrenceConstraints:
         assert weak.mutually_exclusive("book", "author", "editor")
 
 
-class TestPastTables:
-    def test_past_table_shape(self, paper_dtd):
-        constraints = paper_dtd.constraints()
-        table = constraints.past_table("book", frozenset({"title", "author"}))
-        automaton = paper_dtd.automaton("book")
-        assert set(table) == set(range(automaton.state_count))
-        assert table[automaton.start_state] is False
-
-    def test_labels_past_at_state(self, paper_dtd):
-        constraints = paper_dtd.constraints()
-        automaton = paper_dtd.automaton("book")
-        state = automaton.step(automaton.start_state, "title")
-        state = automaton.step(state, "author")
-        state = automaton.step(state, "publisher")
-        past = constraints.labels_past_at_state("book", state)
-        assert "title" in past and "author" in past and "editor" in past
-        assert "price" not in past
-
+class TestSummary:
     def test_summary_contains_paper_constraints(self, paper_dtd):
         summary = paper_dtd.constraints().summary("book")
         assert ("publisher", "<=1") in summary["cardinality"]

@@ -5,8 +5,9 @@ The acceptance bar for the observability layer, end to end:
 * with ``obs=None`` (the default), an instrumented service produces
   byte-identical output to the pre-observability code path;
 * with metrics enabled, *one* registry snapshot describes the whole
-  system — pass counters, stage latency histograms with percentiles,
-  service/pool lifetime totals, plan-cache counters — in JSON and in
+  system — stage and pass latency histograms with percentiles, and the
+  service/pool lifetime totals and plan-cache counters, each published
+  exactly once from the dataclasses that count them — in JSON and in
   parseable Prometheus text;
 * with tracing enabled, every stage span of a document carries the
   document's trace id: across ``ServicePool`` worker threads, and across
@@ -37,11 +38,12 @@ from tests.conftest import PAPER_DOCUMENT, PAPER_FIGURE1_DTD, PAPER_Q3
 
 TITLES_QUERY = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
 PASS_STAGES = {"pass.parse", "pass.route", "pass.evaluate", "pass.emit"}
+DURATIONS = {"repro_stage_duration_seconds", "repro_pass_duration_seconds"}
 CRASH = "CRASH-THIS-WORKER"
 
 
 def full_obs():
-    """A hub with every component live (profiler excluded: not re-entrant)."""
+    """A hub with every component live."""
     sink = MemorySink()
     return (
         Observability(
@@ -65,21 +67,34 @@ class TestServiceObservability:
     def test_one_snapshot_describes_the_whole_system(self):
         obs, _ = full_obs()
         service = QueryService(PAPER_FIGURE1_DTD, obs=obs)
+        # What `multi --metrics-out` does where it builds the service.
+        service.register_metrics(obs.metrics)
         service.register(PAPER_Q3, key="q")
         service.run_pass(PAPER_DOCUMENT)
-
-        # What the CLI does at --metrics-out time: fold the pull-style
-        # lifetime totals and cache counters beside the push-style series.
-        obs.metrics.set_from_dict("repro_service", service.metrics.as_dict())
-        service.plan_cache.register_metrics(obs.metrics)
         snap = obs.metrics.snapshot()
 
-        assert snap["repro_passes_total"]["values"][0]["value"] == 1
-        outcomes = {
-            v["labels"]["outcome"]: v["value"]
-            for v in snap["repro_events_total"]["values"]
-        }
-        assert outcomes["forwarded"] > 0
+        # No lifetime number appears twice: the snapshot is one gauge per
+        # scalar of the service summary and of the cache's, plus the two
+        # duration histograms, and nothing else.
+        summary = service.stats_summary()
+
+        def gauges(prefix, values):
+            return {f"{prefix}_{key}" for key, value in values.items()
+                    if isinstance(value, (int, float))}
+
+        assert set(snap) == (
+            gauges("repro_service", summary)
+            | gauges("repro_plan_cache", summary["plan_cache"])
+            | DURATIONS
+        )
+        (passes,) = snap["repro_pass_duration_seconds"]["values"]
+        assert passes["count"] == 1
+        assert passes["sum"] == service.metrics.elapsed_seconds_total
+        assert snap["repro_service_events_forwarded_total"]["values"][0]["value"] > 0
+        assert (
+            snap["repro_service_document_bytes_total"]["values"][0]["value"]
+            == len(PAPER_DOCUMENT.encode("utf-8"))
+        )
         stages = {
             v["labels"]["stage"]
             for v in snap["repro_stage_duration_seconds"]["values"]
@@ -179,6 +194,49 @@ class TestStageAccounting:
         stage_seconds = {s["labels"]["stage"]: s["sum"] for s in samples}
         assert len(stage_seconds) == len(samples)
         _check_stage_accounting(stage_seconds, metrics.elapsed_seconds)
+        assert stage_seconds == metrics.stage_seconds
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_pool_metrics_only_hub(self, backend):
+        """Histograms are the served PassMetrics; a process pool without a
+        tracer runs no worker tracer (its replies carry no spans)."""
+        obs = Observability(metrics=MetricsRegistry())
+        shipped_spans = []
+        if backend == "threads":
+            pool = ServicePool(BIB_DTD_STRONG, workers=2, obs=obs)
+        else:
+            pool = ProcessServicePool(
+                BIB_DTD_STRONG, workers=2, start_method="fork", obs=obs
+            )
+            merge = pool._merge_worker_spans
+
+            def spy(spans):
+                shipped_spans.extend(spans)
+                merge(spans)
+
+            pool._merge_worker_spans = spy
+        try:
+            pool.register(TITLES_QUERY, key="t")
+            served = list(pool.serve([self.DOCUMENT, "<bib><broken>", self.DOCUMENT]))
+        finally:
+            if backend == "processes":
+                pool.close()
+        ok = [outcome for outcome in served if outcome.ok]
+        assert len(ok) == 2
+        assert shipped_spans == []
+        snap = obs.metrics.snapshot()
+        assert set(snap) == DURATIONS
+        for sample in snap["repro_stage_duration_seconds"]["values"]:
+            stage = sample["labels"]["stage"]
+            assert sample["count"] == len(ok)
+            assert sample["sum"] == pytest.approx(
+                sum(outcome.metrics.stage_seconds[stage] for outcome in ok)
+            )
+        (passes,) = snap["repro_pass_duration_seconds"]["values"]
+        assert passes["count"] == len(ok) == pool.metrics.passes_completed
+        assert passes["sum"] == pytest.approx(
+            sum(outcome.metrics.elapsed_seconds for outcome in ok)
+        )
 
     def test_tracer_only_hub(self):
         sink = MemorySink()
@@ -320,7 +378,8 @@ class TestProcessPoolObservability:
         assert set(stages) == {"parse", "route", "evaluate", "emit"}
         ok_documents = sum(1 for o in served if o.ok)
         assert stages["evaluate"]["count"] == ok_documents
-        assert snap["repro_passes_total"]["values"][0]["value"] == ok_documents
+        (passes,) = snap["repro_pass_duration_seconds"]["values"]
+        assert passes["count"] == ok_documents
         # The pool aggregate folds the shipped-home pass metrics, new
         # lifetime fields included.
         assert metrics.elapsed_seconds_total > 0

@@ -6,7 +6,7 @@ levels:
 * **semantics** — create-or-get families (one name, one kind), labeled
   counters/gauges, fixed-bucket histograms with snapshot-time percentile
   estimates, pull-style collectors, and the ``set_from_dict`` bridge that
-  folds the pre-existing stats dataclasses in;
+  publishes the counting dataclasses;
 * **concurrency** — N writer threads hammering one counter and one
   histogram while another thread snapshots continuously: every snapshot
   must be internally consistent (no torn bucket/count/sum reads) and the
@@ -131,16 +131,17 @@ class TestCollectorsAndFolding:
         assert "obs_svc_ok" not in snap
         assert "obs_svc_nested" not in snap
 
-    def test_plan_cache_register_metrics_folds_cache_stats(self):
-        from repro.runtime.plan_cache import PlanCache
+    def test_register_metrics_publishes_cache_stats(self):
+        from repro.service import QueryService
 
-        cache = PlanCache(4)
+        service = QueryService(cache_size=4)
         registry = MetricsRegistry()
-        cache.register_metrics(registry)
+        service.register_metrics(registry)
         snap = registry.snapshot()
         assert snap["repro_plan_cache_size"]["values"][0]["value"] == 0
         assert snap["repro_plan_cache_hits"]["values"][0]["value"] == 0
         assert "repro_plan_cache_hit_rate" in snap
+        assert snap["repro_service_passes_completed"]["values"][0]["value"] == 0
 
 
 class TestConcurrency:

@@ -1,10 +1,10 @@
-"""Spans, sinks, structured logs, profiling, and the output validators.
+"""Spans, sinks, structured logs, and the output validators.
 
 Unit coverage of the non-metrics halves of ``repro.obs``: the span
 model (context-managed and pre-measured recording, trace/parent
-propagation, error tagging), the two sinks, the JSON-lines logger, the
-per-stage ``cProfile`` wrapper, and the tiny line validators that both
-the tests and the CI smoke job use to judge emitted files.
+propagation, error tagging), the two sinks, the JSON-lines logger, and
+the tiny line validators that both the tests and the CI smoke job use to
+judge emitted files.
 """
 
 import json
@@ -14,7 +14,6 @@ from repro.obs import (
     JsonLogger,
     MemoryLogger,
     MemorySink,
-    StageProfiler,
     Tracer,
     new_span_id,
     new_trace_id,
@@ -147,28 +146,3 @@ class TestValidators:
         line = json.dumps({"ts": 1.0, "event": "pass.start"})
         assert validate_json_lines([line, "", "  "], LOG_KEYS) == []
 
-
-class TestStageProfiler:
-    def test_profile_attributes_parse_stage(self):
-        from repro.xmlstream.parser import parse_events
-
-        profiler = StageProfiler()
-        with profiler:
-            list(parse_events("<bib><book><title>t</title></book></bib>"))
-        assert profiler.passes == 1
-        table = profiler.stage_table()
-        assert table["parse"]["calls"] > 0
-        assert table["parse"]["cumulative_s"] >= 0
-        report = profiler.report()
-        assert "per-stage profile (1 pass(es) profiled)" in report
-        assert "parse" in report
-        assert "xmlstream/parser" in report
-
-    def test_profiler_accumulates_across_passes(self):
-        from repro.xmlstream.parser import parse_events
-
-        profiler = StageProfiler()
-        for _ in range(3):
-            with profiler:
-                list(parse_events("<a><b/></a>"))
-        assert profiler.passes == 3

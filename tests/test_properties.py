@@ -160,7 +160,8 @@ class TestContentModelProperties:
         rng = random.Random(seed)
         for _ in range(3):
             word = sample_word(particle, rng)
-            for label in set(word):
+            for label in particle.labels():
+                assert particle.min_count(label) <= word.count(label)
                 assert word.count(label) <= particle.max_count(label)
 
     @given(content_particles(), st.integers(min_value=0, max_value=10_000))

@@ -176,21 +176,9 @@ class TestOneDriver:
         with pytest.raises(ValueError):
             QueryService(BIB_DTD_STRONG, execution="fibers")
 
-    def test_deprecated_threads_alias_warns_and_changes_nothing(self, bib_document):
-        specs = queries_for_workload("bib")
-        default = QueryService(BIB_DTD_STRONG)
-        with pytest.warns(DeprecationWarning, match="threads"):
-            aliased = QueryService(BIB_DTD_STRONG, execution="threads")
-        for service in (default, aliased):
-            for spec in specs:
-                service.register(spec.xquery, key=spec.key)
-        before = threading.active_count()
-        expected = default.run_pass(bib_document)
-        actual = aliased.run_pass(bib_document)
-        assert threading.active_count() == before
-        assert {k: r.output for k, r in actual.items()} == {
-            k: r.output for k, r in expected.items()
-        }
+    def test_removed_threads_alias_is_rejected(self):
+        with pytest.raises(ValueError, match="'threads'"):
+            QueryService(BIB_DTD_STRONG, execution="threads")
 
     def test_inline_alias_is_silent(self, recwarn):
         QueryService(BIB_DTD_STRONG, execution="inline")
