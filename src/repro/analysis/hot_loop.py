@@ -7,8 +7,8 @@ This checker enforces those rules for every function carrying a
 ``# hot-loop`` marker (on its ``def`` line or the line above), and
 insists that the known per-event functions — the projection router, the
 dispatcher feed, the incremental parser and its token scan, the validator's
-``feed`` and the XSAX reader's ``__next__`` with its start/end handlers —
-stay marked.
+``feed``, the XSAX reader's ``__next__`` with its start/end handlers and the
+lowered process-stream loop of the evaluator — stay marked.
 
 Rules:
 
@@ -50,6 +50,7 @@ REQUIRED_HOT: Tuple[Tuple[str, str], ...] = (
     ("runtime/xsax.py", "XSAXReader.__next__"),
     ("runtime/xsax.py", "XSAXReader._start"),
     ("runtime/xsax.py", "XSAXReader._end"),
+    ("runtime/program.py", "_lower_process_stream.<locals>.process_stream"),
 )
 
 _ALLOCATING_BUILTINS = {"list", "dict", "set", "frozenset", "bytearray", "tuple"}

@@ -32,9 +32,10 @@ the table could only ever be wrong by dropping a pair.  :func:`join_key` is
 derived from the one definition ``compare_atomic`` uses, which rules that out.
 
 The table holds positions and the key strings the buffered subtrees already
-own: it adds rows to ``join_build_rows`` / ``join_probes`` /
-``join_candidates`` (``RuntimeStats.extra``) and no bytes to the buffer ledger,
-which counts retained document content and never Python containers.
+own: it adds to the ``join_build_rows`` / ``join_probes`` /
+``join_candidates`` counters of :class:`~repro.runtime.stats.RuntimeStats`
+and no bytes to the buffer ledger, which counts retained document content
+and never Python containers.
 
 ``TreeEvaluator`` itself, ``DomEngine`` and ``ProjectionEngine`` do not get
 the join: they are the reference semantics this module is tested against.
@@ -157,13 +158,10 @@ class HashJoin(XQueryExpr):
             for var in build_vars:
                 scope.enter_context(evaluator._with_binding(var, []))
             _enumerate(evaluator, self.outer, probe)
-        extra = evaluator.stats.extra
-        for name, amount in (
-            ("join_build_rows", len(rows)),
-            ("join_probes", probes),
-            ("join_candidates", candidates),
-        ):
-            extra[name] = extra.get(name, 0) + amount
+        stats = evaluator.stats
+        stats.join_build_rows += len(rows)
+        stats.join_probes += probes
+        stats.join_candidates += candidates
         return result
 
 

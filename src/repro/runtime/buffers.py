@@ -96,12 +96,6 @@ class ScopeBuffers:
         self._by_label.setdefault(label, []).append(subtree)
         self._bytes += self._manager.account_tree(subtree)
 
-    def set_full_element(self, element: XMLElement) -> None:
-        """Record the fully materialized element (whole-subtree buffering)."""
-        self._ensure_open()
-        self.full_element = element
-        self._bytes += self._manager.account_tree(element)
-
     def ensure_full_element(self, tag: str, attrs: Dict[str, str]) -> XMLElement:
         """Create (once) the skeleton element used for incremental
         whole-subtree buffering and return it."""
@@ -226,17 +220,12 @@ class StreamScopeNode:
 
     def to_element(self) -> XMLElement:
         """Materialize the scope as a plain element (used for deep copies)."""
-        if self._buffers.full_element is not None:
-            element = XMLElement(self.tag, dict(self.attrs))
-            for child in self._buffers.full_element.children:
-                if isinstance(child, XMLText):
-                    element.append_text(child.text)
-                else:
-                    element.append(child)
-            return element
-        element = XMLElement(self.tag, dict(self.attrs))
-        for child in self.child_elements(None):
-            element.append(child)
+        element = XMLElement(self.tag, self.attrs)
+        for child in self.children:
+            if isinstance(child, XMLText):
+                element.append_text(child.text)
+            else:
+                element.append(child)
         return element
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,39 +8,21 @@ XML stream."  (Section 3.2 of the paper.)
 Execution model
 ---------------
 
-The evaluator interprets the physical plan over the XSAX event stream.  Each
-``process-stream`` operator owns a *scope*: the element instance whose
-children it is currently consuming.  For every arriving child the scope
-
-1. materializes the child into its buffers when the buffer description
-   forest requires it (producing no output),
-2. fires pending ``on-first`` handlers, strictly in handler order, that are
-   already satisfied and whose output must precede the arriving child's
-   output (their index is smaller than the index of the child's ``on``
-   handler),
-3. dispatches the child to its ``on`` handler, either by streaming (the
-   handler body consumes the child's events directly, with constant memory)
-   or, when the child also had to be buffered, by replaying the materialized
-   subtree,
-4. skips the child entirely when neither applies.
-
-When the element closes, the remaining ``on-first`` handlers fire in order —
-at that point every ``past`` condition holds trivially.
-
-Output is produced as an event stream and serialized incrementally, so query
-results are never materialized.  All memory consumed by buffers flows through
-the :class:`~repro.runtime.buffers.BufferManager`, whose peak is the number
-the memory benchmarks report.
+The physical plan is lowered once per plan to closures
+(:mod:`repro.runtime.program` says how each operator runs).  The evaluator
+runs them over the XSAX event stream and holds everything a run changes, so
+every run shares the closures: the variable environment, the
+:class:`~repro.runtime.buffers.BufferManager` (whose peak is the number the
+memory benchmarks report), the incremental serializer and the statistics.
 
 Push-based execution
 --------------------
 
-The evaluator's control flow is written as re-entrant generators: every
-method that may consume an input event is a coroutine that *suspends* (with
-a plain ``yield``) whenever the event source signals :class:`StarvedInput`.
-Over an ordinary pull source (an iterator that blocks or ends) the
-generators never suspend, so one-shot :meth:`StreamedEvaluator.run` keeps
-the paper's pull semantics unchanged.
+Every lowered operator that may consume an input event is a generator
+that *suspends* (with a plain ``yield``) whenever the event source signals
+:class:`StarvedInput`.  Over an ordinary pull source (an iterator that
+blocks or ends) the generators never suspend, so one-shot
+:meth:`StreamedEvaluator.run` keeps the paper's pull semantics unchanged.
 
 :class:`EvaluatorSession` inverts that control so callers can *push* events
 instead, giving every compiled plan a ``start() / feed(events) / finish()``
@@ -55,37 +37,16 @@ from __future__ import annotations
 
 import io
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.dtd.schema import DTD
 from repro.errors import EvaluationError
-from repro.runtime.buffers import BufferManager, ScopeBuffers, StreamScopeNode
-from repro.runtime.plan import (
-    BufferedEvalOp,
-    ConstructorOp,
-    CopyVarOp,
-    IfOp,
-    OnFirstHandlerOp,
-    OnHandlerOp,
-    PhysicalPlan,
-    PlanOp,
-    ProcessStreamOp,
-    SequenceOp,
-    TextOp,
-)
+from repro.runtime.buffers import BufferManager, ScopeBuffers
+from repro.runtime.plan import PhysicalPlan
 from repro.runtime.stats import RuntimeStats
-from repro.runtime.xsax import OnFirstEvent, XSAXReader
-from repro.xmlstream.events import (
-    EndDocument,
-    EndElement,
-    Event,
-    StartDocument,
-    StartElement,
-    Text,
-)
+from repro.runtime.xsax import XSAXReader
+from repro.xmlstream.events import Event, StartDocument
 from repro.xmlstream.serializer import EventSerializer
-from repro.xmlstream.tree import XMLElement, tree_to_events
-from repro.xquery.evaluator import effective_boolean_value, string_value
 
 
 class _Scope:
@@ -101,9 +62,6 @@ class _Scope:
         self.source = source
         self.buffers = buffers
         self.consumed = False
-
-
-Binding = Union[_Scope, XMLElement, str, int, float]
 
 
 class StarvedInput(Exception):
@@ -122,20 +80,19 @@ class StarvedInput(Exception):
 #: Yielded by the execution generators while their input source is starved.
 _NEED_INPUT = object()
 
-class StreamedEvaluator:
-    """Executes a physical plan over an input event stream."""
 
-    def __init__(
-        self,
-        plan: PhysicalPlan,
-        dtd: Optional[DTD] = None,
-        validate: bool = True,
-    ):
+class StreamedEvaluator:
+    """Executes a physical plan over an input event stream.
+
+    The plan's closures are called with the evaluator: during :meth:`execute`
+    it carries ``_env`` (variable → :class:`_Scope`), ``_buffers``,
+    ``_serializer`` with its ``_emit``, and ``_stats``.
+    """
+
+    def __init__(self, plan: PhysicalPlan, dtd: Optional[DTD] = None, validate: bool = True):
         self.plan = plan
         self.dtd = dtd if dtd is not None else plan.dtd
         self.validate = validate
-        # ``id(op) -> its on-first handlers``; the frozen ops cannot carry it.
-        self._on_first: Dict[int, Tuple[OnFirstHandlerOp, ...]] = {}
 
     # -------------------------------------------------------------- driver
 
@@ -174,14 +131,17 @@ class StreamedEvaluator:
         ``next()`` drives the evaluation to completion (``StopIteration
         .value`` carries the stats).
         """
-        self._stats = stats if stats is not None else RuntimeStats()
-        self._buffers = BufferManager(self._stats)
-        self._serializer = EventSerializer(output if output is not None else io.StringIO())
-        self._env: Dict[str, Binding] = {}
-        self._stats.start_timer()
+        program = self.plan.program()
+        stats = self._stats = stats if stats is not None else RuntimeStats()
+        self._buffers = BufferManager(stats)
+        sink = output if output is not None else io.StringIO()
+        serializer = self._serializer = EventSerializer(sink)
+        self._emit = serializer.emit
+        self._env: Dict[str, _Scope] = {}
+        stats.start_timer()
         try:
             reader = XSAXReader(
-                events, self.dtd, self.plan.conditions, validate=self.validate, stats=self._stats
+                events, self.dtd, self.plan.conditions, validate=self.validate, stats=stats
             )
             while True:
                 try:
@@ -194,13 +154,13 @@ class StreamedEvaluator:
                 raise EvaluationError("input stream did not start with StartDocument")
             document_scope = _Scope("#document", {}, reader, ScopeBuffers(self._buffers))
             self._env["ROOT"] = document_scope
-            yield from self._eval(self.plan.root)
-            self._serializer.close()
+            yield from program(self)
+            serializer.close()
             document_scope.buffers.close()
         finally:
-            self._stats.stop_timer()
-            self._stats.output_bytes = self._serializer.bytes_written
-        return self._stats
+            stats.stop_timer()
+            stats.output_bytes = serializer.bytes_written
+        return stats
 
     def run_to_string(
         self, events: Iterable[Event], stats: Optional[RuntimeStats] = None
@@ -209,243 +169,6 @@ class StreamedEvaluator:
         sink = io.StringIO()
         stats = self.run(events, sink, stats)
         return sink.getvalue(), stats
-
-    # ---------------------------------------------------------- evaluation
-
-    def _eval(self, op: PlanOp):
-        # A coroutine (as is everything below that can pull input events):
-        # ``yield from`` chains propagate input starvation up to execute().
-        if isinstance(op, SequenceOp):
-            for item in op.items:
-                yield from self._eval(item)
-            return
-        if isinstance(op, TextOp):
-            self._serializer.write(Text(op.text))
-            return
-        if isinstance(op, ConstructorOp):
-            self._serializer.write(StartElement(op.name, op.attributes))
-            yield from self._eval(op.content)
-            self._serializer.write(EndElement(op.name))
-            return
-        if isinstance(op, CopyVarOp):
-            yield from self._eval_copy(op)
-            return
-        if isinstance(op, BufferedEvalOp):
-            self._write_items(self._evaluate_buffered(op))
-            return
-        if isinstance(op, IfOp):
-            holds = effective_boolean_value(self._evaluate_buffered(op))
-            yield from self._eval(op.then_branch if holds else op.else_branch)
-            return
-        if isinstance(op, ProcessStreamOp):
-            yield from self._eval_process_stream(op)
-            return
-        raise EvaluationError(f"cannot execute plan operator {op!r}")
-
-    def _evaluate_buffered(self, op: Union[BufferedEvalOp, IfOp]) -> List[object]:
-        """The value of ``op``'s expression over the bindings it reads."""
-        lowered = self.plan.lowered()[id(op)]
-        bindings: Dict[str, object] = {}
-        for name in lowered.free_variables & self._env.keys():
-            binding = self._env[name]
-            if isinstance(binding, _Scope):
-                binding = StreamScopeNode(binding.tag, binding.attrs, binding.buffers)
-            bindings[name] = binding
-        return lowered.evaluate(bindings, self._stats)
-
-    # -------------------------------------------------------------- output
-
-    def _write_items(self, items: List[object]) -> None:
-        previous_atomic = False
-        for item in items:
-            if isinstance(item, bool):
-                self._serializer.write(Text("true" if item else "false"))
-                previous_atomic = True
-            elif isinstance(item, (str, int, float)):
-                if previous_atomic:
-                    self._serializer.write(Text(" "))
-                self._serializer.write(Text(string_value(item)))
-                previous_atomic = True
-            else:
-                element = item.to_element() if hasattr(item, "to_element") else item
-                self._serializer.write_all(tree_to_events(element))
-                previous_atomic = False
-
-    def _eval_copy(self, op: CopyVarOp):
-        binding = self._env.get(op.var)
-        if binding is None:
-            raise EvaluationError(f"copy of unbound variable ${op.var}")
-        if isinstance(binding, _Scope):
-            if not binding.consumed and binding.buffers.full_element is None:
-                # Copy the element to the output directly from the stream.
-                write = self._serializer.write
-                write(StartElement(binding.tag, tuple(binding.attrs.items())))
-                yield from self._drain_subtree(binding.source, write)
-                write(EndElement(binding.tag))
-                binding.consumed = True
-                return
-            binding = StreamScopeNode(binding.tag, binding.attrs, binding.buffers).to_element()
-        if isinstance(binding, XMLElement):
-            self._serializer.write_all(tree_to_events(binding))
-        else:
-            self._serializer.write(Text(string_value(binding)))
-
-    # ------------------------------------------------------ process-stream
-
-    def _eval_process_stream(self, op: ProcessStreamOp):
-        scope = self._env.get(op.var)
-        if not isinstance(scope, _Scope):
-            raise EvaluationError(
-                f"process-stream ${op.var} is not bound to an active stream element"
-            )
-        if scope.consumed:
-            raise EvaluationError(
-                f"process-stream ${op.var}: the element's children were already consumed"
-            )
-        on_first = self._on_first.get(id(op))
-        if on_first is None:
-            on_first = self._on_first[id(op)] = tuple(
-                [handler for handler in op.handlers if isinstance(handler, OnFirstHandlerOp)]
-            )
-        # On-first handlers fire strictly in order: on_first[:position] have.
-        position = 0
-        satisfied: set = set()
-        source, buffers = scope.source, scope.buffers
-        buffer_whole, buffer_labels, on_index = op.buffer_whole, op.buffer_labels, op.on_index
-        if buffer_whole:
-            buffers.ensure_full_element(scope.tag, scope.attrs)
-
-        while True:
-            try:
-                event = next(source)
-            except StarvedInput:
-                yield _NEED_INPUT
-                continue
-            except StopIteration:
-                # Replayed subtrees end exactly at their closing tag.
-                break
-            kind = type(event)
-            if kind is StartElement:
-                label = event.name
-                handler_index = on_index.get(label)
-                subtree: Optional[XMLElement] = None
-                if buffer_whole or label in buffer_labels:
-                    subtree = yield from self._materialize(event, source)
-                    if buffer_whole:
-                        buffers.append_full_child(subtree)
-                    else:
-                        buffers.add_child(label, subtree)
-                # Satisfied handlers whose output precedes this child's.
-                while position < len(on_first):
-                    handler = on_first[position]
-                    if (handler_index is not None and handler.index >= handler_index) or not (
-                        handler.always_satisfied or handler.condition_id in satisfied
-                    ):
-                        break
-                    position += 1
-                    yield from self._eval(handler.body)
-                if handler_index is not None:
-                    yield from self._run_handler(op.handlers[handler_index], event, source, subtree)
-                elif subtree is None:
-                    yield from self._drain_subtree(source)
-            elif kind is OnFirstEvent:
-                satisfied.add(event.condition_id)
-            elif kind is Text:
-                if buffer_whole:
-                    buffers.append_full_text(event.text)
-            elif kind is EndElement or kind is EndDocument:
-                break
-        # The element closed: every ``past`` condition holds trivially.
-        for handler in on_first[position:]:
-            yield from self._eval(handler.body)
-        scope.consumed = True
-
-    # ------------------------------------------------------------ handlers
-
-    def _run_handler(
-        self,
-        handler: OnHandlerOp,
-        event: StartElement,
-        source: Iterator[Event],
-        subtree: Optional[XMLElement],
-    ):
-        """Run an ``on`` handler over the child opened by ``event``.
-
-        The child's events come from ``source``, or — when the child had to
-        be buffered as well — from a replay of ``subtree`` through an XSAX
-        reader of its own, so the conditions of the replayed element are
-        tracked exactly as on the live stream.
-        """
-        if subtree is not None:
-            source = XSAXReader(
-                tree_to_events(subtree), self.dtd, self.plan.conditions, validate=False
-            )
-            next(source)  # the subtree's own start tag: the scope reads children only
-        child_scope = _Scope(event.name, event.attributes, source, ScopeBuffers(self._buffers))
-        env, name = self._env, handler.var
-        shadowed = env.get(name)
-        env[name] = child_scope
-        try:
-            yield from self._eval(handler.body)
-        finally:
-            if shadowed is None:
-                env.pop(name, None)
-            else:
-                env[name] = shadowed
-        if subtree is None and not child_scope.consumed:
-            yield from self._drain_subtree(source)
-        child_scope.buffers.close()
-
-    # --------------------------------------------------------------- input
-
-    def _materialize(self, event: StartElement, source: Iterator[Event]):
-        """Build the subtree rooted at ``event`` by consuming its events."""
-        root = XMLElement(event.name, event.attributes)
-        stack: List[XMLElement] = [root]
-        while stack:
-            try:
-                item = next(source)
-            except StarvedInput:
-                yield _NEED_INPUT
-                continue
-            except StopIteration:
-                break
-            kind = type(item)
-            if kind is StartElement:
-                child = XMLElement(item.name, item.attributes)
-                stack[-1].append(child)
-                stack.append(child)
-            elif kind is EndElement:
-                stack.pop()
-            elif kind is Text:
-                stack[-1].append_text(item.text)
-        return root
-
-    def _drain_subtree(self, source: Iterator[Event], write=None):
-        """Consume the events of one child subtree, up to and including its
-        end tag; its content goes to ``write`` when given, else nowhere."""
-        depth = 0
-        while True:
-            try:
-                event = next(source)
-            except StarvedInput:
-                yield _NEED_INPUT
-                continue
-            except StopIteration:
-                return
-            kind = type(event)
-            if kind is StartElement:
-                depth += 1
-            elif kind is EndElement:
-                if depth == 0:
-                    return
-                depth -= 1
-            elif kind is EndDocument:
-                return
-            elif kind is not Text:
-                continue  # on-first events are not content
-            if write is not None:
-                write(event)
 
 
 # ---------------------------------------------------------------- push mode

@@ -12,15 +12,17 @@ AST but carry everything the streamed evaluator needs precomputed:
   the original XQuery sequence order and the evaluator fires ``on-first``
   handlers strictly in that order.
 
-The plan is interpreted by :class:`repro.runtime.evaluator.StreamedEvaluator`
-(the paper also offers compilation to Java code; interpretation is the
-semantics-bearing path we reproduce).
+The plan is lowered once per plan to Python closures
+(:meth:`PhysicalPlan.program`, :mod:`repro.runtime.program`), which
+:class:`repro.runtime.evaluator.StreamedEvaluator` runs — the paper also
+offers compilation to Java code.  The operators stay the explain, analysis,
+structure-key and pickle form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.xquery.ast import XQueryExpr
 
@@ -148,10 +150,6 @@ class ProcessStreamOp(PlanOp):
     def children(self) -> Tuple[PlanOp, ...]:
         return self.handlers
 
-    def handler_for(self, label: str) -> Optional[int]:
-        """Index of the streaming handler for ``label`` (``None`` if absent)."""
-        return self.on_index.get(label)
-
 
 @dataclass
 class PhysicalPlan:
@@ -164,17 +162,18 @@ class PhysicalPlan:
 
     def __post_init__(self) -> None:
         self._lowered: Optional[Dict[int, "LoweredExpr"]] = None
+        self._program: Optional[Callable] = None
 
     def __getstate__(self) -> dict:
-        # The lowered expressions are derived data keyed by object identity;
-        # a worker lowers the plan again on its first document.
+        # The lowered expressions and closures are derived data (keyed by
+        # object identity); a worker lowers the plan again on its first document.
         state = dict(self.__dict__)
-        del state["_lowered"]
+        del state["_lowered"], state["_program"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._lowered = None
+        self._lowered = self._program = None
 
     def lowered(self) -> Dict[int, "LoweredExpr"]:
         """``id(op) -> lowered expression`` of every buffered expression of
@@ -184,6 +183,15 @@ class PhysicalPlan:
 
             self._lowered = lower_plan(self.root)
         return self._lowered
+
+    def program(self) -> Callable:
+        """The plan lowered to closures (:func:`repro.runtime.program.lower_program`),
+        lowered once per plan."""
+        if self._program is None:
+            from repro.runtime.program import lower_program
+
+            self._program = lower_program(self)
+        return self._program
 
     def operator_count(self) -> int:
         return self.root.operator_count()

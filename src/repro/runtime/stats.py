@@ -11,6 +11,9 @@ metrics:
   materializations for the FluX engine);
 * ``events_processed`` / ``elements_parsed`` — stream progress counters;
 * ``output_bytes`` — size of the serialized result;
+* ``join_build_rows`` / ``join_probes`` / ``join_candidates`` — the hash
+  joins of the buffered executor (:mod:`repro.runtime.buffered`): binding
+  tuples filed in build tables, outer bindings probed, and pairs re-checked;
 * ``elapsed_seconds`` — wall-clock evaluation time (excluding query
   compilation, which is reported separately by the optimizer pipeline).
 """
@@ -33,8 +36,10 @@ class RuntimeStats:
     onfirst_events: int = 0
     buffered_nodes: int = 0
     output_bytes: int = 0
+    join_build_rows: int = 0
+    join_probes: int = 0
+    join_candidates: int = 0
     elapsed_seconds: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
 
     _started_at: Optional[float] = field(default=None, repr=False)
 
@@ -73,8 +78,10 @@ class RuntimeStats:
             "onfirst_events": self.onfirst_events,
             "buffered_nodes": self.buffered_nodes,
             "output_bytes": self.output_bytes,
+            "join_build_rows": self.join_build_rows,
+            "join_probes": self.join_probes,
+            "join_candidates": self.join_candidates,
             "elapsed_seconds": self.elapsed_seconds,
-            **self.extra,
         }
 
     def observe(self, obs, **labels) -> None:

@@ -47,15 +47,22 @@ def test_required_hot_functions_exist():
         assert os.path.exists(path), suffix
         with open(path, "r", encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
-        class_name, method_name = qualname.split(".")
-        found = any(
-            isinstance(node, ast.ClassDef)
-            and node.name == class_name
-            and any(
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name == method_name
-                for item in node.body
-            )
-            for node in ast.walk(tree)
-        )
-        assert found, f"{qualname} no longer defined in {suffix}"
+        assert qualname in _qualnames(tree), f"{qualname} no longer defined in {suffix}"
+
+
+def _qualnames(tree):
+    """``Class.method`` and ``function.<locals>.inner`` names, as the checker forms them."""
+    names = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(prefix + child.name)
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return names

@@ -59,6 +59,10 @@ def joins(text):
     return lowered(text).joins
 
 
+def join_counters(stats):
+    return stats.join_build_rows, stats.join_probes, stats.join_candidates
+
+
 # ------------------------------------------------------------ (a) recogniser
 
 _PEOPLE = "for $p in $x/person return "
@@ -218,7 +222,7 @@ def test_lowered_expression_equals_the_interpreted_one(document, name):
         serialize_tree(item) for item in interpreted
     ]
     # Every emitted pair went through the re-check as a candidate.
-    assert stats.extra["join_candidates"] >= len(joined[0].child_elements("m"))
+    assert stats.join_candidates >= len(joined[0].child_elements("m"))
 
 
 def test_empty_sides_and_duplicate_matches():
@@ -234,7 +238,7 @@ def test_empty_sides_and_duplicate_matches():
     ):
         result = COMPILED["attribute"].execute(document)
         assert result.output == DOM.execute(query, document).output
-        assert result.stats.extra["join_build_rows"] == builds
+        assert result.stats.join_build_rows == builds
     assert result.output.count("<m>") == 4
 
 
@@ -243,7 +247,7 @@ def test_a_rejected_query_runs_exactly_as_before():
     document = "<db><left><l id='1'><v>a</v></l></left><right><r ref='2'/></right></db>"
     result = ENGINE.execute(query, document)
     assert result.output == DOM.execute(query, document).output
-    assert result.stats.extra == {}
+    assert join_counters(result.stats) == (0, 0, 0)
 
 
 def test_unbound_variable_still_raises_where_the_loop_did():
@@ -264,10 +268,10 @@ def test_unique_keys_check_one_candidate_per_probe_and_build_once():
     document = f"<db><left>{left}</left><right>{right}</right></db>"
     result = COMPILED["attribute"].execute(document)
     assert result.output.count("<m>") == size
-    extra = result.stats.extra
-    assert extra["join_build_rows"] == size  # one table per firing
-    assert extra["join_probes"] == size
-    assert extra["join_candidates"] <= size  # the nested loop checks size * size
+    stats = result.stats
+    assert stats.join_build_rows == size  # one table per firing
+    assert stats.join_probes == size
+    assert stats.join_candidates <= size  # the nested loop checks size * size
     assert {"join_build_rows", "join_probes", "join_candidates"} <= result.stats.as_dict().keys()
 
 
@@ -277,8 +281,8 @@ def test_the_table_is_rebuilt_per_firing_and_the_ledger_does_not_see_it():
     flux = FluxEngine(AUCTION_DTD).compile(query)
     first, second = flux.execute(document), flux.execute(document)
     assert first.output == DomEngine(AUCTION_DTD).execute(query, document).output
-    assert first.stats.extra == second.stats.extra
-    assert first.stats.extra["join_build_rows"] > 0
+    assert join_counters(first.stats) == join_counters(second.stats)
+    assert first.stats.join_build_rows > 0
     # Pinned from the commit before the join: positions and shared key
     # strings add rows to the counters and no bytes to the buffer ledger.
     assert first.stats.peak_buffer_bytes == 6221
@@ -306,4 +310,5 @@ def test_the_reference_engines_do_not_get_the_join():
         assert not hasattr(module, "HashJoin")
     document = generate_auction_site(scale=0.3, seed=5)
     for engine in (DomEngine(AUCTION_DTD), dom_engine.DomEngine(AUCTION_DTD)):
-        assert engine.execute(get_query("AUC-A3").xquery, document).stats.extra == {}
+        stats = engine.execute(get_query("AUC-A3").xquery, document).stats
+        assert join_counters(stats) == (0, 0, 0)

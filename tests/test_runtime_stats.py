@@ -44,10 +44,11 @@ class TestRuntimeStats:
         stats = RuntimeStats()
         stats.buffer_grow(42)
         stats.events_processed = 7
-        stats.extra["custom"] = 1.5
+        stats.join_probes = 3
         data = stats.as_dict()
         assert data["peak_buffer_bytes"] == 42
-        assert data["custom"] == 1.5
+        assert data["join_probes"] == 3
+        assert not hasattr(stats, "extra")
         assert "peak buffer: 42 B" in stats.summary()
 
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import DomEngine, FluxEngine
 from repro.errors import XMLSyntaxError
 from repro.workloads import generate_auction_site, generate_bibliography
 from repro.workloads.dtds import BIB_DTD_STRONG
@@ -107,6 +108,38 @@ def test_not_well_formed_documents_are_rejected_by_both(document):
         list(StreamingXMLParser(document).events())
     with pytest.raises(XMLSyntaxError):
         pushed(document, [len(document) // 2], False)
+
+
+# -------------------------------------------------- output read back by expat
+
+#: Character references to characters a parser does not read back literally:
+#: tab, newline and carriage return in an attribute value become spaces, and
+#: a carriage return in text becomes a newline.
+WHITESPACE_REFERENCES = '<d><a k="x&#10;y&#9;z&#13;w">p&#13;q</a><b/></d>'
+
+
+def element(events, name):
+    """The events of the first element called ``name``, its tags included."""
+    start = next(i for i, e in enumerate(events) if type(e) is StartElement and e.name == name)
+    end = next(i for i, e in enumerate(events) if type(e) is EndElement and e.name == name)
+    return events[start : end + 1]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "<r>{ for $a in $ROOT/d/a return $a }</r>",  # copied from the stream
+        "<r>{ for $d in $ROOT/d return ($d/b, $d/a) }</r>",  # copied from a buffer
+    ],
+)
+@pytest.mark.parametrize("engine", [FluxEngine(), DomEngine()], ids=["flux", "dom"])
+def test_copies_read_back_as_the_input(engine, query):
+    expected = element(expat_events(WHITESPACE_REFERENCES), "a")
+    assert expected == [
+        StartElement("a", (("k", "x\ny\tz\rw"),)), Text("p\rq"), EndElement("a")
+    ]
+    output = engine.execute(query, WHITESPACE_REFERENCES).output
+    assert element(expat_events(output), "a") == expected
 
 
 # ------------------------------------------------ drawn well-formed documents
