@@ -17,7 +17,10 @@ golden tests use (:mod:`repro.obs.validate`):
 * the log file is event JSON-lines with the backend's lifecycle events
   (pass start/finish for the serve loop; register/ship for the pool,
   whose workers keep pass events in-process);
-* ``repro stats`` pretty-prints the snapshot and exits 0.
+* ``repro stats`` pretty-prints the snapshot and exits 0;
+* the skipped-subtree series (subtrees the parser skipped because no
+  query reads them) is exported on every backend, and is non-zero on a
+  pass serving BIB-Q1 alone.
 
 Exits nonzero with a problem listing on any failure.  Run from anywhere:
 ``python scripts/ci_obs_smoke.py``.
@@ -106,6 +109,9 @@ def _check_artifacts(base, backend, problems):
         ):
             if family not in snapshot:
                 problems.append(f"{prefix}: metrics snapshot lacks {family}")
+        skipped = f"{summary_prefix}_skipped_subtrees_total"
+        if skipped not in snapshot:
+            problems.append(f"{prefix}: metrics snapshot lacks {skipped}")
         for family in RETIRED_FAMILIES:
             if family in snapshot:
                 problems.append(f"{prefix}: metrics snapshot carries retired {family}")
@@ -172,6 +178,32 @@ def _check_artifacts(base, backend, problems):
         problems.append(f"{prefix}: log: lifecycle events missing: {sorted(missing)}")
 
 
+def _check_skipped(tmp, dtd_path, documents, problems):
+    """A pass serving BIB-Q1 alone skips the authors nobody reads."""
+    query_dir = os.path.join(tmp, "q1")
+    os.makedirs(query_dir)
+    spec = queries_for_workload("bib")[0]
+    with open(os.path.join(query_dir, f"{spec.key}.xq"), "w", encoding="utf-8") as handle:
+        handle.write(spec.xquery)
+    metrics_path = os.path.join(tmp, "q1-metrics.json")
+    argv = [
+        "multi",
+        "--queries", query_dir,
+        "--dtd", dtd_path,
+        "--documents", *documents,
+        "--output-dir", os.path.join(tmp, "q1-out"),
+        "--metrics-out", metrics_path,
+    ]
+    if _run_cli(argv, problems, "multi[BIB-Q1]").returncode != 0:
+        return
+    with open(metrics_path, "r", encoding="utf-8") as handle:
+        snapshot = json.load(handle)
+    family = snapshot.get("repro_service_skipped_subtrees_total")
+    skipped = family["values"][0]["value"] if family else 0
+    if not skipped:
+        problems.append(f"multi[BIB-Q1]: repro_service_skipped_subtrees_total is {skipped}")
+
+
 def main() -> int:
     problems = []
     with tempfile.TemporaryDirectory(prefix="obs_smoke_") as tmp:
@@ -221,6 +253,11 @@ def main() -> int:
                     )
             print(f"[obs-smoke] {backend}: "
                   + ("FAIL" if len(problems) > before else "ok"))
+
+        before = len(problems)
+        _check_skipped(tmp, dtd_path, documents, problems)
+        print("[obs-smoke] skipped subtrees: "
+              + ("FAIL" if len(problems) > before else "ok"))
 
     if problems:
         print("\n".join(problems), file=sys.stderr)

@@ -6,9 +6,10 @@ would amortize, no ``isinstance`` dispatch, no ``try``/``except`` entry.
 This checker enforces those rules for every function carrying a
 ``# hot-loop`` marker (on its ``def`` line or the line above), and
 insists that the known per-event functions — the projection router, the
-dispatcher feed, the incremental parser and its token scan, the validator's
-``feed``, the XSAX reader's ``__next__`` with its start/end handlers and the
-lowered process-stream loop of the evaluator — stay marked.
+dispatcher feed, the incremental parser with its token scan and its
+skipped-subtree scan, the validator's ``feed``, the XSAX reader's
+``__next__`` with its start/end/skipped-subtree handlers and the lowered
+process-stream loop of the evaluator — stay marked.
 
 Rules:
 
@@ -46,10 +47,12 @@ REQUIRED_HOT: Tuple[Tuple[str, str], ...] = (
     ("service/dispatcher.py", "SharedDispatcher.dispatch"),
     ("xmlstream/parser.py", "StreamingXMLParser.feed"),
     ("xmlstream/parser.py", "StreamingXMLParser._scan"),
+    ("xmlstream/parser.py", "StreamingXMLParser._skip_scan"),
     ("dtd/validator.py", "StreamingValidator.feed"),
     ("runtime/xsax.py", "XSAXReader.__next__"),
     ("runtime/xsax.py", "XSAXReader._start"),
     ("runtime/xsax.py", "XSAXReader._end"),
+    ("runtime/xsax.py", "XSAXReader._skipped"),
     ("runtime/program.py", "_lower_process_stream.<locals>.process_stream"),
 )
 

@@ -23,6 +23,7 @@ from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     Event,
+    SkippedSubtree,
     StartElement,
     Text,
 )
@@ -106,6 +107,8 @@ class StreamingValidator:
             # Cold in data documents: text sits in elements that allow it.
             if not stack or not stack[-1][0].allows_text:
                 self._check_text(event.text)
+        elif kind is SkippedSubtree:
+            self._skipped(event)
         elif kind is EndDocument and stack:
             # hot-loop-ok: raises
             raise XMLValidationError("document ended with unclosed elements")
@@ -115,6 +118,17 @@ class StreamingValidator:
         for event in events:
             self.feed(event)
             yield event
+
+    def _skipped(self, event: SkippedSubtree) -> None:
+        """Validate the tags of a skipped subtree as their own events."""
+        feed = self.feed
+        for text, close, name, empty in event.tags:
+            if text:
+                feed(Text(text))
+            if name:
+                feed(StartElement(name))
+            if close or empty:
+                feed(EndElement(close or name))
 
     # ---------------------------------------------------------- violations
 

@@ -31,7 +31,7 @@ from repro.runtime.evaluator import EvaluatorSession, StreamedEvaluator
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.plan import PhysicalPlan
 from repro.xmlstream.events import Event
-from repro.xmlstream.parser import parse_events
+from repro.xmlstream.parser import StreamingXMLParser
 
 
 class FluxEngine(Engine):
@@ -140,9 +140,13 @@ class CompiledFluxQuery:
         return self.entry.buffer_description
 
     def execute(self, document: Union[str, io.TextIOBase]) -> QueryResult:
-        """Evaluate the compiled query over ``document`` (one-shot pull)."""
+        """Evaluate the compiled query over ``document`` (one-shot pull).
+
+        The parser skips the subtrees the plan never reads
+        (:meth:`~repro.runtime.plan.PhysicalPlan.skip_trie`).
+        """
         evaluator = StreamedEvaluator(self.plan, self.engine.dtd, validate=self.engine.validate)
-        events = parse_events(document)
+        events = StreamingXMLParser(document, skip=self.plan.skip_trie()).events()
         output, stats = evaluator.run_to_string(events)
         if self.engine.obs is not None:
             stats.observe(self.engine.obs, engine=self.engine.name)

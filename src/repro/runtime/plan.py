@@ -17,14 +17,23 @@ The plan is lowered once per plan to Python closures
 :class:`repro.runtime.evaluator.StreamedEvaluator` runs — the paper also
 offers compilation to Java code.  The operators stay the explain, analysis,
 structure-key and pickle form.
+
+:meth:`PhysicalPlan.skip_trie` derives from the plan, once, which subtrees
+of the document it can ever read: the tokenizer skips the rest without
+building their events (:class:`~repro.xmlstream.parser.SkipTrie`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.xquery.ast import XQueryExpr
+from repro.xmlstream.parser import SkipTrie
+from repro.xquery.analysis import WHOLE_SUBTREE
+from repro.xquery.ast import DOCUMENT_VARIABLE, XQueryExpr
+
+if TYPE_CHECKING:
+    from repro.dtd.schema import DTD
 
 
 class PlanOp:
@@ -163,17 +172,20 @@ class PhysicalPlan:
     def __post_init__(self) -> None:
         self._lowered: Optional[Dict[int, "LoweredExpr"]] = None
         self._program: Optional[Callable] = None
+        self._skip_trie: object = _UNDERIVED
 
     def __getstate__(self) -> dict:
-        # The lowered expressions and closures are derived data (keyed by
-        # object identity); a worker lowers the plan again on its first document.
+        # The lowered expressions, closures and skip trie are derived data
+        # (keyed by object identity); a worker derives them again on its
+        # first document.
         state = dict(self.__dict__)
-        del state["_lowered"], state["_program"]
+        del state["_lowered"], state["_program"], state["_skip_trie"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lowered = self._program = None
+        self._skip_trie = _UNDERIVED
 
     def lowered(self) -> Dict[int, "LoweredExpr"]:
         """``id(op) -> lowered expression`` of every buffered expression of
@@ -193,6 +205,24 @@ class PhysicalPlan:
             self._program = lower_program(self)
         return self._program
 
+    def skip_trie(self) -> Optional[SkipTrie]:
+        """What the plan reads of the document, as the parser's skip trie,
+        derived once per plan; ``None`` when it may read everything.
+
+        Below an element a ``process-stream`` reads, the trie lists its
+        ``on`` labels and buffered labels.  A child is read whole (``None``)
+        when it is buffered, and when its handler's variable is copied,
+        rebound, or streamed by more than one ``process-stream``; a child
+        whose variable no ``process-stream`` streams has none of its own
+        children read.  Everything else is drained unread by the
+        ``process-stream`` loop, so skipping it changes no output — except
+        that a child the DTD allows only text in is listed as read: its
+        three events cost less than a skip.
+        """
+        if self._skip_trie is _UNDERIVED:
+            self._skip_trie = _reads(DOCUMENT_VARIABLE, self.root, self.dtd)
+        return self._skip_trie  # type: ignore[return-value]
+
     def operator_count(self) -> int:
         return self.root.operator_count()
 
@@ -207,3 +237,46 @@ class PhysicalPlan:
             self.bdf.describe(),
         ]
         return "\n".join(lines)
+
+
+_UNDERIVED = object()
+
+
+def _reads(var: str, body: PlanOp, dtd: "Optional[DTD]") -> Optional[SkipTrie]:
+    """The skip trie of the element bound to ``var`` while ``body`` runs."""
+    readers: List[PlanOp] = []
+    if not _source_readers(var, body, readers):
+        return None
+    streams = [op for op in readers if type(op) is ProcessStreamOp]
+    if len(streams) < len(readers) or len(streams) > 1:
+        return None  # copied, or streamed twice
+    if not streams:
+        return SkipTrie()
+    stream = streams[0]
+    if stream.buffer_whole or WHOLE_SUBTREE in stream.buffer_labels:
+        return None
+    trie = SkipTrie(dict.fromkeys(stream.buffer_labels))
+    for label, index in stream.on_index.items():
+        if label not in trie:
+            handler = stream.handlers[index]
+            trie[label] = _reads(handler.var, handler.body, dtd)
+    if dtd is not None and dtd.has_element(stream.element_type):
+        tables = dtd.element_tables()
+        table = tables[stream.element_type]
+        for label in table.remaining[table.start] if table.remaining else ():
+            child = tables[label]
+            if child.remaining and not child.remaining[child.start]:
+                trie.setdefault(label, None)
+    return trie
+
+
+def _source_readers(var: str, op: PlanOp, readers: List[PlanOp]) -> bool:
+    """Collect the operators under ``op`` that read ``var``'s children from
+    the stream (its ``process-stream`` and ``copy`` operators); ``False``
+    when a handler below rebinds ``var``."""
+    kind = type(op)
+    if kind is OnHandlerOp and op.var == var:  # type: ignore[attr-defined]
+        return False
+    if (kind is ProcessStreamOp or kind is CopyVarOp) and op.var == var:  # type: ignore[attr-defined]
+        readers.append(op)
+    return all(_source_readers(var, child, readers) for child in op.children())

@@ -18,8 +18,11 @@ with its :class:`~repro.runtime.evaluator.StreamedEvaluator`.
   dict to its ``on`` handler — streaming it, or replaying the materialized
   subtree — or skips it.  The loop itself drains an unread child, and copies
   a child whose handler is ``copy $itself`` straight from the stream to the
-  output.  When the element closes, the remaining ``on-first`` handlers fire
-  in order: every ``past`` condition then holds trivially.
+  output.  A child the parser skipped
+  (:meth:`~repro.runtime.plan.PhysicalPlan.skip_trie`) arrives as a
+  :class:`~repro.xmlstream.events.SkippedSubtree` and counts as unread.
+  When the element closes, the remaining ``on-first`` handlers fire in
+  order: every ``past`` condition then holds trivially.
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ from repro.runtime.plan import (
     TextOp,
 )
 from repro.runtime.xsax import OnFirstEvent, XSAXReader
-from repro.xmlstream.events import EndDocument, EndElement, Event, StartElement, Text
+from repro.xmlstream.events import (
+    EndDocument,
+    EndElement,
+    Event,
+    SkippedSubtree,
+    StartElement,
+    Text,
+)
 from repro.xmlstream.serializer import escape_text, render_element, start_tag
 from repro.xmlstream.tree import XMLElement, tree_to_events
 from repro.xquery.evaluator import effective_boolean_value, string_value
@@ -185,7 +195,7 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
         # What the loop reads per event, as locals.
         starved, stop, need_input = StarvedInput, StopIteration, _NEED_INPUT
         start_event, end_event, text_event = StartElement, EndElement, Text
-        end_document, render_start = EndDocument, start_tag
+        end_document, skipped, render_start = EndDocument, SkippedSubtree, start_tag
         if whole:
             buffers.ensure_full_element(scope.tag, scope.attrs)
         position = 0  # handlers[:position] have fired
@@ -268,6 +278,18 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
                     buffers.append_full_text(event.text)
             elif kind is end_event or kind is end_document:
                 break
+            elif kind is skipped and event.name:
+                # An unread child the parser skipped: every satisfied
+                # handler precedes it.
+                while position < pending:
+                    _, need, body, pulls = handlers[position]
+                    if need & ~satisfied:
+                        break
+                    position += 1
+                    if pulls:
+                        yield from body(run)
+                    else:
+                        body(run)
         # The element closed: every ``past`` condition holds trivially.
         for _, _, body, pulls in handlers[position:]:
             if pulls:

@@ -14,6 +14,9 @@ metrics:
 * ``join_build_rows`` / ``join_probes`` / ``join_candidates`` — the hash
   joins of the buffered executor (:mod:`repro.runtime.buffered`): binding
   tuples filed in build tables, outer bindings probed, and pairs re-checked;
+* ``skipped_subtrees`` / ``skipped_bytes`` — element subtrees the parser
+  skipped because the plan never reads them (:class:`~repro.xmlstream.events
+  .SkippedSubtree`), and the characters they spanned;
 * ``elapsed_seconds`` — wall-clock evaluation time (excluding query
   compilation, which is reported separately by the optimizer pipeline).
 """
@@ -39,6 +42,8 @@ class RuntimeStats:
     join_build_rows: int = 0
     join_probes: int = 0
     join_candidates: int = 0
+    skipped_subtrees: int = 0
+    skipped_bytes: int = 0
     elapsed_seconds: float = 0.0
 
     _started_at: Optional[float] = field(default=None, repr=False)
@@ -81,6 +86,8 @@ class RuntimeStats:
             "join_build_rows": self.join_build_rows,
             "join_probes": self.join_probes,
             "join_candidates": self.join_candidates,
+            "skipped_subtrees": self.skipped_subtrees,
+            "skipped_bytes": self.skipped_bytes,
             "elapsed_seconds": self.elapsed_seconds,
         }
 

@@ -48,6 +48,7 @@ from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     Event,
+    SkippedSubtree,
     StartDocument,
     StartElement,
     Text,
@@ -270,6 +271,8 @@ class XSAXReader:
                 event = self._start(event)
             elif kind is EndElement:
                 event = self._end(event)
+            elif kind is SkippedSubtree:
+                event = self._skipped(event)
             elif kind is not Text:
                 event = self._document_edge(event)
         stats = self._stats
@@ -344,6 +347,81 @@ class XSAXReader:
             entry, _, pending = self._stack.pop()
             if pending:
                 return self._after(entry.fired[pending], event)
+        return event
+
+    def _skipped(self, event: SkippedSubtree) -> Event:  # hot-loop
+        """Step a skipped subtree's tags through the tables.
+
+        The skipped element steps its parent exactly as its start tag
+        would, so the on-first events it triggers precede it; the tags
+        inside only validate, and no on-first event fires for them — nobody
+        reads them.
+        """
+        stack = self._stack
+        types, validate = self._types, self._validate
+        push, pop = stack.append, stack.pop
+        tags, skipped = event.tags, event.name
+        unlisted = self._unlisted_child
+        before = None
+        if skipped:
+            _, _, name, empty = tags[0]
+            tags = tags[1:]
+            parent = stack[-1]
+            entry = parent[0]
+            steps = entry.next
+            if steps is not None:
+                state = steps[parent[1]].get(name)
+                if state is None:
+                    state = unlisted(parent, name)
+                else:
+                    parent[1] = state
+                pending = parent[2]
+                if pending:
+                    hits = pending & entry.holds[state]
+                    if hits:
+                        parent[2] = pending ^ hits
+                        before = entry.fired[hits]
+            entry = types[name]
+            # hot-loop-ok: the skipped element's own frame, as for its inner tags
+            push([entry, entry.start, 0])
+            if empty:
+                tags = ((None, name, None, None),)
+        for _, close, name, empty in tags:
+            if close:
+                entry, state, _ = pop()
+                accepting = entry.accepting
+                if entry.name != close or (
+                    accepting is not None and state not in accepting and validate
+                ):
+                    # hot-loop-ok: raises
+                    self._reject_end(entry, EndElement(close))
+            elif name:
+                parent = stack[-1]
+                steps = parent[0].next
+                if steps is not None:
+                    state = steps[parent[1]].get(name)
+                    if state is None:
+                        unlisted(parent, name)
+                    else:
+                        parent[1] = state
+                entry = types[name]
+                # hot-loop-ok: the skipped element's own frame is the other load
+                state = entry.start
+                if empty:
+                    # hot-loop-ok: the end tag's branch, which loads it too, is exclusive
+                    accepting = entry.accepting
+                    if accepting is not None and state not in accepting and validate:
+                        # hot-loop-ok: raises
+                        self._reject_end(entry, EndElement(name))
+                else:
+                    # hot-loop-ok: the one frame per open element (depth-bounded)
+                    push([entry, state, 0])
+        stats = self._stats
+        if stats is not None:
+            stats.skipped_subtrees += 1 if skipped else 0
+            stats.skipped_bytes += event.size
+        if before is not None:
+            return self._after(before, event)
         return event
 
     # ------------------------------------------------------------- helpers

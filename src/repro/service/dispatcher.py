@@ -61,8 +61,9 @@ registration, so it may be read by any number of later passes.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dtd.validator import StreamingValidator
 from repro.engines.projection_engine import ProjectionNode, projection_paths
@@ -74,7 +75,8 @@ from repro.runtime.plan import (
     ProcessStreamOp,
 )
 from repro.service.metrics import PassMetrics
-from repro.xmlstream.events import EndElement, Event, StartElement, Text
+from repro.xmlstream.events import EndElement, Event, SkippedSubtree, StartElement, Text
+from repro.xmlstream.parser import SKIP, SkipTrie
 from repro.xquery.analysis import WHOLE_SUBTREE
 
 
@@ -224,6 +226,7 @@ class SharedProjectionIndex:
         keys: Optional[List[object]] = None,
     ):
         profiles = list(profiles)
+        self._profiles = tuple(profiles)
         self.metrics = metrics if metrics is not None else PassMetrics()
         if keys is None:
             key_groups: List[List[str]] = [[f"q{i}"] for i in range(len(profiles))]
@@ -266,6 +269,7 @@ class SharedProjectionIndex:
         self._condition_masks = condition_masks
         self._stack: List[_Frame] = []
         self._skip_depth = 0
+        self._skipped_mask = 0
         # Tallied per distinct mask, expanded per group (then per
         # subscriber) by finalize_metrics() — cheaper than touching N
         # counters on every event.
@@ -321,10 +325,37 @@ class SharedProjectionIndex:
                 metrics.text_events_dropped += 1
                 return 0
             metrics.events_forwarded += 1
+        elif cls is SkippedSubtree:
+            return self._route_skipped(event)
         else:
             # StartDocument / EndDocument always reach every runtime.
             mask = self.full_mask  # hot-loop-ok: twice per document only
             metrics.events_forwarded += 1
+        counts = self._mask_counts
+        counts[mask] = counts.get(mask, 0) + 1
+        return mask
+
+    def _route_skipped(self, event: SkippedSubtree) -> int:
+        """A subtree the parser skipped (see :meth:`skip_trie`): no group
+        reads it, so it goes only where the parent's on-first conditions
+        must see the child arrive, as one event; otherwise it is pruned."""
+        metrics = self.metrics
+        metrics.skipped_bytes += event.size
+        if event.name:
+            metrics.skipped_subtrees += 1
+            stack = self._stack
+            if stack:
+                parent = stack[-1]
+                self._skipped_mask = parent.active & self._condition_masks.get(parent.name, 0)
+            else:  # a root element no group reads still reaches every group
+                self._skipped_mask = self.full_mask
+            if not self._skipped_mask:
+                metrics.subtrees_pruned += 1
+        mask = self._skipped_mask  # the later pieces follow the first
+        if not mask:
+            metrics.events_pruned += 1
+            return 0
+        metrics.events_forwarded += 1
         counts = self._mask_counts
         counts[mask] = counts.get(mask, 0) + 1
         return mask
@@ -377,6 +408,84 @@ class SharedProjectionIndex:
         metrics.events_pruned += 1
         return 0
 
+    # ---------------------------------------------------------- skip trie
+
+    def skip_trie(self) -> Optional[SkipTrie]:
+        """The parser's skip trie: the subtrees whose content :meth:`route`
+        would prune for every group, so the parser need not build their
+        events.  Derived once per tuple of profiles (a service's passes
+        share it until its registrations change).
+
+        That is every subtree :meth:`_route_start` prunes, and also a child
+        forwarded only because of rule (c): the groups whose parent carries
+        a condition then receive the skipped subtree as one event, which
+        steps the parent's automaton as the start tag would
+        (:meth:`_route_skipped`).  A routing frame is determined by its
+        document-rooted path, and what
+        :meth:`_route_start` computes for a child depends only on the
+        parent's ``(trie node, kept, active)`` masks, the condition mask of
+        the parent's name and the child's name.  So one trie node stands
+        for each such state (memoized, so recursive paths make a cyclic
+        trie); names no mask table mentions share the node's default.
+        """
+        return _skip_trie(self._profiles)
+
+    def _derive_skip_trie(self) -> Optional[SkipTrie]:
+        names = set(self._keep_name_masks) | set(self._interesting_masks)
+        names |= set(self._condition_masks)
+        # The document is a frame whose one child every group sees arrive.
+        kept = self._keep_everything_mask | self._root_keep_mask
+        full = self.full_mask
+        return self._frame_trie(self._root, kept, full, full, names, {})
+
+    def _frame_trie(
+        self,
+        node: Optional[_TrieNode],
+        kept: int,
+        active: int,
+        condition: int,
+        names: Set[str],
+        memo: Dict[tuple, Optional[SkipTrie]],
+    ) -> Optional[SkipTrie]:
+        """The skip trie below an element whose routing frame is
+        ``(node, kept, active)`` and whose name has condition mask
+        ``condition``."""
+        if active & kept:
+            return None  # some group keeps everything below: nothing prunes
+        key = (id(node), kept, active, condition)
+        if key in memo:
+            return memo[key]
+        trie = memo[key] = SkipTrie()
+        children = node.children if node is not None else {}
+        for name in names | set(children):
+            trie[name] = self._child_trie(node, kept, active, condition, name, names, memo)
+        trie.default = self._child_trie(node, kept, active, condition, None, names, memo)
+        return trie
+
+    def _child_trie(self, node, kept, active, condition, name, names, memo):
+        """What :meth:`_route_start` does with child ``name`` (``None``: a
+        name no table mentions) of the frame: :data:`SKIP` where no group
+        reads it, rule (c) aside."""
+        child_kept = kept | self._keep_name_masks.get(name, 0)
+        match = 0
+        child = None
+        if node is not None and name is not None:
+            child = node.children.get(name)
+            if child is not None:
+                child_kept |= child.keep_mask
+                match = child.mask
+        reads = active & (child_kept | match | self._interesting_masks.get(name, 0))
+        if not reads:
+            return SKIP
+        return self._frame_trie(
+            child,
+            child_kept,
+            reads | active & condition,
+            self._condition_masks.get(name, 0),
+            names,
+            memo,
+        )
+
     # ------------------------------------------------------------ metrics
 
     def per_group_forwarded(self) -> List[int]:
@@ -409,6 +518,11 @@ class SharedProjectionIndex:
             for key in group_keys:
                 per_forwarded[key] = routed
                 per_pruned[key] = forwarded - routed
+
+
+@functools.lru_cache(maxsize=8)
+def _skip_trie(profiles: Tuple[PlanProfile, ...]) -> Optional[SkipTrie]:
+    return SharedProjectionIndex(profiles)._derive_skip_trie()
 
 
 def _projection_names(node: ProjectionNode, into: Set[str]) -> None:

@@ -56,6 +56,8 @@ _PASS_TOTALS = {
     "events_forwarded_total": "events_forwarded",
     "subtrees_pruned_total": "subtrees_pruned",
     "events_pruned_total": "events_pruned",
+    "skipped_subtrees_total": "skipped_subtrees",
+    "skipped_bytes_total": "skipped_bytes",
     "text_events_dropped_total": "text_events_dropped",
     "elapsed_seconds_total": "elapsed_seconds",
 }
@@ -75,6 +77,10 @@ class PassMetrics:
     subtrees_pruned: int = 0
     events_pruned: int = 0
     text_events_dropped: int = 0
+    #: Pruned subtrees the parser skipped without building their events
+    #: (also counted in ``subtrees_pruned``), and the characters they span.
+    skipped_subtrees: int = 0
+    skipped_bytes: int = 0
     elapsed_seconds: float = 0.0
     #: Wall seconds per stage (:data:`PASS_STAGES`), taken structurally by
     #: the one dispatch path: ``parse`` brackets the parser calls,
@@ -126,6 +132,8 @@ class ServiceMetrics:
     subtrees_pruned_total: int = 0
     events_pruned_total: int = 0
     text_events_dropped_total: int = 0
+    skipped_subtrees_total: int = 0
+    skipped_bytes_total: int = 0
     elapsed_seconds_total: float = 0.0
     results_produced: int = 0
     last_pass: PassMetrics = field(default_factory=PassMetrics)
@@ -166,6 +174,8 @@ class PoolMetrics:
     subtrees_pruned_total: int = 0
     events_pruned_total: int = 0
     text_events_dropped_total: int = 0
+    skipped_subtrees_total: int = 0
+    skipped_bytes_total: int = 0
     elapsed_seconds_total: float = 0.0
     #: Plan artifacts shipped to worker processes — one per *distinct
     #: structure* per worker send occasion (initial spawns, first

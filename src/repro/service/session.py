@@ -288,7 +288,8 @@ class SharedPass:
             self._dispatcher = SharedDispatcher(
                 self._index, self._runs, validator=validator, chunk_size=chunk_size
             )
-            self._parser = StreamingXMLParser.incremental()
+            # The parser skips the subtrees the index would prune for all.
+            self._parser = StreamingXMLParser.incremental(skip=self._index.skip_trie())
         except BaseException:
             # Construction failed after the Kth session started: close the
             # generators that did start and free the service's slot.

@@ -136,11 +136,44 @@ class Text(Event):
         return len(self.text)
 
 
+class SkippedSubtree(Event):
+    """An element subtree the parser scanned without building its events.
+
+    Delivered in place of every event of a subtree its skip trie says
+    nobody reads (:mod:`repro.xmlstream.parser`).  ``tags`` are the
+    subtree's tags in document order, each a ``(text, close, open, empty)``
+    tuple: ``open`` names a start tag (``empty`` is ``"/"`` when it closes
+    itself), ``close`` an end tag, and ``text`` is a non-whitespace
+    character of the text in front of the tag, or empty/``None`` when that
+    text is whitespace only (a tuple with neither name is text alone).
+    Validators step the tags through their tables, so verdicts stay those
+    of the full event stream.
+
+    A subtree larger than the parser's buffer arrives in pieces: ``name``
+    is the skipped element's name on the first piece and ``""`` on the
+    pieces that continue it; the last piece ends with the element's end
+    tag.  ``size`` counts the characters the piece covers.
+    """
+
+    __slots__ = ("name", "tags", "size")
+    name: str
+    tags: tuple
+    size: int
+
+    def __init__(self, name: str, tags: tuple, size: int) -> None:
+        _set_skipped_name(self, name)
+        _set_skipped_tags(self, tags)
+        _set_skipped_size(self, size)
+
+
 # The slot descriptors' own setters: the one way past ``Event.__setattr__``.
 _set_start_name = StartElement.name.__set__  # type: ignore[attr-defined]
 _set_start_attrs = StartElement.attrs.__set__  # type: ignore[attr-defined]
 _set_end_name = EndElement.name.__set__  # type: ignore[attr-defined]
 _set_text = Text.text.__set__  # type: ignore[attr-defined]
+_set_skipped_name = SkippedSubtree.name.__set__  # type: ignore[attr-defined]
+_set_skipped_tags = SkippedSubtree.tags.__set__  # type: ignore[attr-defined]
+_set_skipped_size = SkippedSubtree.size.__set__  # type: ignore[attr-defined]
 
 
 def element_events(name: str, attrs: Dict[str, str], body: Iterable[Event]) -> Iterator[Event]:

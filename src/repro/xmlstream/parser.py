@@ -45,6 +45,7 @@ from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     Event,
+    SkippedSubtree,
     StartDocument,
     StartElement,
     Text,
@@ -80,6 +81,52 @@ _ATTRIBUTE = re.compile(rf"({_NAME}){_WS}*={_WS}*(?:\"([^\"]*)\"|'([^']*)')")
 # Most events one step returns: keeps pull mode lazy and the events in
 # flight bounded however much input is buffered.
 _BATCH = 512
+# One tag of a skipped subtree, with the text in front of it, in one match
+# of _skip_scan():  text? '<' name (ws attr '=' quoted)? ws? '/'? '>'  and
+# text? '</' name ws? '>'.  Narrower still than _TOKEN: no "&" anywhere
+# (references are resolved, and rejected, by the character-level code),
+# at most one attribute (the duplicate-attribute check needs two).  The
+# first group is a non-whitespace character of the text, if it has one.
+_SKIP_TAG = re.compile(
+    r"(?:\s*+([^<&\s]))?[^<&]*+"
+    rf"<(?:/({_NAME}){_WS}*>"
+    rf"|({_NAME})(?:{_WS}+{_NAME}{_WS}*={_WS}*(?:\"[^\"<>&]*\"|'[^'<>&]*'))?{_WS}*(/?)>)"
+)
+
+
+class _Skip:
+    """The value of a :class:`SkipTrie` entry whose subtree nobody reads."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "SKIP"
+
+
+#: A child label whose whole subtree the parser may skip.
+SKIP = _Skip()
+
+
+class SkipTrie(dict):
+    """What a consumer reads below one element: the parser's skip contract.
+
+    ``{child label: node}`` for the children that are read, where a node is
+    another :class:`SkipTrie`, or ``None`` when the child's whole subtree is
+    read; :attr:`default` (normally :data:`SKIP`) stands for every label not
+    listed.  The trie a parser is given describes the document node, so
+    its labels are root element names.  A trie may be cyclic (recursive
+    element types).
+    """
+
+    __slots__ = ("default",)
+
+    def __init__(self, entries=(), default: object = SKIP) -> None:
+        super().__init__(entries)
+        self.default = default
+
+    def __repr__(self) -> str:
+        # One level: a cyclic trie has no finite nested rendering.
+        return f"SkipTrie({sorted(self)!r}, default={self.default!r:.20})"
 
 
 class _Incomplete(Exception):
@@ -157,6 +204,11 @@ class StreamingXMLParser:
         reported as :class:`Text` events instead of being dropped.
     chunk_size:
         Read granularity for file-like sources.
+    skip:
+        The :class:`SkipTrie` of the document node, or ``None`` (the
+        default) to deliver every event.  The subtree of an element its
+        trie node does not read arrives as :class:`SkippedSubtree` events
+        instead of its own events.
     """
 
     def __init__(
@@ -164,6 +216,7 @@ class StreamingXMLParser:
         source: Union[str, io.TextIOBase, None],
         keep_whitespace: bool = False,
         chunk_size: int = 1 << 16,
+        skip: Optional[SkipTrie] = None,
     ):
         if source is None:
             self._reader = None
@@ -201,15 +254,29 @@ class StreamingXMLParser:
         self._started = False
         self._finished = False
         self._open: List[str] = []  # names of the open elements, root first
+        # The skip-trie node of the document and of each open element
+        # above the first one whose whole subtree is read (node ``None``);
+        # ``_reading`` counts the open elements from that one down (the
+        # document counts when the whole document is read).
+        self._nodes: List[SkipTrie] = [] if skip is None else [skip]
+        self._reading = 1 if skip is None else 0
+        # Inside a skipped subtree: the depth of its parent (else -1), the
+        # element's name until its first piece is out, and the absolute
+        # offset the next piece starts at.
+        self._skip_base = -1
+        self._skip_name = ""
+        self._skip_at = 0
         self._saw_root = False
         self._text_parts: List[str] = []
         self.doctype_internal_subset: Optional[str] = None
         self.doctype_name: Optional[str] = None
 
     @classmethod
-    def incremental(cls, keep_whitespace: bool = False) -> "StreamingXMLParser":
+    def incremental(
+        cls, keep_whitespace: bool = False, skip: Optional[SkipTrie] = None
+    ) -> "StreamingXMLParser":
         """A push-mode parser: call :meth:`feed` / :meth:`close` on it."""
-        return cls(None, keep_whitespace=keep_whitespace)
+        return cls(None, keep_whitespace=keep_whitespace, skip=skip)
 
     # ------------------------------------------------------------------ I/O
 
@@ -371,10 +438,11 @@ class StreamingXMLParser:
         """Parse one step, returning its events (resumable on _Incomplete).
 
         One step is the document start, a batch of common tokens
-        (:meth:`_scan`), one markup construct (with any text preceding it),
-        or the document end.  State mutated before an :class:`_Incomplete`
-        escape is limited to already-complete text moved into
-        ``self._text_parts``, so re-entering is always safe.
+        (:meth:`_scan`) or of a skipped subtree's tags (:meth:`_skip_scan`),
+        one markup construct (with any text preceding it), or the document
+        end.  State mutated before an :class:`_Incomplete` escape is limited
+        to already-complete text moved into ``self._text_parts``, so
+        re-entering is always safe.
         """
         out: List[Event] = []
         if self._finished:
@@ -384,13 +452,22 @@ class StreamingXMLParser:
             out.append(StartDocument())
             return out
         self._compact()
+        skipping = self._skip_base >= 0
         # A step that scanned any tokens ends there: whatever stopped the
         # scan raises or stalls in a step of its own, after these events
         # were delivered.  (Text banked by a stall joins the slow step.)
         if self._open and not self._text_parts:
-            self._scan(out)
-            if out:
-                return out
+            if skipping:
+                tags: List[tuple] = []
+                pos = self._skip_scan(self._pos, tags)
+                if tags:
+                    self._pos = pos
+                    self._skip_piece(tags, out)
+                    return out
+            else:
+                self._scan(out)
+                if out:
+                    return out
         self._fill(1)
         if self._pos >= len(self._buffer):
             return self._finish_document(out)
@@ -421,19 +498,39 @@ class StreamingXMLParser:
             event, closed = self._parse_markup()
         except _Incomplete:
             if out:
-                return out
+                return self._skipped_events(out) if skipping else out
             raise
-        if event is None:
-            return out
+        if event is not None:
+            self._markup_event(event, closed, skipping, lt, out)
+        return self._skipped_events(out) if skipping else out
+
+    def _markup_event(
+        self, event: Event, closed: bool, skipping: bool, lt: int, out: List[Event]
+    ) -> None:
+        """Deliver the element event of the construct at buffer index ``lt``."""
         if type(event) is StartElement:
             if not self._open and self._saw_root:
                 raise XMLSyntaxError("multiple root elements", self._offset(self._pos))
             self._saw_root = True
+            name = event.name
+            child = None
+            if not skipping and not self._reading:
+                node = self._nodes[-1]
+                child = node.get(name, node.default)
+                if child is SKIP:
+                    self._pos = self._skip_from(name, "/" if closed else "", lt, self._pos, out)
+                    return
             out.append(event)
             if closed:
-                out.append(EndElement(event.name))
+                out.append(EndElement(name))
             else:
-                self._open.append(event.name)
+                self._open.append(name)
+                if skipping:
+                    pass
+                elif self._reading or child is None:
+                    self._reading += 1
+                else:
+                    self._nodes.append(child)
         elif type(event) is EndElement:
             if not self._open:
                 raise XMLSyntaxError(
@@ -445,10 +542,15 @@ class StreamingXMLParser:
                     self._offset(self._pos),
                 )
             self._open.pop()
+            if skipping:
+                pass
+            elif self._reading:
+                self._reading -= 1
+            else:
+                self._nodes.pop()
             out.append(event)
         else:  # pragma: no cover - defensive
             out.append(event)
-        return out
 
     def _scan(self, out: List[Event]) -> None:  # hot-loop
         """Append the events of the common tokens at the read position.
@@ -459,17 +561,24 @@ class StreamingXMLParser:
         every malformed tag, a tag that repeats an attribute name — and
         before a closing tag that does not match the open element or a
         reference that does not resolve, leaving each of them to
-        :meth:`_parse_markup`; and after the root element closes, because
-        depth-0 content is the step machine's business.
+        :meth:`_parse_markup`; after the root element closes, because
+        depth-0 content is the step machine's business; and after the first
+        piece of a skipped subtree that does not end in the buffer.
         """
         buffer = self._buffer
         pos = self._pos
         open_names = self._open
+        nodes = self._nodes
+        reading = self._reading
+        push_name, pop_name, push_node, pop_node = (
+            open_names.append, open_names.pop, nodes.append, nodes.pop
+        )
         keep_whitespace = self._keep_whitespace
         match = _TOKEN.match
         append = out.append
         resolve, find_attributes = resolve_entities, _ATTRIBUTE.findall
         text_event, start_event, end_event = Text, StartElement, EndElement
+        skip, skip_from = SKIP, self._skip_from
         limit = _BATCH - 3  # one more token adds at most three events
         # hot-loop-ok: entered once per batch; a reference that does not resolve ends the batch
         try:
@@ -495,18 +604,145 @@ class StreamingXMLParser:
                 if text:
                     append(text_event(text))
                 if closing is not None:
-                    open_names.pop()
+                    pop_name()
+                    if reading:
+                        reading -= 1
+                    else:
+                        pop_node()
                     append(end_event(closing))
                 else:
+                    child = None
+                    if not reading:
+                        node = nodes[-1]
+                        child = node.get(name, node.default)
+                        if child is skip:
+                            # hot-loop-ok: skipped start tags only
+                            pos = skip_from(name, empty, token.end(1), token.end(), out)
+                            if self._skip_base >= 0:  # the piece did not end the subtree
+                                break
+                            continue
                     append(start_event(name, attrs or ()))
                     if empty:
                         append(end_event(name))
                     else:
-                        open_names.append(name)
+                        push_name(name)
+                        if reading or child is None:
+                            reading += 1
+                        else:
+                            push_node(child)
                 pos = token.end()
         except XMLSyntaxError:
             pass  # _parse_markup meets the same reference and raises it
         self._pos = pos
+        self._reading = reading
+
+    # ------------------------------------------------------- skipped subtrees
+
+    def _skip_from(self, name: str, empty: str, lt: int, end: int, out: List[Event]) -> int:
+        """Skip the element whose start tag spans buffer indices ``lt:end``.
+
+        Appends its first (often only) :class:`SkippedSubtree` piece to
+        ``out`` and returns the buffer index after it.
+        """
+        opening = (None, None, name, empty)
+        if empty:
+            out.append(SkippedSubtree(name, (opening,), end - lt))
+            return end
+        self._open.append(name)
+        self._skip_base = len(self._open) - 1
+        self._skip_name = name
+        self._skip_at = self._offset(lt)
+        tags = [opening]
+        end = self._skip_scan(end, tags)
+        self._skip_piece(tags, out, end)
+        return end
+
+    def _skip_scan(self, pos: int, tags: List[tuple]) -> int:  # hot-loop
+        """Append the tags of the skipped subtree from buffer index ``pos``.
+
+        The region up to the subtree's first end-tag candidate (or the last
+        complete tag buffered) is taken with one ``findall`` when it is
+        clean: every "<" in it starts a :data:`_SKIP_TAG` tag, it holds no
+        "&", and its tags balance.  Otherwise the tags are taken one match
+        at a time up to the first one that is not clean — a reference, a
+        comment, PI or CDATA section, a tag with two or more attributes or
+        cut by the buffer end, a malformed tag, an end tag that does not
+        match the open element; the step machine then parses that one
+        construct with the character-level code, which alone raises, and
+        folds its events into the next piece.  Returns the buffer index
+        reached.
+        """
+        buffer = self._buffer
+        find = buffer.find
+        open_names = self._open
+        base = self._skip_base
+        push, pop = open_names.append, open_names.pop
+        close_at = find("</" + open_names[base], pos)
+        end = find(">", close_at) + 1 if close_at >= 0 else 0
+        if end <= 0:
+            end = buffer.rfind(">", pos) + 1
+        if end > pos and find("&", pos, end) < 0:
+            found = _SKIP_TAG.findall(buffer, pos, end)
+            if len(found) == buffer.count("<", pos, end):
+                saved = open_names[base:]
+                for _, close, name, empty in found:
+                    if close:
+                        if close != open_names[-1]:
+                            break
+                        pop()
+                    elif not empty:
+                        push(name)
+                else:
+                    tags += found
+                    return end
+                open_names[base:] = saved
+        match = _SKIP_TAG.match
+        append = tags.append
+        while True:
+            tag = match(buffer, pos)
+            if tag is None:
+                break
+            groups = tag.groups()
+            close = groups[1]
+            if close:
+                if close != open_names[-1]:
+                    break
+                pop()
+            elif not groups[3]:
+                push(groups[2])
+            append(groups)
+            pos = tag.end()
+            if len(open_names) == base:
+                break
+        return pos
+
+    def _skip_piece(self, tags: List[tuple], out: List[Event], pos: Optional[int] = None) -> None:
+        """Deliver ``tags`` as the next piece of the skipped subtree, which
+        ends at buffer index ``pos`` (the read position by default)."""
+        offset = self._offset(self._pos if pos is None else pos)
+        out.append(SkippedSubtree(self._skip_name, tuple(tags), offset - self._skip_at))
+        self._skip_name = ""
+        self._skip_at = offset
+        if len(self._open) == self._skip_base:
+            self._skip_base = -1
+
+    def _skipped_events(self, events: List[Event]) -> List[Event]:
+        """The events the character-level code parsed inside a skipped
+        subtree, as its next piece."""
+        tags: List[tuple] = []
+        for event in events:
+            kind = type(event)
+            if kind is StartElement:
+                tags.append((None, None, event.name, ""))
+            elif kind is EndElement:
+                tags.append((None, event.name, None, None))
+            elif kind is Text:
+                mark = event.text.strip()[:1]
+                if mark:
+                    tags.append((mark, None, None, None))
+        out: List[Event] = []
+        self._skip_piece(tags, out)
+        return out
 
     def _finish_document(self, out: List[Event]) -> List[Event]:
         # Trailing text is whitespace after the root, or raises here.

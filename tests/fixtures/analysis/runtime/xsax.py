@@ -1,6 +1,6 @@
 """Fixture whose path suffix matches REQUIRED_HOT: ``_end`` lost its marker.
 
-``XSAXReader.__next__`` and ``_start`` are marked, so the checker must
+``XSAXReader.__next__``, ``_start`` and ``_skipped`` are marked, so the checker must
 report exactly one HL005 here.
 """
 
@@ -13,4 +13,7 @@ class XSAXReader:
         return event
 
     def _end(self, event):
+        return event
+
+    def _skipped(self, event):  # hot-loop
         return event
