@@ -15,6 +15,7 @@ from repro.analysis.query.bounds import (
     classify_plan,
 )
 from repro.dtd.model import INFINITY
+from repro.runtime.bdf import describe_buffers
 from repro.runtime.plan import (
     BufferedEvalOp,
     ConstructorOp,
@@ -57,7 +58,7 @@ def _op_label(op: PlanOp, bound: Optional[HandlerBufferBound]) -> str:
         if op.buffer_whole:
             extras = "  (buffers whole subtree)"
         elif op.buffer_labels:
-            extras = "  (buffers: {0})".format(", ".join(sorted(op.buffer_labels)))
+            extras = "  (buffers: {0})".format(describe_buffers(op.buffer_labels, op.buffer_paths))
         return "process-stream {0} : {1}{2}".format(op.var, op.element_type, extras)
     if isinstance(op, OnHandlerOp):
         return "on {0} as {1}  [stream]".format(op.label, op.var)

@@ -8,7 +8,8 @@ on the fly; this engine exists to reproduce that comparison.
 
 The engine works in two phases:
 
-1. **Static projection-path extraction** (:func:`projection_paths`): every
+1. **Static projection-path extraction**
+   (:func:`repro.xquery.analysis.projection_paths`): every
    path in the query is resolved to a document-rooted path; loop sources
    contribute their *spine* (the elements must exist but their content is not
    needed), while paths whose nodes are returned, copied, or compared
@@ -26,8 +27,7 @@ than the DOM engine.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.engines.base import Engine, QueryResult
 from repro.runtime.buffers import BufferManager
@@ -35,159 +35,11 @@ from repro.runtime.stats import RuntimeStats
 from repro.xmlstream.events import EndElement, StartElement, Text
 from repro.xmlstream.parser import parse_events
 from repro.xmlstream.tree import XMLElement
-from repro.xquery.analysis import DOCUMENT_TYPE
-from repro.xquery.ast import (
-    AttributeStep,
-    ChildStep,
-    Comparison,
-    DescendantStep,
-    DOCUMENT_VARIABLE,
-    ElementConstructor,
-    ForExpr,
-    FunctionCall,
-    IfExpr,
-    LetExpr,
-    PathExpr,
-    SequenceExpr,
-    TextStep,
-    VarRef,
-    XQueryExpr,
-)
+from repro.xquery.analysis import ProjectionNode, projection_paths
+from repro.xquery.ast import DOCUMENT_VARIABLE
 from repro.xquery.evaluator import TreeEvaluator, make_document_node
 from repro.xquery.parser import parse_xquery
 from repro.engines.dom_engine import _CountingEvents, _items_to_xml
-
-
-class ProjectionNode:
-    """A node of the projection tree (one per document-rooted path step)."""
-
-    __slots__ = ("children", "keep_subtree")
-
-    def __init__(self) -> None:
-        self.children: Dict[str, "ProjectionNode"] = {}
-        self.keep_subtree = False
-
-    def child(self, label: str) -> "ProjectionNode":
-        if label not in self.children:
-            self.children[label] = ProjectionNode()
-        return self.children[label]
-
-    def paths(self, prefix: Tuple[str, ...] = ()) -> List[Tuple[Tuple[str, ...], bool]]:
-        """All (path, keep_subtree) pairs of this subtree (for tests/docs)."""
-        result: List[Tuple[Tuple[str, ...], bool]] = []
-        if prefix:
-            result.append((prefix, self.keep_subtree))
-        for label, child in sorted(self.children.items()):
-            result.extend(child.paths(prefix + (label,)))
-        return result
-
-
-def projection_paths(expr: XQueryExpr) -> ProjectionNode:
-    """Extract the projection tree of a query.
-
-    Variables are resolved to document-rooted paths; a variable bound through
-    a construct the analysis cannot follow (descendant or wildcard steps,
-    non-path let values) conservatively marks its binding node as a full
-    subtree.
-    """
-    root = ProjectionNode()
-    env: Dict[str, Optional[ProjectionNode]] = {DOCUMENT_VARIABLE: root}
-    _collect_projection(expr, env, root, value_context=True)
-    return root
-
-
-def _resolve_path(
-    path: PathExpr, env: Dict[str, Optional[ProjectionNode]]
-) -> Tuple[Optional[ProjectionNode], str]:
-    """Walk ``path`` through the projection tree.
-
-    Returns ``(final node, kind)`` where ``kind`` says how the final step
-    reached it: ``"node"`` (plain child steps), ``"attribute"`` (attributes
-    are kept with every projected element, so no subtree is needed),
-    ``"text"`` (the element's character data is needed) or ``"subtree"``
-    (descendant/wildcard step — everything below is needed).  ``None`` means
-    the variable itself is not trackable.
-    """
-    node = env.get(path.var)
-    if node is None:
-        return None, "node"
-    for step in path.steps:
-        if isinstance(step, ChildStep) and step.name != "*":
-            node = node.child(step.name)
-        elif isinstance(step, AttributeStep):
-            return node, "attribute"
-        elif isinstance(step, TextStep):
-            return node, "text"
-        else:
-            # Descendant or wildcard step: keep everything below this node.
-            node.keep_subtree = True
-            return node, "subtree"
-    return node, "node"
-
-
-def _mark_value_path(path: PathExpr, env: Dict[str, Optional[ProjectionNode]]) -> None:
-    node, kind = _resolve_path(path, env)
-    if node is not None and kind != "attribute":
-        node.keep_subtree = True
-
-
-def _collect_projection(
-    expr: XQueryExpr,
-    env: Dict[str, Optional[ProjectionNode]],
-    root: ProjectionNode,
-    value_context: bool,
-) -> None:
-    if isinstance(expr, PathExpr):
-        if value_context:
-            _mark_value_path(expr, env)
-        else:
-            _resolve_path(expr, env)
-        return
-    if isinstance(expr, VarRef):
-        if value_context:
-            node = env.get(expr.name)
-            if node is not None:
-                node.keep_subtree = True
-        return
-    if isinstance(expr, ForExpr):
-        source_node: Optional[ProjectionNode] = None
-        if isinstance(expr.source, PathExpr):
-            source_node, __ = _resolve_path(expr.source, env)
-        else:
-            _collect_projection(expr.source, env, root, value_context=True)
-        inner_env = dict(env)
-        inner_env[expr.var] = source_node
-        if expr.where is not None:
-            _collect_projection(expr.where, inner_env, root, value_context=True)
-        _collect_projection(expr.body, inner_env, root, value_context)
-        return
-    if isinstance(expr, LetExpr):
-        bound: Optional[ProjectionNode] = None
-        if isinstance(expr.value, PathExpr):
-            bound, __ = _resolve_path(expr.value, env)
-        elif isinstance(expr.value, VarRef):
-            bound = env.get(expr.value.name)
-        else:
-            _collect_projection(expr.value, env, root, value_context=True)
-        inner_env = dict(env)
-        inner_env[expr.var] = bound
-        _collect_projection(expr.body, inner_env, root, value_context)
-        return
-    if isinstance(expr, (Comparison, FunctionCall)):
-        for child in expr.children():
-            _collect_projection(child, env, root, value_context=True)
-        return
-    if isinstance(expr, IfExpr):
-        _collect_projection(expr.condition, env, root, value_context=True)
-        _collect_projection(expr.then_branch, env, root, value_context)
-        _collect_projection(expr.else_branch, env, root, value_context)
-        return
-    if isinstance(expr, (SequenceExpr, ElementConstructor)):
-        for child in expr.children():
-            _collect_projection(child, env, root, value_context)
-        return
-    for child in expr.children():
-        _collect_projection(child, env, root, value_context=True)
 
 
 class _StackEntry:

@@ -4,18 +4,31 @@
 structure, BDF for short, which defines those paths of the input document
 which need to be buffered."  (Section 3.2 of the paper.)
 
-Our BDF maps every ``process-stream`` variable of a FluX query to the set of
-child labels of that variable that buffered sub-expressions read:
+Our BDF maps every ``process-stream`` variable of a FluX query to the child
+labels of that variable that buffered sub-expressions read, and each such
+label to the paths below it that they read:
 
-* an ``on-first`` handler body ``for $a in $book/author return ...``
-  contributes ``author`` to the entry for ``$book``;
-* a whole-subtree dependency (the handler copies ``$book`` itself, or uses a
-  descendant/``text()`` step) sets the ``whole_subtree`` flag — the runtime
-  then materializes the entire element;
+* an ``on-first`` handler body ``for $a in $book/author return $a/last``
+  contributes ``author`` to the entry for ``$book``, with the path
+  ``author/last``: of every buffered ``author`` only the element, its
+  attributes and its ``last`` children are materialized;
+* a label is buffered whole when a bare reference, a descendant, wildcard
+  or ``text()`` step, or a copy reaches its node, and when an ``on`` handler
+  streams it too (the buffered child is replayed into the handler);
+* a whole-subtree dependency of the variable itself (the handler copies
+  ``$book``, or uses a descendant/``text()`` step on it) sets the
+  ``whole_subtree`` flag — the runtime then materializes the entire element;
 * labels consumed purely by streaming ``on`` handlers contribute nothing,
   which is exactly the saving over projection-style engines (compare
   Marian & Siméon [10]): data that can be processed on the fly is never
   buffered.
+
+The paths are the projection of :func:`repro.xquery.analysis
+.projection_paths`, rooted at the stream variable; the labels are the
+scheduler's ``dep`` sets (:func:`repro.xquery.analysis
+.child_label_dependencies`), which scheduling and the buffer bounds read.
+Projected buffers are checked against engines that do not project:
+``DomEngine`` and the frozen reference evaluator of the tests.
 
 The BDF is both a runtime artifact (the compiler attaches each entry to its
 ``process-stream`` operator) and an analysis result that tests and the
@@ -25,18 +38,27 @@ memory model in the benchmarks inspect directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.flux import (
     FBufferedExpr,
+    FCopyVar,
     FIf,
     FluxExpr,
     FluxQuery,
     FProcessStream,
-    OnFirstHandler,
     OnHandler,
 )
-from repro.xquery.analysis import WHOLE_SUBTREE, child_label_dependencies
+from repro.xquery.analysis import (
+    WHOLE_SUBTREE,
+    ProjectionNode,
+    child_label_dependencies,
+    projection_paths,
+)
+from repro.xquery.ast import XQueryExpr
+
+#: ``(path below the stream element, kept whole)`` pairs of the projected labels.
+BufferPaths = FrozenSet[Tuple[Tuple[str, ...], bool]]
 
 
 @dataclass
@@ -47,6 +69,11 @@ class BufferSpec:
     element_type: str
     labels: Set[str] = field(default_factory=set)
     whole_subtree: bool = False
+    #: What the buffered expressions read below the element (``None``
+    #: until one reads anything).
+    projection: Optional[ProjectionNode] = None
+    #: Child labels an ``on`` handler streams.
+    streamed: FrozenSet[str] = frozenset()
 
     def add_dependencies(self, deps: FrozenSet[str]) -> None:
         """Fold a dependency set (possibly containing the whole-subtree
@@ -61,12 +88,40 @@ class BufferSpec:
     def buffers_anything(self) -> bool:
         return self.whole_subtree or bool(self.labels)
 
+    def paths(self) -> BufferPaths:
+        """The paths materialized of every buffered label that is not
+        buffered whole, relative to the element.  Nothing is listed when
+        the whole element is buffered; a label is buffered whole when an
+        ``on`` handler streams it or its node is kept whole."""
+        if self.whole_subtree or self.projection is None:
+            return frozenset()
+        paths: List[Tuple[Tuple[str, ...], bool]] = []
+        for label in self.labels - self.streamed:
+            node = self.projection.children.get(label)
+            if node is not None and not node.keep_subtree:
+                paths.extend(node.paths((label,)))
+        return frozenset(paths)
+
     def describe(self) -> str:
         if self.whole_subtree:
             return f"${self.var} ({self.element_type}): whole subtree"
         if not self.labels:
             return f"${self.var} ({self.element_type}): nothing"
-        return f"${self.var} ({self.element_type}): {', '.join(sorted(self.labels))}"
+        return f"${self.var} ({self.element_type}): {describe_buffers(self.labels, self.paths())}"
+
+
+def describe_buffers(labels: Iterable[str], paths: BufferPaths) -> str:
+    """The buffered labels as ``explain`` prints them: a label buffered
+    whole by its name, a projected one by the leaves of its paths —
+    ``a/b/c`` when ``c`` is kept whole, ``a/b/c/@*`` when only ``c``'s
+    element and attributes are."""
+    inner = {path[:-1] for path, _ in paths}
+    projected = {path[0] for path, _ in paths}
+    entries = [label for label in labels if label not in projected]
+    entries.extend(
+        "/".join(path) + ("" if whole else "/@*") for path, whole in paths if path not in inner
+    )
+    return ", ".join(sorted(entries))
 
 
 class BufferDescriptionForest:
@@ -116,33 +171,36 @@ def build_bdf(query: FluxQuery) -> BufferDescriptionForest:
 
 def _walk(expr: FluxExpr, forest: BufferDescriptionForest, active_vars: List[FProcessStream]) -> None:
     if isinstance(expr, FProcessStream):
-        forest.spec_for(expr.var, expr.element_type)
+        spec = forest.spec_for(expr.var, expr.element_type)
         for handler in expr.handlers:
             if isinstance(handler, OnHandler):
+                spec.streamed |= {handler.label}
                 _walk(handler.body, forest, active_vars + [expr])
             else:
-                _collect_handler(handler, expr, forest, active_vars)
+                _collect_handler(handler.body, active_vars + [expr], forest)
                 _walk(handler.body, forest, active_vars + [expr])
         return
     if isinstance(expr, FIf):
         for stream in active_vars:
-            deps = child_label_dependencies(expr.condition, stream.var)
-            if deps:
-                forest.spec_for(stream.var, stream.element_type).add_dependencies(deps)
+            _read(expr.condition, stream, forest)
     if isinstance(expr, FBufferedExpr):
         for stream in active_vars:
-            deps = child_label_dependencies(expr.expr, stream.var)
-            if deps:
-                forest.spec_for(stream.var, stream.element_type).add_dependencies(deps)
+            _read(expr.expr, stream, forest)
     for child in expr.children():
         _walk(child, forest, active_vars)
 
 
+def _read(expr: XQueryExpr, stream: FProcessStream, forest: BufferDescriptionForest) -> None:
+    """Fold what ``expr`` reads of ``stream``'s element into its spec."""
+    deps = child_label_dependencies(expr, stream.var)
+    if deps:
+        spec = forest.spec_for(stream.var, stream.element_type)
+        spec.add_dependencies(deps)
+        spec.projection = projection_paths(expr, stream.var, spec.projection)
+
+
 def _collect_handler(
-    handler: OnFirstHandler,
-    stream: FProcessStream,
-    forest: BufferDescriptionForest,
-    active_vars: List[FProcessStream],
+    body: FluxExpr, streams: List[FProcessStream], forest: BufferDescriptionForest
 ) -> None:
     """Collect the dependencies of an ``on-first`` handler body.
 
@@ -150,33 +208,17 @@ def _collect_handler(
     degenerate schedules) enclosing stream variables; all of them get their
     buffers registered.
     """
-    spec = forest.spec_for(stream.var, stream.element_type)
-    for target in active_vars + [stream]:
-        deps = _flux_dependencies(handler.body, target.var)
-        if deps:
-            forest.spec_for(target.var, target.element_type).add_dependencies(deps)
-    # Ensure the spec exists even if the handler buffers nothing (constants).
-    _ = spec
-
-
-def _flux_dependencies(body: FluxExpr, var: str) -> FrozenSet[str]:
-    deps: Set[str] = set()
-    _collect_flux_deps(body, var, deps)
-    if WHOLE_SUBTREE in deps:
-        return frozenset({WHOLE_SUBTREE}) | frozenset(d for d in deps if d != WHOLE_SUBTREE)
-    return frozenset(deps)
-
-
-def _collect_flux_deps(body: FluxExpr, var: str, out: Set[str]) -> None:
     if isinstance(body, FBufferedExpr):
-        out.update(child_label_dependencies(body.expr, var))
+        for stream in streams:
+            _read(body.expr, stream, forest)
         return
     if isinstance(body, FIf):
-        out.update(child_label_dependencies(body.condition, var))
-    from repro.core.flux import FCopyVar  # local import to avoid cycle at module load
-
-    if isinstance(body, FCopyVar) and body.var == var:
-        out.add(WHOLE_SUBTREE)
+        for stream in streams:
+            _read(body.condition, stream, forest)
+    if isinstance(body, FCopyVar):
+        for stream in streams:
+            if body.var == stream.var:
+                forest.spec_for(stream.var).whole_subtree = True
         return
     for child in body.children():
-        _collect_flux_deps(child, var, out)
+        _collect_handler(child, streams, forest)

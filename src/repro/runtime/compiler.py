@@ -13,7 +13,8 @@ Concretely the compiler
 2. registers every ``on-first`` condition with the XSAX
    :class:`~repro.runtime.xsax.ConditionRegistry`,
 3. translates every FluX node into its physical operator, attaching the BDF
-   entry and the handler dispatch table to each ``process-stream``.
+   entry (buffered labels and the paths materialized below them) and the
+   handler dispatch table to each ``process-stream``.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ class QueryCompiler:
             on_index=on_index,
             buffer_labels=buffer_labels,
             buffer_whole=buffer_whole,
+            buffer_paths=spec.paths() if spec is not None else frozenset(),
         )
 
     def _compile_on_first(

@@ -5,9 +5,9 @@ into a tree of the operators defined here.  The operators mirror the FluX
 AST but carry everything the streamed evaluator needs precomputed:
 
 * ``ProcessStreamOp`` knows, per child label, which handler consumes it
-  (``on_index``), which labels must be buffered (from the BDF), whether the
-  whole element must be materialized, and the registered XSAX condition id of
-  every ``on-first`` handler;
+  (``on_index``), which labels must be buffered and which paths below them
+  (from the BDF), whether the whole element must be materialized, and the
+  registered XSAX condition id of every ``on-first`` handler;
 * handler order is explicit (``index``), because output order is defined by
   the original XQuery sequence order and the evaluator fires ``on-first``
   handlers strictly in that order.
@@ -155,6 +155,11 @@ class ProcessStreamOp(PlanOp):
     buffer_labels: FrozenSet[str]
     #: whether the whole element (children and text) must be materialized
     buffer_whole: bool
+    #: ``(path, kept whole)`` pairs below the element: what is materialized
+    #: of each buffered label listed here (:meth:`BufferSpec.paths`); a
+    #: buffered label listed nowhere is materialized whole, as it is in
+    #: plans pickled before the field existed
+    buffer_paths: FrozenSet[Tuple[Tuple[str, ...], bool]] = frozenset()
 
     def children(self) -> Tuple[PlanOp, ...]:
         return self.handlers

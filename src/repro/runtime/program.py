@@ -11,7 +11,8 @@ with its :class:`~repro.runtime.evaluator.StreamedEvaluator`.
   operator is a generator function, suspending while its source is starved.
 * A ``process-stream`` is one loop over its element's children.  For every
   arriving child it materializes the child into the scope's buffers when the
-  buffer description forest requires it; fires pending ``on-first``
+  buffer description forest requires it — only the paths the forest lists
+  below it, when it lists any, draining the rest; fires pending ``on-first``
   handlers, strictly in handler order, that are satisfied and whose output
   precedes the child's (their index is smaller than that of the child's
   ``on`` handler); then dispatches the child through a ``{label: handler}``
@@ -27,7 +28,7 @@ with its :class:`~repro.runtime.evaluator.StreamedEvaluator`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import EvaluationError, XMLSyntaxError
 from repro.runtime.buffered import LoweredExpr
@@ -170,8 +171,21 @@ def _lower_on(handler: OnHandlerOp, plan: PhysicalPlan) -> Callable:
 _COPY = object()
 
 
+def _path_tries(paths: FrozenSet[Tuple[Tuple[str, ...], bool]]) -> Dict[str, dict]:
+    """``label -> trie`` of every projected label: a trie maps a child name
+    to its own trie, or to ``None`` when that child is kept whole."""
+    tries: Dict[str, dict] = {}
+    for path, whole in sorted(paths):  # a path sorts after its prefixes
+        node = tries
+        for name in path[:-1]:
+            node = node[name]
+        node[path[-1]] = None if whole else {}
+    return tries
+
+
 def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
     var, buffer_whole, buffer_labels = op.var, op.buffer_whole, op.buffer_labels
+    projected = _path_tries(op.buffer_paths).get
     children: Dict[str, Tuple[int, object]] = {}
     for label, index in op.on_index.items():
         handler = op.handlers[index]
@@ -214,7 +228,7 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
                 index, handler = children.get(label, unhandled)
                 subtree = None
                 if whole or label in buffer_labels:
-                    subtree = yield from _materialize(event, source)
+                    subtree = yield from _materialize(event, source, projected(label))
                     if whole:
                         buffers.append_full_child(subtree)
                     else:
@@ -378,10 +392,13 @@ def _copy(run: StreamedEvaluator, var: str):
     scope.consumed = True
 
 
-def _materialize(event: StartElement, source: Iterator[Event]):
-    """Build the subtree rooted at ``event`` by consuming its events."""
+def _materialize(event: StartElement, source: Iterator[Event], trie: Optional[dict]):
+    """Build the subtree rooted at ``event`` by consuming its events: all of
+    it when ``trie`` is ``None``, else the elements on the trie's paths with
+    their attributes, and the whole of those it keeps whole."""
     root = XMLElement(event.name, event.attrs)
-    stack: List[XMLElement] = [root]
+    stack: List[Tuple[XMLElement, Optional[dict]]] = [(root, trie)]
+    dropped = 0  # how deep the events are inside a child left out
     while stack:
         try:
             item = next(source)
@@ -391,14 +408,27 @@ def _materialize(event: StartElement, source: Iterator[Event]):
         except StopIteration:
             break
         kind = type(item)
-        if kind is StartElement:
+        if dropped:
+            if kind is StartElement:
+                dropped += 1
+            elif kind is EndElement:
+                dropped -= 1
+        elif kind is StartElement:
+            parent, paths = stack[-1]
+            if paths is not None:
+                if item.name not in paths:
+                    dropped = 1
+                    continue
+                paths = paths[item.name]
             child = XMLElement(item.name, item.attrs)
-            stack[-1].append(child)
-            stack.append(child)
+            parent.append(child)
+            stack.append((child, paths))
         elif kind is EndElement:
             stack.pop()
         elif kind is Text:
-            stack[-1].append_text(item.text)
+            parent, paths = stack[-1]
+            if paths is None:
+                parent.append_text(item.text)
     return root
 
 

@@ -66,7 +66,6 @@ import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dtd.validator import StreamingValidator
-from repro.engines.projection_engine import ProjectionNode, projection_paths
 from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.plan import (
     CopyVarOp,
@@ -77,7 +76,7 @@ from repro.runtime.plan import (
 from repro.service.metrics import PassMetrics
 from repro.xmlstream.events import EndElement, Event, SkippedSubtree, StartElement, Text
 from repro.xmlstream.parser import SKIP, SkipTrie
-from repro.xquery.analysis import WHOLE_SUBTREE
+from repro.xquery.analysis import WHOLE_SUBTREE, ProjectionNode, projection_paths
 
 
 def _walk(op: PlanOp) -> Iterable[PlanOp]:

@@ -9,6 +9,10 @@ The optimizer and the FluX scheduler need a handful of classical analyses:
 * :func:`child_label_dependencies` — for a given stream variable, which child
   labels (first path steps) an expression touches; this is the ``dep`` set of
   the scheduling algorithm and the basis of the buffer description forest;
+* :func:`projection_paths` — the paths below a variable's node an expression
+  reads, as a trie (Marian & Siméon's projection): what the projection
+  engine materializes of the document and the buffer description forest of
+  each buffered label;
 * :func:`variable_element_types` — a static type environment mapping each
   loop variable to the DTD element type it ranges over, which is what makes
   cardinality/order/co-occurrence constraints applicable to paths.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.dtd.schema import DTD
 from repro.xquery.ast import (
@@ -223,6 +227,129 @@ def _collect_deps(expr: XQueryExpr, var: str, out: Set[str]) -> None:
         return
     for child in expr.children():
         _collect_deps(child, var, out)
+
+
+# ---------------------------------------------------------- path projection
+
+
+class ProjectionNode:
+    """A node of a projection trie: one path of child steps below the root
+    variable's node.
+
+    A node with ``keep_subtree`` is needed whole (its text and everything
+    below it); any other node is a *spine* node: its element and attributes
+    must exist, its content only as far as its children say.
+    """
+
+    __slots__ = ("children", "keep_subtree")
+
+    def __init__(self) -> None:
+        self.children: Dict[str, "ProjectionNode"] = {}
+        self.keep_subtree = False
+
+    def child(self, label: str) -> "ProjectionNode":
+        if label not in self.children:
+            self.children[label] = ProjectionNode()
+        return self.children[label]
+
+    def paths(self, prefix: Tuple[str, ...] = ()) -> List[Tuple[Tuple[str, ...], bool]]:
+        """All ``(path, keep_subtree)`` pairs of this subtree, ``prefix``
+        included when not empty; nothing below a kept node is listed."""
+        result: List[Tuple[Tuple[str, ...], bool]] = []
+        if prefix:
+            result.append((prefix, self.keep_subtree))
+        if not self.keep_subtree:
+            for label, child in sorted(self.children.items()):
+                result.extend(child.paths(prefix + (label,)))
+        return result
+
+
+def projection_paths(
+    expr: XQueryExpr, var: str = DOCUMENT_VARIABLE, root: Optional[ProjectionNode] = None
+) -> ProjectionNode:
+    """The projection trie of what ``expr`` reads below ``$var``'s node,
+    folded into ``root`` when one is given.
+
+    Loop sources contribute their spine; a path whose nodes are returned,
+    copied, compared or passed to a function keeps the subtree of its last
+    element step, and so does a descendant, wildcard or ``text()`` step
+    anywhere; an attribute step adds nothing (attributes come with every
+    element).  Variables are followed through ``for`` and ``let`` chains,
+    shadowing included; one bound to what the analysis cannot follow (a
+    source that is not a path) is read in full where it is bound.
+    """
+    if root is None:
+        root = ProjectionNode()
+    _collect_projection(expr, {var: root})
+    return root
+
+
+def _resolve_path(
+    path: PathExpr, env: Dict[str, Optional[ProjectionNode]]
+) -> Tuple[Optional[ProjectionNode], bool]:
+    """Walk ``path`` through the projection trie: its last node (``None``
+    when the variable is not tracked), and whether it ended on an
+    attribute step."""
+    node = env.get(path.var)
+    if node is None:
+        return None, False
+    for step in path.steps:
+        if isinstance(step, ChildStep) and step.name != "*":
+            node = node.child(step.name)
+        elif isinstance(step, AttributeStep):
+            return node, True
+        else:
+            # A descendant, wildcard or text() step: everything below is needed.
+            node.keep_subtree = True
+            return node, False
+    return node, False
+
+
+def _bind(path: PathExpr, env: Dict[str, Optional[ProjectionNode]]) -> Optional[ProjectionNode]:
+    """The node a variable bound by ``path`` ranges over; ``None`` (nothing
+    to track) for attributes, which come with the element the path's spine
+    already keeps."""
+    node, attribute = _resolve_path(path, env)
+    return None if attribute else node
+
+
+def _collect_projection(expr: XQueryExpr, env: Dict[str, Optional[ProjectionNode]]) -> None:
+    if isinstance(expr, PathExpr):
+        node, attribute = _resolve_path(expr, env)
+        if node is not None and not attribute:
+            node.keep_subtree = True
+        return
+    if isinstance(expr, VarRef):
+        node = env.get(expr.name)
+        if node is not None:
+            node.keep_subtree = True
+        return
+    if isinstance(expr, ForExpr):
+        source: Optional[ProjectionNode] = None
+        if isinstance(expr.source, PathExpr):
+            source = _bind(expr.source, env)
+        else:
+            _collect_projection(expr.source, env)
+        inner = dict(env)
+        inner[expr.var] = source
+        if expr.where is not None:
+            _collect_projection(expr.where, inner)
+        _collect_projection(expr.body, inner)
+        return
+    if isinstance(expr, LetExpr):
+        bound: Optional[ProjectionNode] = None
+        if isinstance(expr.value, PathExpr):
+            bound = _bind(expr.value, env)
+        elif isinstance(expr.value, VarRef):
+            bound = env.get(expr.value.name)
+        else:
+            _collect_projection(expr.value, env)
+        inner = dict(env)
+        inner[expr.var] = bound
+        _collect_projection(expr.body, inner)
+        return
+    for child in expr.children():
+        _collect_projection(child, env)
 
 
 def depends_on_variable(expr: XQueryExpr, var: str) -> bool:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -779,6 +781,21 @@ class TestExplainAnalyzer:
         assert "FANOUT" in captured.out
         assert "on-first past(" in captured.out
         assert "== Buffering decisions ==" in captured.out
+
+    def test_explain_prints_the_paths_a_join_buffers(self, tmp_path, capsys):
+        query, dtd = tmp_path / "a3.xq", tmp_path / "auction.dtd"
+        query.write_text(get_query("AUC-A3").xquery)
+        dtd.write_text(AUCTION_DTD)
+        assert main(["explain", "-q", str(query), "-d", str(dtd)]) == 0
+        out = capsys.readouterr().out
+        paths = (
+            "closed_auctions/closed_auction/buyer/@*, closed_auctions/closed_auction/price, "
+            "people/person/name"
+        )
+        forest = out[out.index("== Buffer description forest =="):out.index("== Safety ==")]
+        assert f"(site): {paths}\n" in forest
+        dag = re.search(r"process-stream __hop\d+ : site  \(buffers: (.*)\)\n", out)
+        assert dag is not None and dag.group(1) == paths
 
     def test_explain_missing_query_file_is_exit_2(self, files, capsys):
         exit_code = main(["explain", "-q", str(files["dir"] / "missing.xq"),

@@ -99,6 +99,20 @@ class TestProjectionEngine:
         assert result.output == "<years>1994 2000 1999</years>"
         assert result.peak_buffer_bytes < len(paper_document) // 2
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "<r>{ for $t in $ROOT/bib/book/title/text() return <x/> }</r>",
+            "<r>{ for $y in $ROOT/bib/book/@year return <x>{ $y }</x> }</r>",
+        ],
+    )
+    def test_loops_over_text_and_attributes_match_dom(self, paper_document, query):
+        # A loop over text() nodes needs the text: it was once projected
+        # away, and the loop then ran zero times.
+        projected = ProjectionEngine().execute(query, paper_document)
+        assert projected.output == DomEngine().execute(query, paper_document).output
+        assert projected.output.count("<x>") == 3
+
     def test_query_not_touching_document(self, paper_document):
         result = ProjectionEngine().execute("<hello/>", paper_document)
         assert result.output == "<hello></hello>"

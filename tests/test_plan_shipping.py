@@ -21,6 +21,7 @@ from repro.engines.dom_engine import DomEngine
 from repro.engines.flux_engine import FluxEngine
 from repro.runtime.compiler import CompiledQueryPlan, compile_query
 from repro.runtime.evaluator import StreamedEvaluator
+from repro.runtime.plan import ProcessStreamOp
 from repro.runtime.plan_cache import PlanArtifact, PlanCache, cache_key, structure_key
 from repro.service import ProcessServicePool, QueryService
 from repro.workloads.bibgen import generate_bibliography
@@ -35,6 +36,12 @@ WORKLOADS = {
     "xmark": (AUCTION_DTD, queries_for_workload("auction"),
               lambda: generate_auction_site(scale=0.1, seed=42)),
 }
+
+
+def _operators(op):
+    yield op
+    for child in op.children():
+        yield from _operators(child)
 
 
 def _workload(name):
@@ -334,6 +341,36 @@ class TestCacheSnapshots:
         assert fresh.stats.preloaded == 0
         _, from_cache = fresh.get_or_compile(specs[1].xquery, pipeline)
         assert not from_cache
+
+    def test_plans_pickled_before_buffer_paths_load_and_buffer_whole_labels(self, tmp_path):
+        # A snapshot written before process-streams carried buffer paths:
+        # its operators and BDF entries have no such fields.  They load
+        # with the defaults, which materialize every buffered label whole.
+        query = get_query("AUC-A3").xquery
+        document = generate_auction_site(scale=0.3, seed=5)
+        cache = PlanCache(capacity=4)
+        entry, _ = cache.get_or_compile(query, OptimizerPipeline(AUCTION_DTD))
+        projected = FluxEngine(AUCTION_DTD).compile(query).execute(document)
+        for op in _operators(entry.plan.root):
+            op.__dict__.pop("buffer_paths", None)
+        for spec in entry.plan.bdf:
+            del spec.__dict__["projection"], spec.__dict__["streamed"]
+        path = str(tmp_path / "plans.bin")
+        cache.dump(path)
+
+        fresh = PlanCache(capacity=4)
+        assert fresh.load(path) == 1
+        service = QueryService(AUCTION_DTD, plan_cache=fresh)
+        service.register(query, key="q")
+        result = service.run_pass(document)["q"]
+        assert fresh.stats.misses == 0
+        assert result.output == projected.output
+        # The whole people and closed_auctions sections, as before.
+        assert result.stats.peak_buffer_bytes == 6221 > projected.stats.peak_buffer_bytes
+        plan = fresh.get_or_compile(query, OptimizerPipeline(AUCTION_DTD))[0].plan
+        streams = [op for op in _operators(plan.root) if isinstance(op, ProcessStreamOp)]
+        assert streams and not any("buffer_paths" in op.__dict__ for op in streams)
+        assert "(site): closed_auctions, people\n" in plan.bdf.describe() + "\n"
 
     def test_missing_file_is_an_error_not_an_empty_cache(self, tmp_path):
         cache = PlanCache()

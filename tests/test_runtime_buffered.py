@@ -26,7 +26,7 @@ from repro.workloads import generate_auction_site, get_query, queries_for_worklo
 from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG
 from repro.xmlstream.parser import parse_events
 from repro.xmlstream.serializer import serialize_tree
-from repro.xmlstream.tree import parse_tree
+from repro.xmlstream.tree import XMLElement, parse_tree
 from repro.xquery.evaluator import TreeEvaluator, compare_atomic, make_document_node
 from repro.xquery.parser import parse_xquery
 
@@ -283,10 +283,29 @@ def test_the_table_is_rebuilt_per_firing_and_the_ledger_does_not_see_it():
     assert first.output == DomEngine(AUCTION_DTD).execute(query, document).output
     assert join_counters(first.stats) == join_counters(second.stats)
     assert first.stats.join_build_rows > 0
-    # Pinned from the commit before the join: positions and shared key
-    # strings add rows to the counters and no bytes to the buffer ledger.
-    assert first.stats.peak_buffer_bytes == 6221
-    assert first.stats.buffered_nodes == 171
+    # Positions and shared key strings add rows to the counters and no
+    # bytes to the buffer ledger: the ledger holds exactly the two sections
+    # the join reads, projected to the paths it reads.  The whole sections
+    # (6221 B, 171 nodes) were the ledger before buffers were projected.
+    site = parse_tree(document)
+    sections = [
+        projected(site.first_child("people"), {"person": {"name": None}}),
+        projected(site.first_child("closed_auctions"),
+                  {"closed_auction": {"buyer": {}, "price": None}}),
+    ]
+    assert first.stats.peak_buffer_bytes == sum(s.size_estimate() for s in sections) == 2830
+    assert first.stats.buffered_nodes == sum(s.node_count() for s in sections) == 86
+
+
+def projected(element, paths):
+    """``element`` with only the children on ``paths``: name -> the paths
+    below it, or ``None`` for the whole child."""
+    copy = XMLElement(element.tag, element.attrs)
+    for child in element.child_elements():
+        if child.tag in paths:
+            below = paths[child.tag]
+            copy.append(child if below is None else projected(child, below))
+    return copy
 
 
 # ----------------------------------------------------- reference engines
