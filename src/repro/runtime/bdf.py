@@ -177,7 +177,7 @@ def _walk(expr: FluxExpr, forest: BufferDescriptionForest, active_vars: List[FPr
                 spec.streamed |= {handler.label}
                 _walk(handler.body, forest, active_vars + [expr])
             else:
-                _collect_handler(handler.body, active_vars + [expr], forest)
+                _mark_copies(handler.body, active_vars + [expr], forest)
                 _walk(handler.body, forest, active_vars + [expr])
         return
     if isinstance(expr, FIf):
@@ -199,26 +199,20 @@ def _read(expr: XQueryExpr, stream: FProcessStream, forest: BufferDescriptionFor
         spec.projection = projection_paths(expr, stream.var, spec.projection)
 
 
-def _collect_handler(
+def _mark_copies(
     body: FluxExpr, streams: List[FProcessStream], forest: BufferDescriptionForest
 ) -> None:
-    """Collect the dependencies of an ``on-first`` handler body.
+    """Buffer a stream variable whole where an ``on-first`` handler body
+    copies it.
 
-    The body may reference the handler's own stream variable as well as (in
-    degenerate schedules) enclosing stream variables; all of them get their
-    buffers registered.
+    The body may copy the handler's own stream variable as well as (in
+    degenerate schedules) an enclosing one; what the body's buffered
+    expressions read is folded by :func:`_walk`.
     """
-    if isinstance(body, FBufferedExpr):
-        for stream in streams:
-            _read(body.expr, stream, forest)
-        return
-    if isinstance(body, FIf):
-        for stream in streams:
-            _read(body.condition, stream, forest)
     if isinstance(body, FCopyVar):
         for stream in streams:
             if body.var == stream.var:
                 forest.spec_for(stream.var).whole_subtree = True
         return
     for child in body.children():
-        _collect_handler(child, streams, forest)
+        _mark_copies(child, streams, forest)

@@ -344,3 +344,64 @@ class TestFleetGroupRouting:
             # ...and its output is byte-identical to the solo run of the
             # structure's base query.
             assert shared[query.key] == bib_solo[specs[query.structure].key]
+
+
+class TestLoopSourceRouting:
+    """The routing trie of a loop variable bound to attributes or text.
+
+    The group projection (``PlanProfile.projection``) and the buffer
+    description forest share one path walker.  A variable bound to an
+    attribute path is routed like the attribute path itself: its element is
+    a spine node, so the element's content is pruned.  A loop over
+    ``text()`` keeps the element's text even when the body never reads the
+    variable, since the number of iterations depends on it.
+    """
+
+    BY_ATTRIBUTE = (
+        "<r>{ for $b in $ROOT/bib/book return "
+        "for $y in $b/@year return <y>{ $y }</y> }</r>"
+    )
+    BY_PATH = "<r>{ for $b in $ROOT/bib/book return <y>{ $b/@year }</y> }</r>"
+    OVER_TEXT = (
+        "<r>{ for $b in $ROOT/bib/book return "
+        "for $t in $b/title/text() return <t/> }</r>"
+    )
+    OTHER = "<r>{ for $b in $ROOT/bib/book return $b/price }</r>"
+
+    @staticmethod
+    def _trie(text):
+        from repro.core.optimizer import OptimizerPipeline
+        from repro.runtime.compiler import compile_query
+        from repro.service.dispatcher import PlanProfile
+
+        entry = compile_query(text, pipeline=OptimizerPipeline(BIB_DTD_STRONG))
+        return PlanProfile(entry).projection.paths()
+
+    def test_attribute_binding_keeps_only_the_spine(self):
+        spine = [(("bib",), False), (("bib", "book"), False)]
+        assert self._trie(self.BY_ATTRIBUTE) == spine
+        assert self._trie(self.BY_PATH) == spine
+
+    def test_text_loop_keeps_the_element_text(self):
+        assert self._trie(self.OVER_TEXT) == [
+            (("bib",), False),
+            (("bib", "book"), False),
+            (("bib", "book", "title"), True),
+        ]
+
+    @pytest.mark.parametrize("face", FACES)
+    def test_served_like_solo_with_attribute_routing(self, bib_document, face):
+        queries = [
+            ("attr", self.BY_ATTRIBUTE),
+            ("path", self.BY_PATH),
+            ("text", self.OVER_TEXT),
+            ("other", self.OTHER),
+        ]
+        outputs, forwarded = _run_face(face, BIB_DTD_STRONG, queries, [bib_document])
+        engine = FluxEngine(BIB_DTD_STRONG)
+        for key, text in queries:
+            assert outputs[key] == engine.execute(text, bib_document).output, key
+        assert outputs["text"].count("<t>") == bib_document.count("<title>")
+        # The attribute binding sees what the attribute path sees: book
+        # start and end tags, none of the books' content.
+        assert forwarded["attr"] == forwarded["path"] < forwarded["other"]
