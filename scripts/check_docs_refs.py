@@ -39,10 +39,6 @@ _SCRIPT_DIRS = ("", "benchmarks", "scripts", "tests")
 
 #: Bare backticked names that must exist as `class <name>` under src/.
 _CLASS_LIKE = re.compile(r"^[A-Z][A-Za-z0-9]+$")
-#: Lint finding codes (`LD001`): must exist as string literals under src/.
-_FINDING_CODE = re.compile(r"^[A-Z]{2}\d{3}$")
-#: A finding-code family (`LD0xx`): shorthand, never checked literally.
-_CODE_FAMILY = re.compile(r"^[A-Z]{2}\dxx$")
 #: Dotted references: `Owner.member` or `pkg.mod.Symbol`.
 _DOTTED = re.compile(r"^[A-Za-z_][\w.]*\.[A-Za-z_]\w*$")
 #: References that are CLI flags, literals, or prose — never checked.
@@ -100,13 +96,7 @@ def check_document(relpath: str, source: str) -> "tuple[int, List[str]]":
         ref = ref.strip()
         if not ref or ref.startswith(".") or _SKIP.search(ref):
             continue
-        if _CODE_FAMILY.match(ref):
-            continue
-        if _FINDING_CODE.match(ref):
-            checked += 1
-            if f'"{ref}"' not in source:
-                failures.append(f"{relpath}: finding code not defined under src/: {ref}")
-        elif _is_path(ref):
+        if _is_path(ref):
             checked += 1
             if not _path_resolves(ref):
                 failures.append(f"{relpath}: path does not exist: {ref}")

@@ -1,242 +1,40 @@
-"""In-repo static analysis: the ``repro lint`` suite.
+"""Static query analyzer: buffer bounds.
 
-The paper's contribution is static analysis of queries before any data
-flows; this package applies the same discipline to the reproduction's
-own implementation.  Four project-specific checkers run over
-``src/repro`` (all stdlib, :mod:`ast`-based — see the module docstrings
-for the rule details and finding codes):
+The analyzer runs at compile time over the optimized physical plan plus
+the DTD and answers the question the paper's whole approach revolves around: **how
+much does each buffered region hold?**  :mod:`.bounds` lifts the
+per-label occurrence bounds of the content models
+(:func:`repro.dtd.automaton.axis_max_count`) over the element graph and
+classifies every ``on-first`` handler the scheduler emitted as ``CONST``
+(statically bounded), ``FANOUT`` (one repeating axis), or ``DOC``
+(unbounded or recursive).
 
-* :class:`~repro.analysis.lock_discipline.LockDisciplineChecker`
-  (``LD0xx``) — guarded-by lock discipline for the serving stack.
-* :class:`~repro.analysis.hot_loop.HotLoopChecker` (``HL0xx``) —
-  allocation/lookup/isinstance/try purity of ``# hot-loop`` functions.
-* :class:`~repro.analysis.async_blocking.AsyncBlockingChecker`
-  (``AB0xx``) — no blocking calls inside ``async def``.
-* :class:`~repro.analysis.pickle_safety.PickleSafetyChecker`
-  (``PS0xx``) — every type reachable from the shipped plan pickles.
-
-Entry points: :func:`run_lint` (programmatic), ``repro lint`` (CLI),
-both honouring the committed baseline (``scripts/lint_baseline.json``).
+:mod:`.explain` renders the plan DAG and the bounds for ``repro explain``.
 """
 
-from __future__ import annotations
-
-import json
-import os
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-from repro.analysis.async_blocking import AsyncBlockingChecker
-from repro.analysis.core import (
-    BASELINE_VERSION,
-    Checker,
-    Finding,
-    Fingerprint,
-    SourceFile,
-    apply_baseline,
-    iter_python_files,
-    load_baseline,
-    run_checkers,
-    write_baseline,
+from repro.analysis.bounds import (
+    CONST,
+    DOC,
+    FANOUT,
+    REPEAT_ESTIMATE,
+    BufferedAxis,
+    HandlerBufferBound,
+    PlanBufferAnalysis,
+    classify_plan,
+    estimate_count,
 )
-from repro.analysis.hot_loop import HotLoopChecker
-from repro.analysis.lock_discipline import LockDisciplineChecker
-from repro.analysis.pickle_safety import PickleSafetyChecker
+from repro.analysis.explain import explain_compiled, render_plan
 
 __all__ = [
-    "AsyncBlockingChecker",
-    "BASELINE_VERSION",
-    "Checker",
-    "Finding",
-    "Fingerprint",
-    "HotLoopChecker",
-    "LintResult",
-    "LockDisciplineChecker",
-    "PickleSafetyChecker",
-    "SourceFile",
-    "all_codes",
-    "apply_baseline",
-    "default_checkers",
-    "default_lint_root",
-    "iter_python_files",
-    "load_baseline",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "run_checkers",
-    "run_lint",
-    "write_baseline",
+    "CONST",
+    "DOC",
+    "FANOUT",
+    "REPEAT_ESTIMATE",
+    "BufferedAxis",
+    "HandlerBufferBound",
+    "PlanBufferAnalysis",
+    "classify_plan",
+    "estimate_count",
+    "explain_compiled",
+    "render_plan",
 ]
-
-
-def default_checkers() -> List[Checker]:
-    """Fresh instances of the four project checkers (single-run objects)."""
-    return [
-        LockDisciplineChecker(),
-        HotLoopChecker(),
-        AsyncBlockingChecker(),
-        PickleSafetyChecker(),
-    ]
-
-
-def all_codes() -> Dict[str, str]:
-    """Every documented finding code mapped to its one-line description."""
-    codes: Dict[str, str] = {}
-    for checker in default_checkers():
-        codes.update(checker.codes)
-    return codes
-
-
-def default_lint_root() -> str:
-    """The installed ``repro`` package directory (what ``repro lint`` scans)."""
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-class LintResult:
-    """Outcome of one lint run: findings split against the baseline.
-
-    ``stale`` lists baseline fingerprints that no current finding matches
-    — dead suppressions.  A fixed violation must leave the baseline too,
-    or the suppression would silently swallow a future regression with
-    the same fingerprint (``repro lint --check-baseline`` fails on them).
-    """
-
-    def __init__(
-        self,
-        findings: List[Finding],
-        suppressed: int,
-        errors: List[str],
-        stale: Optional[List[Fingerprint]] = None,
-    ) -> None:
-        self.findings = findings
-        self.suppressed = suppressed
-        self.errors = errors
-        self.stale = list(stale or [])
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings and not self.errors
-
-    def failing(self, fail_on: Optional[Set[str]]) -> List[Finding]:
-        """The findings that should fail the run (``None`` means all)."""
-        if fail_on is None:
-            return list(self.findings)
-        return [f for f in self.findings if f.code in fail_on]
-
-
-def run_lint(
-    paths: Sequence[str],
-    baseline_path: Optional[str] = None,
-    checkers: Optional[Sequence[Checker]] = None,
-) -> LintResult:
-    """Run the suite over ``paths``, subtracting the baseline if given."""
-    findings, errors = run_checkers(list(paths), list(checkers or default_checkers()))
-    suppressed = 0
-    stale: List[Fingerprint] = []
-    if baseline_path is not None:
-        baseline = load_baseline(baseline_path)
-        fired = {finding.fingerprint for finding in findings}
-        stale = sorted(baseline - fired)
-        findings, suppressed = apply_baseline(findings, baseline)
-    return LintResult(findings, suppressed, errors, stale=stale)
-
-
-def render_text(result: LintResult) -> str:
-    """Human-readable report, one finding per line plus a summary."""
-    lines = [finding.render() for finding in result.findings]
-    for error in result.errors:
-        lines.append(f"error: {error}")
-    summary = f"{len(result.findings)} finding(s)"
-    if result.suppressed:
-        summary += f", {result.suppressed} baselined"
-    if result.errors:
-        summary += f", {len(result.errors)} file(s) failed to parse"
-    lines.append(summary)
-    return "\n".join(lines)
-
-
-def render_json(result: LintResult) -> str:
-    """Machine-readable report (stable key order)."""
-    payload = {
-        "findings": [
-            {
-                "code": f.code,
-                "path": f.path,
-                "line": f.line,
-                "message": f.message,
-                "checker": f.checker,
-            }
-            for f in result.findings
-        ],
-        "suppressed": result.suppressed,
-        "errors": list(result.errors),
-        "summary": {"findings": len(result.findings)},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 report (GitHub code scanning's upload format).
-
-    One run with one driver (``repro-lint``); every documented finding
-    code becomes a rule so annotations link back to rule descriptions.
-    ``partialFingerprints`` carries the same stable fingerprint the
-    baseline machinery uses, letting code scanning track a finding across
-    commits exactly like the baseline does.  File paths are emitted
-    repo-relative when possible (uploads resolve them against the
-    checkout root).
-    """
-    rules = [
-        {
-            "id": code,
-            "shortDescription": {"text": description},
-            "defaultConfiguration": {"level": "warning"},
-        }
-        for code, description in sorted(all_codes().items())
-    ]
-    rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
-    results = []
-    for finding in result.findings:
-        path = os.path.relpath(finding.path, os.getcwd())
-        if path.startswith(".."):
-            path = finding.path
-        results.append(
-            {
-                "ruleId": finding.code,
-                "ruleIndex": rule_index.get(finding.code, -1),
-                "level": "warning",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": path.replace(os.sep, "/"),
-                                "uriBaseId": "%SRCROOT%",
-                            },
-                            "region": {"startLine": max(finding.line, 1)},
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reproLint/v1": "|".join(finding.fingerprint)
-                },
-            }
-        )
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

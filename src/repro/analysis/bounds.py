@@ -215,8 +215,8 @@ def classify_plan(plan: PhysicalPlan) -> PlanBufferAnalysis:
     """Classify every buffered handler of ``plan`` against its DTD.
 
     Handler paths follow the plan tree's ``children()`` ordering (the
-    same walk :func:`repro.analysis.query.explain.render_plan` uses), so
-    the renderer can annotate operators by path.
+    same walk :func:`repro.analysis.explain.render_plan` uses), so the
+    renderer can annotate operators by path.
     """
     dtd = plan.dtd
     found: List[HandlerBufferBound] = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.query.bounds import (
+from repro.analysis.bounds import (
     HandlerBufferBound,
     PlanBufferAnalysis,
     classify_plan,
@@ -93,8 +93,9 @@ def _op_label(op: PlanOp, bound: Optional[HandlerBufferBound]) -> str:
 def render_plan(plan: PhysicalPlan, analysis: PlanBufferAnalysis) -> str:
     """Indented plan DAG with buffer classes on every buffered handler.
 
-    Walk order and paths match :func:`~repro.analysis.query.bounds
-    .classify_plan` so handler annotations line up.
+    Walk order and paths match
+    :func:`~repro.analysis.bounds.classify_plan` so handler annotations
+    line up.
     """
     by_path = analysis.by_path()
     lowered = plan.lowered()

@@ -69,6 +69,7 @@ from repro.dtd.schema import DTD
 from repro.engines.dom_engine import DomEngine
 from repro.engines.flux_engine import FluxEngine
 from repro.engines.projection_engine import ProjectionEngine
+from repro.errors import ReproError
 from repro.bench.harness import BenchmarkHarness
 from repro.bench.reporting import format_table
 from repro.obs import (
@@ -133,11 +134,14 @@ def _write_result(output: str, path: Optional[str]) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    query = _read(args.query)
-    document = _read(args.input)
-    dtd = _load_dtd(args.dtd, document)
-    engine = FluxEngine(dtd, validate=not args.no_validate)
-    result = engine.execute(query, document)
+    try:
+        query = _read(args.query)
+        document = _read(args.input)
+        dtd = _load_dtd(args.dtd, document)
+        result = FluxEngine(dtd, validate=not args.no_validate).execute(query, document)
+    except (OSError, ReproError) as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     _write_result(result.output, args.output)
     print(
         f"[flux] peak buffer: {result.peak_buffer_bytes} B, "
@@ -157,8 +161,7 @@ def _command_explain(args: argparse.Namespace) -> int:
     golden tests can truncate the only nondeterministic part) the optimizer
     timings.
     """
-    from repro.analysis.query import explain_compiled
-    from repro.errors import ReproError
+    from repro.analysis import explain_compiled
     from repro.runtime.compiler import compile_query
 
     try:
@@ -207,74 +210,21 @@ def _command_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    """Run the in-repo static-analysis suite (``repro.analysis``)."""
-    from repro.analysis import (
-        all_codes,
-        default_lint_root,
-        render_json,
-        render_sarif,
-        render_text,
-        run_lint,
-        write_baseline,
-    )
-
-    if args.check_baseline and not args.baseline:
-        print("lint: --check-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
-    paths = args.paths or [default_lint_root()]
-    for path in paths:
-        if not os.path.exists(path):
-            print(f"lint: no such file or directory: {path}", file=sys.stderr)
-            return 2
-    fail_on: Optional[set] = None
-    if args.fail_on and args.fail_on != "all":
-        fail_on = {code.strip() for code in args.fail_on.split(",") if code.strip()}
-        unknown = fail_on - set(all_codes())
-        if unknown:
-            print(f"lint: unknown finding code(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 2
-    try:
-        result = run_lint(paths, baseline_path=args.baseline)
-    except (OSError, ValueError) as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        write_baseline(result.findings, args.write_baseline)
-        print(
-            f"lint: wrote {len(result.findings)} finding(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.format == "json":
-        print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
-    else:
-        print(render_text(result))
-    stale = result.stale if args.check_baseline else []
-    for fingerprint in stale:
-        print(
-            "lint: stale baseline suppression (no longer fires): "
-            + "|".join(fingerprint),
-            file=sys.stderr,
-        )
-    if result.errors or result.failing(fail_on) or stale:
-        return 1
-    return 0
-
-
 def _command_compare(args: argparse.Namespace) -> int:
-    query = _read(args.query)
-    document = _read(args.input)
-    dtd = _load_dtd(args.dtd, document)
-    engines = {
-        "flux": FluxEngine(dtd),
-        "projection": ProjectionEngine(dtd),
-        "dom": DomEngine(dtd),
-    }
-    harness = BenchmarkHarness(engines)
-    harness.run(query, document, args.query, args.input)
+    try:
+        query = _read(args.query)
+        document = _read(args.input)
+        dtd = _load_dtd(args.dtd, document)
+        engines = {
+            "flux": FluxEngine(dtd),
+            "projection": ProjectionEngine(dtd),
+            "dom": DomEngine(dtd),
+        }
+        harness = BenchmarkHarness(engines)
+        harness.run(query, document, args.query, args.input)
+    except (OSError, ReproError) as exc:
+        print(f"compare: {exc}", file=sys.stderr)
+        return 2
     print(format_table(harness.measurements, metric="peak_buffer_bytes", title="peak buffer memory"))
     print()
     print(format_table(harness.measurements, metric="elapsed_seconds", title="evaluation runtime"))
@@ -744,52 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot", help="metrics snapshot JSON file ('-' for stdin)"
     )
     stats_parser.set_defaults(handler=_command_stats)
-
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help="run the in-repo static-analysis suite (lock discipline, "
-        "hot-loop purity, async blocking, pickle safety)",
-    )
-    lint_parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: the installed "
-        "repro package)",
-    )
-    lint_parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text; sarif emits a SARIF 2.1.0 "
-        "run for code-scanning upload)",
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of accepted findings to subtract "
-        "(see scripts/lint_baseline.json)",
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings to FILE as a new baseline and exit 0",
-    )
-    lint_parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="also fail (exit 1) when the --baseline file contains stale "
-        "fingerprints that no current finding matches — fixed violations "
-        "must leave the baseline, or the dead suppression would silently "
-        "swallow a future regression with the same fingerprint",
-    )
-    lint_parser.add_argument(
-        "--fail-on",
-        metavar="CODE,...",
-        default="all",
-        help="exit nonzero only for these finding codes "
-        "(default: all — any finding fails the run)",
-    )
-    lint_parser.set_defaults(handler=_command_lint)
 
     return parser
 

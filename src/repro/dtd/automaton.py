@@ -16,7 +16,7 @@ exactly that substrate:
 ``ANY`` content models produce a one-state automaton that accepts every child
 sequence; constraint extraction treats it as unconstrained.
 
-The static query analyzer (:mod:`repro.analysis.query`) adds a second use:
+The static query analyzer (:mod:`repro.analysis`) adds a second use:
 *counting*.  :func:`axis_max_count` reads the per-level occurrence bound of
 a child label (``?``/``1`` vs ``*``/``+`` fan-out) from the schema
 constraints, and :func:`recursive_elements` / :func:`subtree_growth_degree`

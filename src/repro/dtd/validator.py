@@ -71,7 +71,7 @@ class StreamingValidator:
         table, state = self._stack[-1]
         return table.name, state
 
-    def feed(self, event: Event) -> None:  # hot-loop
+    def feed(self, event: Event) -> None:
         """Validate a single event, raising :class:`XMLValidationError` on
         violations."""
         kind = type(event)
@@ -90,9 +90,8 @@ class StreamingValidator:
                 self._open_root(name)
             table = self._tables[name]
             if self.strict and not table.declared:
-                # hot-loop-ok: raises
                 raise XMLValidationError(f"element <{name}> is not declared in the DTD")
-            # hot-loop-ok: the one frame per open element (depth-bounded)
+            # One frame per open element (depth-bounded).
             stack.append([table, table.start])
             self.elements_validated += 1
         elif kind is EndElement:
@@ -100,9 +99,8 @@ class StreamingValidator:
                 self._reject_end(None, event)
             table, state = stack.pop()
             accepting = table.accepting
-            # hot-loop-ok: the start tag's branch, which loads event.name too, is exclusive
             if table.name != event.name or (accepting is not None and state not in accepting):
-                self._reject_end(table, event)  # hot-loop-ok: raises, as the call above does
+                self._reject_end(table, event)
         elif kind is Text:
             # Cold in data documents: text sits in elements that allow it.
             if not stack or not stack[-1][0].allows_text:
@@ -110,7 +108,6 @@ class StreamingValidator:
         elif kind is SkippedSubtree:
             self._skipped(event)
         elif kind is EndDocument and stack:
-            # hot-loop-ok: raises
             raise XMLValidationError("document ended with unclosed elements")
 
     def validate(self, events: Iterable[Event]) -> Iterator[Event]:

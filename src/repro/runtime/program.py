@@ -202,7 +202,7 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
             firing.append((handler.index, need, *_lower(handler.body, plan)))
     on_first, count = tuple(firing), len(firing)
 
-    def process_stream(run: StreamedEvaluator):  # hot-loop
+    def process_stream(run: StreamedEvaluator):
         scope = _open_scope(run._env, var)
         source, buffers, emit = scope.source, scope.buffers, run._emit
         pull, whole, handlers, pending = source.__next__, buffer_whole, on_first, count
@@ -215,7 +215,7 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
         position = 0  # handlers[:position] have fired
         satisfied = 0  # bit i: condition i holds
         while True:
-            try:  # hot-loop-ok: the resumable pull; entering a try costs nothing on 3.11
+            try:
                 event = pull()
             except starved:
                 yield need_input
@@ -258,7 +258,7 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
                     emit(render_start(label, event.attrs))
                 depth = 0
                 while True:
-                    try:  # hot-loop-ok: the resumable pull of the child's events
+                    try:
                         event = pull()
                     except starved:
                         yield need_input
@@ -269,7 +269,6 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
                     if kind is start_event:
                         depth += 1
                         if copying:
-                            # hot-loop-ok: one load per event, in branches that exclude each other
                             emit(render_start(event.name, event.attrs))
                     elif kind is end_event:
                         if not depth:
@@ -288,7 +287,6 @@ def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
                 satisfied |= 1 << event.condition_id
             elif kind is text_event:
                 if whole:
-                    # hot-loop-ok: one load per event, in branches that exclude each other
                     buffers.append_full_text(event.text)
             elif kind is end_event or kind is end_document:
                 break

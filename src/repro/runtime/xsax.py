@@ -259,7 +259,7 @@ class XSAXReader:
     def __iter__(self) -> Iterator[Event]:
         return self
 
-    def __next__(self) -> Event:  # hot-loop
+    def __next__(self) -> Event:
         queue = self._queue
         if queue:
             event = queue.popleft()
@@ -279,7 +279,7 @@ class XSAXReader:
         if stats is not None:
             stats.events_processed += 1
             kind = type(event)
-            # hot-loop-ok: the class of the delivered event, not of the source's
+            # The class of the delivered event, not of the source's.
             if kind is StartElement:
                 stats.elements_parsed += 1
             elif kind is OnFirstEvent:
@@ -288,7 +288,7 @@ class XSAXReader:
 
     # ------------------------------------------------------------- element
 
-    def _start(self, event: StartElement) -> Event:  # hot-loop
+    def _start(self, event: StartElement) -> Event:
         name = event.name
         stack = self._stack
         before = None
@@ -310,7 +310,7 @@ class XSAXReader:
                         parent[2] = pending ^ hits
                         before = entry.fired[hits]
         entry = self._types[name]
-        # hot-loop-ok: the one frame per open element (depth-bounded)
+        # One frame per open element (depth-bounded).
         stack.append([entry, entry.start, entry.pending])
         if before is not None:
             event = self._after(before, event)
@@ -320,7 +320,7 @@ class XSAXReader:
             self._queue.extend(initial)
         return event
 
-    def _end(self, event: EndElement) -> Event:  # hot-loop
+    def _end(self, event: EndElement) -> Event:
         stack = self._stack
         if not stack:
             self._reject_end(None, event)
@@ -329,7 +329,7 @@ class XSAXReader:
         if entry.name != event.name or (
             accepting is not None and state not in accepting and self._validate
         ):
-            self._reject_end(entry, event)  # hot-loop-ok: raises, as the call above does
+            self._reject_end(entry, event)
         if pending:
             return self._after(entry.fired[pending], event)
         return event
@@ -349,7 +349,7 @@ class XSAXReader:
                 return self._after(entry.fired[pending], event)
         return event
 
-    def _skipped(self, event: SkippedSubtree) -> Event:  # hot-loop
+    def _skipped(self, event: SkippedSubtree) -> Event:
         """Step a skipped subtree's tags through the tables.
 
         The skipped element steps its parent exactly as its start tag
@@ -382,7 +382,6 @@ class XSAXReader:
                         parent[2] = pending ^ hits
                         before = entry.fired[hits]
             entry = types[name]
-            # hot-loop-ok: the skipped element's own frame, as for its inner tags
             push([entry, entry.start, 0])
             if empty:
                 tags = ((None, name, None, None),)
@@ -393,7 +392,6 @@ class XSAXReader:
                 if entry.name != close or (
                     accepting is not None and state not in accepting and validate
                 ):
-                    # hot-loop-ok: raises
                     self._reject_end(entry, EndElement(close))
             elif name:
                 parent = stack[-1]
@@ -405,16 +403,13 @@ class XSAXReader:
                     else:
                         parent[1] = state
                 entry = types[name]
-                # hot-loop-ok: the skipped element's own frame is the other load
                 state = entry.start
                 if empty:
-                    # hot-loop-ok: the end tag's branch, which loads it too, is exclusive
                     accepting = entry.accepting
                     if accepting is not None and state not in accepting and validate:
-                        # hot-loop-ok: raises
                         self._reject_end(entry, EndElement(name))
                 else:
-                    # hot-loop-ok: the one frame per open element (depth-bounded)
+                    # One frame per open element (depth-bounded).
                     push([entry, state, 0])
         stats = self._stats
         if stats is not None:

@@ -237,7 +237,6 @@ class AsyncQueryService(MetricsPublisher):
                         # documents: a bounded local read (and, for a recipe,
                         # a local open); async chunk sources are the
                         # non-blocking alternative for slow delivery.
-                        # async-ok: bounded 64 KiB read of a local file or StringIO
                         chunk = opened.read(_READ_CHUNK)
                         if not chunk:
                             break

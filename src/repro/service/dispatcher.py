@@ -281,7 +281,7 @@ class SharedProjectionIndex:
 
     # ------------------------------------------------------------- router
 
-    def route(self, event: Event) -> int:  # hot-loop
+    def route(self, event: Event) -> int:
         """The bitmask of structure groups ``event`` must be forwarded to.
 
         The per-event function of the whole service — every lookup it
@@ -303,12 +303,11 @@ class SharedProjectionIndex:
                 self._skip_depth -= 1
             return 0
         stack = self._stack
-        # hot-loop-ok: second loads sit on the mutually exclusive skip path
         if cls is StartElement:
             mask = self._route_start(event)
             if not mask:
                 return 0
-        elif cls is EndElement:  # hot-loop-ok: exclusive with the skip path
+        elif cls is EndElement:
             # Exactly the plans that saw the start tag see the end tag, so
             # every per-plan stream stays well formed.
             mask = stack.pop().active if stack else self.full_mask
@@ -328,7 +327,7 @@ class SharedProjectionIndex:
             return self._route_skipped(event)
         else:
             # StartDocument / EndDocument always reach every runtime.
-            mask = self.full_mask  # hot-loop-ok: twice per document only
+            mask = self.full_mask
             metrics.events_forwarded += 1
         counts = self._mask_counts
         counts[mask] = counts.get(mask, 0) + 1
@@ -359,7 +358,7 @@ class SharedProjectionIndex:
         counts[mask] = counts.get(mask, 0) + 1
         return mask
 
-    def _route_start(self, event: StartElement) -> int:  # hot-loop
+    def _route_start(self, event: StartElement) -> int:
         name = event.name
         metrics = self.metrics
         stack = self._stack
@@ -376,7 +375,7 @@ class SharedProjectionIndex:
             if root_child is not None:
                 kept |= root_child.keep_mask
             active = self.full_mask
-            stack.append(_Frame(name, root_child, kept, active))  # hot-loop-ok: root only
+            stack.append(_Frame(name, root_child, kept, active))
             metrics.events_forwarded += 1
             return active
         parent = stack[-1]
@@ -396,7 +395,7 @@ class SharedProjectionIndex:
             | self._condition_masks.get(parent.name, 0)
         )
         if active:
-            # hot-loop-ok: one frame per retained open element (depth-bounded)
+            # One frame per retained open element (depth-bounded).
             stack.append(_Frame(name, node, kept, active))
             metrics.events_forwarded += 1
             return active
@@ -559,7 +558,7 @@ class SharedDispatcher:
         self.chunk_size = chunk_size
         self._pending: List[List[Event]] = [[] for _ in sessions]
 
-    def dispatch(self, events: Iterable[Event]) -> None:  # hot-loop
+    def dispatch(self, events: Iterable[Event]) -> None:
         """Route ``events``, forwarding each survivor to the sessions whose
         routing bit is set.
 
@@ -591,7 +590,6 @@ class SharedDispatcher:
                 bucket = pending[i]
                 bucket.append(event)
                 if len(bucket) >= chunk_size:
-                    # hot-loop-ok: one fresh bucket and one clock pair per chunk_size events
                     pending[i] = []
                     handed = perf()
                     sessions[i].feed(bucket)

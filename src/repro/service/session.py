@@ -201,9 +201,12 @@ class SharedPass:
         # transitions are real test-and-sets: without the lock two racing
         # abort() calls could both log pass.abort, and a finalizer racing
         # finish() could release the service's active-pass slot twice.
+        # Both flags are written only under the lock.  ``_aborted`` is
+        # monotonic and read without it by the one driving thread: an abort
+        # racing a read lands on the next call, or inside ``_driving``.
         self._state_lock = threading.Lock()
-        self._aborted = False  # guarded-by: _state_lock
-        self._closed = False  # guarded-by: _state_lock
+        self._aborted = False
+        self._closed = False
         self._on_close = on_close
         self._obs = obs
         self.trace_id = (
@@ -260,7 +263,7 @@ class SharedPass:
 
     @property
     def aborted(self) -> bool:
-        return self._aborted  # unguarded: monotonic flag, single-driver reader; a racing abort lands on the next call
+        return self._aborted
 
     @contextmanager
     def _driving(self, call: str):
@@ -274,12 +277,12 @@ class SharedPass:
         try:
             yield
         except BaseException as exc:
-            aborted_elsewhere = self._aborted  # unguarded: monotonic flag; read before this thread's own abort() sets it
+            aborted_elsewhere = self._aborted  # read before this thread's own abort() sets it
             self.abort()
             if aborted_elsewhere and isinstance(exc, Exception):
                 raise ValueError(f"{call}() on an aborted pass") from exc
             raise
-        if self._aborted:  # unguarded: monotonic flag, single-driver reader
+        if self._aborted:
             raise ValueError(f"{call}() on an aborted pass")
 
     def _dispatch_parsed(self, parse, *args) -> None:
@@ -291,7 +294,7 @@ class SharedPass:
 
     def feed(self, text: str) -> None:
         """Push the next chunk of document text into the pass."""
-        if self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands inside _driving
+        if self._aborted:
             raise ValueError("feed() on an aborted pass")
         if self._results is not None:
             raise ValueError("feed() after finish()")
@@ -302,7 +305,7 @@ class SharedPass:
 
     def finish(self) -> Dict[str, QueryResult]:
         """Close the input and return one result per registered query."""
-        if self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands inside _driving
+        if self._aborted:
             raise ValueError("finish() on an aborted pass")
         if self._results is None:
             results: Dict[str, QueryResult] = {}
@@ -394,7 +397,7 @@ class SharedPass:
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if exc_type is not None or self._aborted:  # unguarded: monotonic flag, single-driver reader; a racing abort lands on the next call
+        if exc_type is not None or self._aborted:
             self.abort()
         else:
             self.finish()

@@ -387,7 +387,7 @@ class StreamingXMLParser:
 
     # ----------------------------------------------------------- push mode
 
-    def feed(self, data: str) -> List[Event]:  # hot-loop
+    def feed(self, data: str) -> List[Event]:
         """Push ``data`` into the parser, returning the completed events.
 
         Only available on :meth:`incremental` parsers.  Events are exactly
@@ -396,10 +396,8 @@ class StreamingXMLParser:
         :meth:`close`) arrives.
         """
         if not self._push:
-            # hot-loop-ok: misuse error path, never taken per chunk
             raise ValueError("feed() is only available on incremental parsers")
         if self._closed:
-            # hot-loop-ok: misuse error path, never taken per chunk
             raise ValueError("feed() called after close()")
         self._append(data)
         return self._pump()
@@ -552,7 +550,7 @@ class StreamingXMLParser:
         else:  # pragma: no cover - defensive
             out.append(event)
 
-    def _scan(self, out: List[Event]) -> None:  # hot-loop
+    def _scan(self, out: List[Event]) -> None:
         """Append the events of the common tokens at the read position.
 
         Stops *before* the first construct :data:`_TOKEN` does not match at
@@ -580,7 +578,7 @@ class StreamingXMLParser:
         text_event, start_event, end_event = Text, StartElement, EndElement
         skip, skip_from = SKIP, self._skip_from
         limit = _BATCH - 3  # one more token adds at most three events
-        # hot-loop-ok: entered once per batch; a reference that does not resolve ends the batch
+        # A reference that does not resolve ends the batch.
         try:
             while open_names and len(out) <= limit:
                 token = match(buffer, pos)
@@ -596,9 +594,7 @@ class StreamingXMLParser:
                 elif not keep_whitespace and text.isspace():
                     text = ""
                 if attrs:
-                    # hot-loop-ok: the pairs are the event's payload
                     attrs = tuple([(n, resolve(d or s)) for n, d, s in find_attributes(attrs)])
-                    # hot-loop-ok: tags with two or more attributes only
                     if len(attrs) > 1 and len(dict(attrs)) != len(attrs):
                         break  # a repeated name: _parse_markup owns the message
                 if text:
@@ -616,7 +612,6 @@ class StreamingXMLParser:
                         node = nodes[-1]
                         child = node.get(name, node.default)
                         if child is skip:
-                            # hot-loop-ok: skipped start tags only
                             pos = skip_from(name, empty, token.end(1), token.end(), out)
                             if self._skip_base >= 0:  # the piece did not end the subtree
                                 break
@@ -657,7 +652,7 @@ class StreamingXMLParser:
         self._skip_piece(tags, out, end)
         return end
 
-    def _skip_scan(self, pos: int, tags: List[tuple]) -> int:  # hot-loop
+    def _skip_scan(self, pos: int, tags: List[tuple]) -> int:
         """Append the tags of the skipped subtree from buffer index ``pos``.
 
         The region up to the subtree's first end-tag candidate (or the last

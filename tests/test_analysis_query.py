@@ -1,4 +1,4 @@
-"""Tests for the static query analyzer (``repro.analysis.query``).
+"""Tests for the static query analyzer (``repro.analysis``).
 
 Covers buffer-bound classification against the paper's strong/weak
 Figure 1 DTDs and the ``repro explain`` report built on it.  The soundness
@@ -7,7 +7,7 @@ grow with the document — is checked by actually running documents of
 increasing size through the engine.
 """
 
-from repro.analysis.query import CONST, DOC, FANOUT, classify_plan, explain_compiled
+from repro.analysis import CONST, DOC, FANOUT, classify_plan, explain_compiled
 from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.model import INFINITY
 from repro.engines.flux_engine import FluxEngine

@@ -816,6 +816,30 @@ class TestExplainAnalyzer:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+class TestRunAndCompareErrors:
+    """`run` and `compare` report bad input as one line and exit 2, like `explain`."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("case", ["missing-input", "bad-query", "truncated-document"])
+    def test_bad_input_is_exit_2(self, files, command, case, capsys):
+        query, document = files["query"], files["document"]
+        if case == "missing-input":
+            document = str(files["dir"] / "missing.xml")
+        elif case == "bad-query":
+            query = files["dir"] / "bad.xq"
+            query.write_text("for $x in ((( return")
+        else:
+            document = files["dir"] / "truncated.xml"
+            document.write_text(PAPER_DOCUMENT[: len(PAPER_DOCUMENT) // 2])
+        exit_code = main([command, "-q", str(query), "-i", str(document),
+                          "-d", files["dtd"]])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"{command}: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
+
 class TestExplainWorkloads:
     """`explain` reports every workload query under every schema it meets."""
 
@@ -842,7 +866,7 @@ class TestExplainWorkloads:
 
 
 class TestRemovedOptions:
-    """`auto` and the explain policy inputs are gone: argparse rejects them."""
+    """`auto`, the explain policy inputs and `lint` are gone: argparse rejects them."""
 
     @pytest.mark.parametrize("option", ["--execution", "--backend"])
     def test_multi_auto_is_an_argparse_error(self, files, option, capsys):
@@ -862,80 +886,8 @@ class TestRemovedOptions:
         assert raised.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-
-class TestLintSarifAndBaseline:
-    def test_sarif_format_is_valid_sarif(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        exit_code = main(["lint", "--format", "sarif", str(target)])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        import json
-
-        payload = json.loads(captured.out)
-        assert payload["version"] == "2.1.0"
-        (run,) = payload["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        assert run["results"] == []
-        assert run["tool"]["driver"]["rules"]
-
-    def test_sarif_reports_findings_with_fingerprints(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "dirty.py"
-        target.write_text(
-            "# hot-loop\ndef f(xs):\n    return [x for x in xs]\n"
-        )
-        exit_code = main(["lint", "--format", "sarif", str(target)])
-        captured = capsys.readouterr()
-        assert exit_code == 1
-        (run,) = json.loads(captured.out)["runs"]
-        assert run["results"]
-        for finding in run["results"]:
-            assert finding["ruleId"]
-            assert finding["partialFingerprints"]["reproLint/v1"]
-
-    def test_check_baseline_fails_on_stale_suppressions(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "findings": [{"code": "LD001", "path": "gone.py", "message": "ghost"}],
-        }))
-        exit_code = main(["lint", "--baseline", str(baseline), "--check-baseline",
-                          str(target)])
-        captured = capsys.readouterr()
-        assert exit_code == 1
-        assert "stale baseline suppression" in captured.err
-
-    def test_stale_suppressions_pass_without_check(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "findings": [{"code": "LD001", "path": "gone.py", "message": "ghost"}],
-        }))
-        assert main(["lint", "--baseline", str(baseline), str(target)]) == 0
-
-    def test_check_baseline_requires_baseline(self, tmp_path, capsys):
-        exit_code = main(["lint", "--check-baseline", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "--check-baseline requires --baseline" in captured.err
-
-    def test_check_baseline_passes_when_all_fire(self, tmp_path, capsys):
-        target = tmp_path / "dirty.py"
-        target.write_text(
-            "# hot-loop\ndef f(xs):\n    return [x for x in xs]\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline", str(baseline), str(target)]) == 0
-        capsys.readouterr()
-        assert main(["lint", "--baseline", str(baseline), "--check-baseline",
-                     str(target)]) == 0
+    def test_lint_subcommand_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["lint"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
