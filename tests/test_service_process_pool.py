@@ -20,8 +20,11 @@ Process spawns dominate the runtime here, so the pools stay small.
 """
 
 import io
+import pickle
 
 import pytest
+
+from repro import errors
 
 from repro.bench.fleets import alias_query
 from repro.engines.flux_engine import FluxEngine
@@ -32,6 +35,7 @@ from repro.service import (
     ProcessServicePool,
     QueryService,
 )
+from repro.service.process_pool import _sanitize_exception
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.workloads.queries import get_query
@@ -347,3 +351,36 @@ class TestStructureDedupShipping:
             served = list(pool.serve([documents[0]]))
             assert served[0].ok and set(served[0].results) == {"t"}
             assert pool.worker_compilations() == {0: 0, 1: 0}
+
+
+def _library_errors():
+    """Every error class in :mod:`repro.errors`, built with its own arguments."""
+    extra = {
+        errors.XMLSyntaxError: (17,),
+        errors.XQuerySyntaxError: (4,),
+        errors.WorkerCrashError: (-9,),
+    }
+    return [
+        pytest.param(cls, extra.get(cls, ()), id=name)
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.ReproError)
+    ]
+
+
+class TestErrorsCrossThePipe:
+    """A library error raised in a worker comes home as itself.
+
+    The worker sanitizes an outcome's error before the result pipe pickles
+    it; an error that fails the round trip is replaced by a ``RuntimeError``.
+    Every :class:`~repro.errors.ReproError` must survive it unreplaced, with
+    its message and its extra attributes (offset, position, exit code).
+    """
+
+    @pytest.mark.parametrize("cls, extra", _library_errors())
+    def test_round_trip_keeps_type_message_and_attributes(self, cls, extra):
+        error = cls("something went wrong", *extra)
+        assert _sanitize_exception(error) is error
+        restored = pickle.loads(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(restored) is cls
+        assert str(restored) == str(error)
+        assert vars(restored) == vars(error)
