@@ -52,9 +52,9 @@ def alias_query(query: str, variant: int) -> str:
     variable with ``_ak`` (``$b`` → ``$b_a3``).  The rewrite is a
     whole-name substitution, so distinct bound names cannot collide and
     string literals (which contain no ``$``) are untouched.  The result
-    compiles to the same :func:`~repro.runtime.plan_cache.structure_key`
-    as the original — variables are α-renamed away there — while its
-    plan-cache text key differs.
+    parses to the same :func:`~repro.runtime.plan_cache.structure_key` as
+    the original — variables are α-renamed away there — so the plan cache
+    serves it the original's plan without optimizing, under its own key.
     """
     if variant == 0:
         return query

@@ -20,7 +20,7 @@ Concretely the compiler
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core.optimizer import OptimizedQuery, OptimizerPipeline
 from repro.dtd.schema import DTD
@@ -55,6 +55,7 @@ from repro.runtime.plan import (
 )
 from repro.runtime.xsax import ConditionRegistry
 from repro.xquery.analysis import DOCUMENT_TYPE, WHOLE_SUBTREE
+from repro.xquery.ast import XQueryExpr
 
 
 class QueryCompiler:
@@ -200,6 +201,15 @@ class CompiledQueryPlan:
     #: :meth:`OptimizerPipeline.config_fingerprint`); part of cache keys.
     pipeline_config: str = ""
 
+    def __getstate__(self) -> dict:
+        # The structure key memo is derived data: a receiver keys the plan
+        # by its own build's definition (older pickles carry it, too).
+        return {name: value for name, value in self.__dict__.items() if name != "_structure_key"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__.pop("_structure_key", None)
+
     @property
     def dtd(self) -> Optional[DTD]:
         return self.plan.dtd
@@ -216,11 +226,11 @@ class CompiledQueryPlan:
 
 
 def compile_query(
-    query: str,
+    query: Union[str, XQueryExpr],
     dtd: Optional[DTD] = None,
     pipeline: Optional[OptimizerPipeline] = None,
 ) -> CompiledQueryPlan:
-    """Compile XQuery text through the full pipeline into an executable plan.
+    """Compile XQuery text (or its parsed AST) into an executable plan.
 
     ``pipeline`` lets callers reuse a configured :class:`OptimizerPipeline`
     (ablation switches, shared DTD); otherwise one is built from ``dtd``.
@@ -230,7 +240,7 @@ def compile_query(
     optimized = pipeline.compile(query)
     plan = QueryCompiler(pipeline.dtd).compile(optimized.flux)
     return CompiledQueryPlan(
-        source=query,
+        source=optimized.source,
         optimized=optimized,
         plan=plan,
         pipeline_config=pipeline.config_fingerprint(),

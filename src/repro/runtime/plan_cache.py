@@ -29,6 +29,8 @@ hit/miss/eviction counters for the service metrics.  Concurrent
 :meth:`PlanCache.get_or_compile` misses on the same key are *single-flight*:
 one caller compiles while the others wait for (and share) its plan, so a
 thundering herd of identical registrations pays the optimizer once.
+A new text that is an alias of a cached plan (same :func:`structure_key`,
+computed from the parsed AST) is stored as that plan without optimizing.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, cast
 from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.schema import DTD
 from repro.runtime.compiler import CompiledQueryPlan, compile_query
-from repro.xquery.ast import VarRef
+from repro.xquery.ast import VarRef, XQueryExpr
+from repro.xquery.parser import parse_xquery
 
 #: Fingerprint stand-in for "no schema" (plans then use maximal buffering).
 NO_DTD_FINGERPRINT = "no-dtd"
@@ -72,14 +75,32 @@ def cache_key(
 # Two registrations whose query texts differ only in whitespace or variable
 # names compile to the *same* computation; the multi-query service wants to
 # evaluate that computation once and fan the result out.  The structure key
-# names the computation itself: a canonical serialization of the parsed
-# query AST *and* the physical plan tree, with every variable α-renamed by
-# first occurrence, joined with the DTD fingerprint and pipeline config.
-# Serializing both trees (rather than, say, the rendered FluX syntax, which
-# omits ``process-stream`` element types) guarantees that two entries with
-# equal keys have identical routing profiles — the profile is derived from
-# the parsed AST (projection tree) and the plan (labels, buffers,
-# conditions) — and identical evaluation semantics.
+# names the computation itself: a canonical serialization of the *parsed*
+# query AST, with every variable α-renamed by first occurrence, joined with
+# the DTD fingerprint and pipeline config.  The physical plan — and with it
+# the routing profile (projection tree, labels, buffers, conditions) — is a
+# deterministic function of exactly those three inputs, so equal keys mean
+# identical plans and identical evaluation semantics, and the key can be
+# computed (and looked up) before the optimizer runs.
+
+#: A dataclass type's fields as the key walk renders them:
+#: ``((" name=", name, α-renamed?), ...)`` in declaration order.
+_Fields = Tuple[Tuple[str, str, bool], ...]
+#: ``_Fields`` of every type the key walk has met (``None`` for types that
+#: are not dataclasses): ``dataclasses.fields`` is too slow per AST node.
+_CANON_FIELDS: Dict[type, Optional[_Fields]] = {}
+
+
+def _canon_fields(cls: type) -> Optional[_Fields]:
+    fields: Optional[_Fields] = None
+    if dataclasses.is_dataclass(cls):
+        renamed = {"var", "name"} if issubclass(cls, VarRef) else {"var"}
+        fields = tuple(
+            (f" {info.name}=", info.name, info.name in renamed)
+            for info in dataclasses.fields(cls)
+        )
+    _CANON_FIELDS[cls] = fields
+    return fields
 
 
 def _canon_var(name: str, rename: Dict[str, str], out: List[str]) -> None:
@@ -93,72 +114,59 @@ def _canon_var(name: str, rename: Dict[str, str], out: List[str]) -> None:
 def _canon_value(value: object, rename: Dict[str, str], out: List[str]) -> None:
     """Append a canonical, unambiguous rendering of ``value`` to ``out``.
 
-    Handles exactly the value vocabulary of the plan/AST dataclasses:
-    nested dataclasses (class name + fields in declaration order), tuples,
-    frozensets and dicts (sorted — their iteration order is not
-    structural), and scalar leaves.  Fields named ``var`` and the ``name``
-    of a :class:`~repro.xquery.ast.VarRef` are α-renamed; every other
-    string (element types, labels, literal text) is structural and kept.
+    Handles exactly the value vocabulary of the AST dataclasses: nested
+    dataclasses (class name + fields in declaration order), tuples and
+    scalar leaves.  Fields named ``var`` and the ``name`` of a
+    :class:`~repro.xquery.ast.VarRef` are α-renamed; every other string
+    (element types, step names, literal text) is structural and kept.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out.append(f"({type(value).__name__}")
-        is_var_ref = isinstance(value, VarRef)
-        for field_info in dataclasses.fields(value):
-            field_name = field_info.name
-            field_value = getattr(value, field_name)
-            out.append(f" {field_name}=")
-            if field_name == "var" or (is_var_ref and field_name == "name"):
-                _canon_var(cast(str, field_value), rename, out)
+    cls = type(value)
+    fields = _CANON_FIELDS[cls] if cls in _CANON_FIELDS else _canon_fields(cls)
+    if fields is not None:
+        out.append(f"({cls.__name__}")
+        for label, field_name, renamed in fields:
+            out.append(label)
+            if renamed:
+                _canon_var(getattr(value, field_name), rename, out)
             else:
-                _canon_value(field_value, rename, out)
+                _canon_value(getattr(value, field_name), rename, out)
         out.append(")")
-    elif isinstance(value, tuple) or isinstance(value, list):
+    elif isinstance(value, tuple):
         out.append("[")
         for item in value:
             _canon_value(item, rename, out)
             out.append(",")
         out.append("]")
-    elif isinstance(value, (set, frozenset)):
-        out.append("{")
-        for item in sorted(value, key=repr):
-            _canon_value(item, rename, out)
-            out.append(",")
-        out.append("}")
-    elif isinstance(value, dict):
-        out.append("<")
-        for item_key in sorted(value, key=repr):
-            _canon_value(item_key, rename, out)
-            out.append(":")
-            _canon_value(value[item_key], rename, out)
-            out.append(",")
-        out.append(">")
     else:
-        # Scalar leaf (str/int/float/bool/None): repr is unambiguous.
+        # Scalar leaf (str/int/float/None): repr is unambiguous.
         out.append(repr(value))
+
+
+def _parsed_structure_key(parsed: XQueryExpr, dtd_print: str, config: str) -> str:
+    """The :func:`structure_key` of a parsed query in a ``(DTD, config)`` world."""
+    out: List[str] = []
+    _canon_value(parsed, {}, out)
+    digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+    return f"{digest}:{dtd_print}:{config}"
 
 
 def structure_key(entry: CompiledQueryPlan) -> str:
     """The structural identity of a compiled plan.
 
     Equal keys mean the entries are the same computation — identical
-    parsed-AST and physical-plan trees up to a consistent renaming of
-    variables, under the same DTD fingerprint and pipeline configuration —
-    so a shared pass may evaluate one of them and serve the output to
-    every registrant of the other.  Computed once per entry and memoized
-    on it (the serialization walks both trees).
+    parsed ASTs up to a consistent renaming of variables, under the same
+    DTD fingerprint and pipeline configuration — so a shared pass may
+    evaluate one of them and serve the output to every registrant of the
+    other.  Memoized on the entry; the memo is never pickled
+    (:meth:`CompiledQueryPlan.__getstate__`), so a loaded plan is keyed by
+    this build's definition.
     """
     cached = entry.__dict__.get("_structure_key")
-    if cached is not None:
-        return cast(str, cached)
-    out: List[str] = []
-    rename: Dict[str, str] = {}
-    _canon_value(entry.optimized.parsed, rename, out)
-    out.append("|")
-    _canon_value(entry.plan.root, rename, out)
-    digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
-    key = f"{digest}:{dtd_fingerprint(entry.dtd)}:{entry.pipeline_config}"
-    entry.__dict__["_structure_key"] = key
-    return key
+    if cached is None:
+        cached = entry.__dict__["_structure_key"] = _parsed_structure_key(
+            entry.optimized.parsed, dtd_fingerprint(entry.dtd), entry.pipeline_config
+        )
+    return cast(str, cached)
 
 
 @dataclass
@@ -168,10 +176,11 @@ class CacheStats:
     ``misses`` counts lookups that found no entry and did not share an
     in-progress compilation.  Through :meth:`PlanCache.get_or_compile` —
     the only lookup the engine and service layers use — every such miss is
-    exactly one optimizer run (the single-flight leader), so under
-    compile-through use ``misses`` equals compilations paid; bare
-    :meth:`PlanCache.get` probes also count their failures here.  A
-    concurrent ``get_or_compile`` that found no entry but shared a
+    one parse (the single-flight leader), and one optimizer run unless the
+    parsed query is an alias of a cached structure: that miss is also
+    counted ``interned`` and compiles nothing.  Bare :meth:`PlanCache.get`
+    probes also count their failures here.  A concurrent
+    ``get_or_compile`` that found no entry but shared a
     leader's in-progress compilation is ``coalesced`` instead — it got its
     plan without compiling, exactly like a hit, so lumping it into
     ``misses`` would under-report ``hit_rate`` precisely in the
@@ -195,10 +204,11 @@ class CacheStats:
     #: they affect no hit/miss accounting, but a restarted service wants to
     #: know how many compilations its snapshot spared it).
     preloaded: int = 0
-    #: Inserted entries replaced by an already-cached structurally identical
-    #: plan (same :func:`structure_key`, different query text).  Each one is
-    #: a plan object the cache now shares between keys instead of storing
-    #: twice — the substrate of the service layer's fleet dedup.
+    #: Text keys served by an already-cached structurally identical plan
+    #: (same :func:`structure_key`, different query text), found before
+    #: optimizing (or after, when two aliases raced).  Each one is a plan
+    #: object the cache shares between keys instead of storing twice — the
+    #: substrate of the service layer's fleet dedup.
     interned: int = 0
 
     @property
@@ -366,19 +376,6 @@ class PlanCache:
             self.stats.hits += 1
             return entry
 
-    def put(self, entry: CompiledQueryPlan) -> CompiledQueryPlan:
-        """Insert a compiled plan, evicting the LRU entry when full.
-
-        Returns the entry actually stored: when the cache already holds a
-        *structurally identical* plan (same :func:`structure_key`), the new
-        entry is interned — the existing canonical plan object is stored
-        (and returned) instead, so alias keys share one plan.
-        """
-        skey = structure_key(entry)
-        key = cache_key(entry.source, entry.dtd, entry.pipeline_config)
-        with self._lock:
-            return self._insert_locked(key, entry, skey)
-
     def _insert_locked(
         self,
         key: Tuple[str, str, str],
@@ -444,18 +441,20 @@ class PlanCache:
         and configuration, compiling (and caching) the plan on a miss.
 
         Concurrent misses on the same key compile once: the first caller
-        (the *leader*) runs the optimizer outside the cache lock while
-        followers wait on its flight and share the plan.  ``from_cache``
-        reports whether *this* call's plan came without compiling — a hit,
-        or a followed flight — so it stays accurate even when the cache is
-        shared and other callers race.  Stats mirror that split: a leader
-        is the only ``miss`` (one compilation paid); followers are counted
+        (the *leader*) parses the text outside the cache lock while
+        followers wait on its flight and share the plan.  A cached plan
+        with the parsed query's :func:`structure_key` is stored under the
+        new text (``interned``); otherwise the leader compiles its AST.
+        ``from_cache`` reports whether *this* call's text was served by the
+        cache — a hit, or a followed flight — so it stays accurate even
+        when the cache is shared and other callers race.  Stats mirror
+        that split: a leader is the only ``miss``; followers are counted
         ``coalesced``, keeping ``hit_rate`` honest under a thundering herd
-        of identical registrations.  A leader's compilation error
-        propagates to its followers — each follower raises its *own* copy
-        (chained to the leader's original via ``__cause__``) so concurrent
-        tracebacks cannot stomp each other; the flight is cleared, so later
-        calls retry.
+        of identical registrations.  A leader's error propagates to its
+        followers — each follower raises its *own* copy (chained to the
+        leader's original via ``__cause__``) so concurrent tracebacks
+        cannot stomp each other; the flight is cleared, so later calls
+        retry.
         """
         key = cache_key(query, pipeline.dtd, pipeline.config_fingerprint())
         with self._lock:
@@ -485,15 +484,25 @@ class PlanCache:
                 self.stats.coalesced += 1
             return flight.entry, True
         try:
-            entry = compile_query(query, pipeline=pipeline)
+            parsed = parse_xquery(query)
+            skey = _parsed_structure_key(parsed, key[1], key[2])
+            with self._lock:
+                entry = self._structure_entries.get(skey)
+                if entry is not None:
+                    # An alias of a cached structure: no optimizer run.
+                    self.stats.interned += 1
+                    self._insert_locked(key, entry, skey)
+            if entry is None:
+                entry = compile_query(parsed, pipeline=pipeline)
+                # The registrant's text, not the AST's rendering.
+                entry.source = entry.optimized.source = query
+                with self._lock:
+                    # Interns after all if an alias raced this compilation.
+                    entry = self._insert_locked(key, entry, skey)
         except BaseException as exc:
             flight.error = exc
             raise
         else:
-            # put() may intern the fresh plan against a structurally
-            # identical cached one; callers (and followers) must get the
-            # stored object, so alias registrations share a single plan.
-            entry = self.put(entry)
             flight.entry = entry
             return entry, False
         finally:

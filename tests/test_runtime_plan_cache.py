@@ -1,15 +1,32 @@
-"""Plan cache: hits, misses, DTD-fingerprint invalidation, eviction, stats.
+"""Plan cache: hits, misses, DTD-fingerprint invalidation, eviction, stats,
+structural interning before the optimizer, and the structure key itself.
 
 The cache lives in ``repro.runtime`` and is shared by the FluxEngine and the
 multi-query service; ``repro.service.plan_cache`` re-exports it."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import pytest
 
-from repro.bench.fleets import alias_query
+from repro.bench.fleets import alias_query, make_fleet, run_shared, run_solo
 from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.parser import parse_dtd
-from repro.runtime.plan_cache import NO_DTD_FINGERPRINT, PlanCache, cache_key, dtd_fingerprint
-from repro.workloads.queries import get_query
+from repro.runtime.compiler import CompiledQueryPlan, QueryCompiler, compile_query
+from repro.runtime.plan_cache import (
+    NO_DTD_FINGERPRINT,
+    PlanArtifact,
+    PlanCache,
+    _canon_value,
+    cache_key,
+    dtd_fingerprint,
+    structure_key,
+)
+from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG, BIB_DTD_WEAK
+from repro.workloads.queries import get_query, queries_for_workload
+from repro.workloads.xmark import generate_auction_site
+from repro.xquery.ast import VarRef
 
 from tests.conftest import PAPER_FIGURE1_DTD, PAPER_WEAK_DTD, PAPER_Q3
 
@@ -459,3 +476,189 @@ class TestSnapshotCompatibility:
         assert PlanCache.SNAPSHOT_VERSION == 2
         assert snapshot["version"] == 2
         assert set(snapshot) == {"format", "version", "artifacts", "entries"}
+
+
+class TestStructureKeyMemo:
+    """The memoized structure key never rides inside a pickle.
+
+    A loaded plan is keyed by the loading build's definition, so aliases
+    registered after a warm start intern against the snapshot's plans.
+    """
+
+    def test_artifact_round_trip_carries_no_memo(self, strong_pipeline):
+        entry = compile_query(PAPER_Q3, pipeline=strong_pipeline)
+        skey = structure_key(entry)
+        artifact = PlanArtifact.from_plan(entry)
+        assert b"_structure_key" not in artifact.payload
+        loaded = artifact.load_plan()
+        assert "_structure_key" not in loaded.__dict__
+        assert structure_key(loaded) == skey
+
+    def test_snapshot_with_stale_memos_loads_and_aliases_intern(
+        self, strong_pipeline, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "plans.bin")
+        cache = PlanCache()
+        entry, _ = cache.get_or_compile(PAPER_Q3, strong_pipeline)
+        # A snapshot whose plans carry a memo of another key definition,
+        # as builds that pickled the memo wrote them.
+        entry.__dict__["_structure_key"] = "stale"
+        monkeypatch.delattr(CompiledQueryPlan, "__getstate__")
+        cache.dump(path)
+        monkeypatch.undo()
+        with open(path, "rb") as handle:
+            (artifact,) = pickle.load(handle)["artifacts"]
+        assert b"stale" in artifact.payload
+        warmed = PlanCache()
+        assert warmed.load(path) == 1
+        loaded, from_cache = warmed.get_or_compile(PAPER_Q3, strong_pipeline)
+        assert from_cache
+        assert structure_key(loaded) != "stale"
+        alias, from_cache = warmed.get_or_compile(alias_query(PAPER_Q3, 1), strong_pipeline)
+        assert not from_cache
+        assert alias is loaded
+        assert warmed.stats.interned == 1
+        assert warmed.structure_count() == 1
+        warmed.dump(path)
+        with open(path, "rb") as handle:
+            (artifact,) = pickle.load(handle)["artifacts"]
+        assert b"_structure_key" not in artifact.payload
+
+
+class TestOptimizerRunsOncePerStructure:
+    """A 1000-alias fleet of four structures optimizes and compiles four times."""
+
+    AUCTION_KEYS = ("AUC-A1", "AUC-A2", "AUC-A3", "AUC-A4")
+
+    def test_aliases_skip_the_optimizer(self, monkeypatch):
+        calls = {"optimize": 0, "compile": 0}
+        real_optimize = OptimizerPipeline.compile
+        real_compile = QueryCompiler.compile
+
+        def counted_optimize(self, query):
+            calls["optimize"] += 1
+            return real_optimize(self, query)
+
+        def counted_compile(self, query):
+            calls["compile"] += 1
+            return real_compile(self, query)
+
+        monkeypatch.setattr(OptimizerPipeline, "compile", counted_optimize)
+        monkeypatch.setattr(QueryCompiler, "compile", counted_compile)
+        fleet = make_fleet([get_query(key).xquery for key in self.AUCTION_KEYS], 1000)
+        document = generate_auction_site(scale=0.05, seed=1)
+        shared, service = run_shared(fleet, document, dtd=AUCTION_DTD)
+        assert calls == {"optimize": 4, "compile": 4}
+        assert service.plan_cache.stats.misses == 1000
+        assert service.plan_cache.stats.interned == 996
+        assert service.plan_cache.structure_count() == 4
+        assert service.metrics.queries_deduped == 996
+        monkeypatch.undo()
+        assert shared == run_solo(fleet, document, dtd=AUCTION_DTD)
+
+
+# ------------------------------------------------------------------------
+# The structure key before it dropped the plan half, frozen verbatim: a
+# canonical serialization of the parsed AST *and* the physical plan tree.
+
+
+def _reference_canon_value(value, rename, out):
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        out.append(f"({type(value).__name__}")
+        is_var_ref = isinstance(value, VarRef)
+        for field_info in dataclasses.fields(value):
+            field_name = field_info.name
+            field_value = getattr(value, field_name)
+            out.append(f" {field_name}=")
+            if field_name == "var" or (is_var_ref and field_name == "name"):
+                canon = rename.get(field_value)
+                if canon is None:
+                    canon = f"v{len(rename)}"
+                    rename[field_value] = canon
+                out.append(canon)
+            else:
+                _reference_canon_value(field_value, rename, out)
+        out.append(")")
+    elif isinstance(value, tuple) or isinstance(value, list):
+        out.append("[")
+        for item in value:
+            _reference_canon_value(item, rename, out)
+            out.append(",")
+        out.append("]")
+    elif isinstance(value, (set, frozenset)):
+        out.append("{")
+        for item in sorted(value, key=repr):
+            _reference_canon_value(item, rename, out)
+            out.append(",")
+        out.append("}")
+    elif isinstance(value, dict):
+        out.append("<")
+        for item_key in sorted(value, key=repr):
+            _reference_canon_value(item_key, rename, out)
+            out.append(":")
+            _reference_canon_value(value[item_key], rename, out)
+            out.append(",")
+        out.append(">")
+    else:
+        out.append(repr(value))
+
+
+def _reference_structure_key(entry):
+    out, rename = [], {}
+    _reference_canon_value(entry.optimized.parsed, rename, out)
+    out.append("|")
+    _reference_canon_value(entry.plan.root, rename, out)
+    digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+    return f"{digest}:{dtd_fingerprint(entry.dtd)}:{entry.pipeline_config}"
+
+
+def _partition(labels_by_key):
+    groups = {}
+    for label, key in labels_by_key.items():
+        groups.setdefault(key, set()).add(label)
+    return {frozenset(group) for group in groups.values()}
+
+
+class TestParsedStructureKey:
+    """Keying on the parsed AST alone merges nothing the AST+plan key kept
+    apart, and splits nothing it merged."""
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        worlds = {
+            "strong": parse_dtd(BIB_DTD_STRONG),
+            "weak": parse_dtd(BIB_DTD_WEAK),
+            "auction": parse_dtd(AUCTION_DTD),
+            "none": None,
+        }
+        pipelines = {
+            f"{name}/{ablation}": OptimizerPipeline(dtd, enable_loop_merging=ablation == "default")
+            for name, dtd in worlds.items()
+            for ablation in ("default", "no-loop-merging")
+        }
+        specs = queries_for_workload("bib") + queries_for_workload("auction")
+        return {
+            (spec.key, world, variant): compile_query(
+                alias_query(spec.xquery, variant), pipeline=pipeline
+            )
+            for spec in specs
+            for world, pipeline in pipelines.items()
+            for variant in range(4)
+        }
+
+    def test_same_partition_as_the_ast_and_plan_key(self, entries):
+        new = _partition({label: structure_key(e) for label, e in entries.items()})
+        old = _partition({label: _reference_structure_key(e) for label, e in entries.items()})
+        assert new == old
+
+    def test_equal_keys_exactly_for_aliases_in_one_world(self, entries):
+        new = _partition({label: structure_key(e) for label, e in entries.items()})
+        expected = _partition({label: label[:2] for label in entries})
+        assert new == expected
+
+    def test_ast_serialization_is_byte_identical_to_the_reference(self, entries):
+        for entry in entries.values():
+            out, reference = [], []
+            _canon_value(entry.optimized.parsed, {}, out)
+            _reference_canon_value(entry.optimized.parsed, {}, reference)
+            assert "".join(out) == "".join(reference)
