@@ -53,8 +53,9 @@ def alias_query(query: str, variant: int) -> str:
     whole-name substitution, so distinct bound names cannot collide and
     string literals (which contain no ``$``) are untouched.  The result
     parses to the same :func:`~repro.runtime.plan_cache.structure_key` as
-    the original — variables are α-renamed away there — so the plan cache
-    serves it the original's plan without optimizing, under its own key.
+    the original — bound variables are α-renamed away there — so the plan
+    cache serves it the original's plan without optimizing, under its own
+    key.
     """
     if variant == 0:
         return query

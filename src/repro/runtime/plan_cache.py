@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, cast
 from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.schema import DTD
 from repro.runtime.compiler import CompiledQueryPlan, compile_query
-from repro.xquery.ast import VarRef, XQueryExpr
+from repro.xquery.ast import ForExpr, LetExpr, VarRef, XQueryExpr
 from repro.xquery.parser import parse_xquery
 
 #: Fingerprint stand-in for "no schema" (plans then use maximal buffering).
@@ -72,20 +72,24 @@ def cache_key(
 
 # --------------------------------------------------------- structure keys
 #
-# Two registrations whose query texts differ only in whitespace or variable
-# names compile to the *same* computation; the multi-query service wants to
-# evaluate that computation once and fan the result out.  The structure key
-# names the computation itself: a canonical serialization of the *parsed*
-# query AST, with every variable α-renamed by first occurrence, joined with
-# the DTD fingerprint and pipeline config.  The physical plan — and with it
-# the routing profile (projection tree, labels, buffers, conditions) — is a
-# deterministic function of exactly those three inputs, so equal keys mean
-# identical plans and identical evaluation semantics, and the key can be
-# computed (and looked up) before the optimizer runs.
+# Query texts that differ only in whitespace or bound-variable names compile
+# to the *same* computation, which the multi-query service evaluates once and
+# fans out.  The structure key names it: a canonical serialization of the
+# *parsed* AST, ``for``/``let`` variables α-renamed by scope, joined with the
+# DTD fingerprint and pipeline config.  Free variables are kept verbatim:
+# only ``$ROOT`` is streamed, and any other is an error naming it.  The
+# physical plan — and with it the routing profile — is a deterministic
+# function of exactly those inputs, so equal keys mean identical plans, and
+# the key can be computed (and looked up) before the optimizer runs.
 
-#: A dataclass type's fields as the key walk renders them:
-#: ``((" name=", name, α-renamed?), ...)`` in declaration order.
-_Fields = Tuple[Tuple[str, str, bool], ...]
+#: Field kinds of the key walk: a subtree, a variable use, a bound variable.
+_PLAIN, _USE, _BIND = 0, 1, 2
+#: Binding constructs, by the field their variable ranges over (outside its
+#: scope; the fields after it are inside).
+_BINDER_DOMAINS = {ForExpr: "source", LetExpr: "value"}
+#: A dataclass type's fields as the key walk renders them, a bound variable
+#: after its domain: ``((" name=", name, kind), ...)``.
+_Fields = Tuple[Tuple[str, str, int], ...]
 #: ``_Fields`` of every type the key walk has met (``None`` for types that
 #: are not dataclasses): ``dataclasses.fields`` is too slow per AST node.
 _CANON_FIELDS: Dict[type, Optional[_Fields]] = {}
@@ -94,47 +98,45 @@ _CANON_FIELDS: Dict[type, Optional[_Fields]] = {}
 def _canon_fields(cls: type) -> Optional[_Fields]:
     fields: Optional[_Fields] = None
     if dataclasses.is_dataclass(cls):
-        renamed = {"var", "name"} if issubclass(cls, VarRef) else {"var"}
-        fields = tuple(
-            (f" {info.name}=", info.name, info.name in renamed)
-            for info in dataclasses.fields(cls)
-        )
+        names = [info.name for info in dataclasses.fields(cls)]
+        if cls in _BINDER_DOMAINS:
+            names.remove("var")
+            names.insert(names.index(_BINDER_DOMAINS[cls]) + 1, "var")
+        variables = {"var", "name"} if issubclass(cls, VarRef) else {"var"}
+        kind = _BIND if cls in _BINDER_DOMAINS else _USE
+        fields = tuple((f" {n}=", n, kind if n in variables else _PLAIN) for n in names)
     _CANON_FIELDS[cls] = fields
     return fields
 
 
-def _canon_var(name: str, rename: Dict[str, str], out: List[str]) -> None:
-    canon = rename.get(name)
-    if canon is None:
-        canon = f"v{len(rename)}"
-        rename[name] = canon
-    out.append(canon)
-
-
-def _canon_value(value: object, rename: Dict[str, str], out: List[str]) -> None:
+def _canon_value(value: object, scope: Dict[str, str], depth: int, out: List[str]) -> None:
     """Append a canonical, unambiguous rendering of ``value`` to ``out``.
 
     Handles exactly the value vocabulary of the AST dataclasses: nested
-    dataclasses (class name + fields in declaration order), tuples and
-    scalar leaves.  Fields named ``var`` and the ``name`` of a
-    :class:`~repro.xquery.ast.VarRef` are α-renamed; every other string
-    (element types, step names, literal text) is structural and kept.
+    dataclasses (class name + fields), tuples and scalar leaves.  A bound
+    variable becomes ``v<depth>`` (``depth`` counts the binders around it)
+    and ``scope`` maps each name in scope to that; a free one is ``$name``.
     """
     cls = type(value)
     fields = _CANON_FIELDS[cls] if cls in _CANON_FIELDS else _canon_fields(cls)
     if fields is not None:
         out.append(f"({cls.__name__}")
-        for label, field_name, renamed in fields:
+        for label, field_name, kind in fields:
             out.append(label)
-            if renamed:
-                _canon_var(getattr(value, field_name), rename, out)
+            field_value = getattr(value, field_name)
+            if kind == _PLAIN:
+                _canon_value(field_value, scope, depth, out)
+            elif kind == _USE:
+                out.append(scope.get(field_value) or "$" + field_value)
             else:
-                _canon_value(getattr(value, field_name), rename, out)
+                scope = {**scope, field_value: f"v{depth}"}
+                depth += 1
+                out.append(scope[field_value])
         out.append(")")
     elif isinstance(value, tuple):
         out.append("[")
         for item in value:
-            _canon_value(item, rename, out)
+            _canon_value(item, scope, depth, out)
             out.append(",")
         out.append("]")
     else:
@@ -145,7 +147,7 @@ def _canon_value(value: object, rename: Dict[str, str], out: List[str]) -> None:
 def _parsed_structure_key(parsed: XQueryExpr, dtd_print: str, config: str) -> str:
     """The :func:`structure_key` of a parsed query in a ``(DTD, config)`` world."""
     out: List[str] = []
-    _canon_value(parsed, {}, out)
+    _canon_value(parsed, {}, 0, out)
     digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
     return f"{digest}:{dtd_print}:{config}"
 
@@ -154,7 +156,7 @@ def structure_key(entry: CompiledQueryPlan) -> str:
     """The structural identity of a compiled plan.
 
     Equal keys mean the entries are the same computation — identical
-    parsed ASTs up to a consistent renaming of variables, under the same
+    parsed ASTs up to a consistent renaming of bound variables, under the same
     DTD fingerprint and pipeline configuration — so a shared pass may
     evaluate one of them and serve the output to every registrant of the
     other.  Memoized on the entry; the memo is never pickled
@@ -204,11 +206,10 @@ class CacheStats:
     #: they affect no hit/miss accounting, but a restarted service wants to
     #: know how many compilations its snapshot spared it).
     preloaded: int = 0
-    #: Text keys served by an already-cached structurally identical plan
-    #: (same :func:`structure_key`, different query text), found before
-    #: optimizing (or after, when two aliases raced).  Each one is a plan
-    #: object the cache shares between keys instead of storing twice — the
-    #: substrate of the service layer's fleet dedup.
+    #: Text keys served an already-cached plan of the same
+    #: :func:`structure_key`, found before optimizing (or after, when two
+    #: aliases raced): one plan object shared between keys instead of
+    #: stored twice — the substrate of the service layer's fleet dedup.
     interned: int = 0
 
     @property
@@ -445,16 +446,15 @@ class PlanCache:
         followers wait on its flight and share the plan.  A cached plan
         with the parsed query's :func:`structure_key` is stored under the
         new text (``interned``); otherwise the leader compiles its AST.
-        ``from_cache`` reports whether *this* call's text was served by the
-        cache — a hit, or a followed flight — so it stays accurate even
-        when the cache is shared and other callers race.  Stats mirror
-        that split: a leader is the only ``miss``; followers are counted
-        ``coalesced``, keeping ``hit_rate`` honest under a thundering herd
-        of identical registrations.  A leader's error propagates to its
-        followers — each follower raises its *own* copy (chained to the
-        leader's original via ``__cause__``) so concurrent tracebacks
-        cannot stomp each other; the flight is cleared, so later calls
-        retry.
+        ``from_cache`` says whether *this* call was served without a
+        leader's work — a hit, or a followed flight — even when callers
+        race.  Stats mirror that split: a leader is the only ``miss``;
+        followers are ``coalesced``, keeping ``hit_rate`` honest under a
+        thundering herd of identical registrations.  A leader's error
+        propagates to its followers — each raises its *own* copy (chained
+        to the leader's original via ``__cause__``) so concurrent
+        tracebacks cannot stomp each other; the flight is cleared, so
+        later calls retry.
         """
         key = cache_key(query, pipeline.dtd, pipeline.config_fingerprint())
         with self._lock:

@@ -5,6 +5,7 @@ The cache lives in ``repro.runtime`` and is shared by the FluxEngine and the
 multi-query service; ``repro.service.plan_cache`` re-exports it."""
 
 import dataclasses
+import functools
 import hashlib
 import pickle
 
@@ -26,7 +27,7 @@ from repro.runtime.plan_cache import (
 from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG, BIB_DTD_WEAK
 from repro.workloads.queries import get_query, queries_for_workload
 from repro.workloads.xmark import generate_auction_site
-from repro.xquery.ast import VarRef
+from repro.xquery.ast import ForExpr, LetExpr, VarRef
 
 from tests.conftest import PAPER_FIGURE1_DTD, PAPER_WEAK_DTD, PAPER_Q3
 
@@ -612,6 +613,44 @@ def _reference_structure_key(entry):
     return f"{digest}:{dtd_fingerprint(entry.dtd)}:{entry.pipeline_config}"
 
 
+def _reference_parsed_canon(value, scope, depth, out):
+    """The parsed-AST key walk spelled per node with ``dataclasses.fields``."""
+    if not dataclasses.is_dataclass(value):
+        if isinstance(value, tuple):
+            out.append("[")
+            for item in value:
+                _reference_parsed_canon(item, scope, depth, out)
+                out.append(",")
+            out.append("]")
+        else:
+            out.append(repr(value))
+        return
+    names = [field_info.name for field_info in dataclasses.fields(value)]
+    binder = isinstance(value, (ForExpr, LetExpr))
+    if binder:
+        # The bound variable is in scope after its domain, not inside it.
+        names.remove("var")
+        names.insert(names.index("source" if isinstance(value, ForExpr) else "value") + 1, "var")
+    out.append(f"({type(value).__name__}")
+    for name in names:
+        out.append(f" {name}=")
+        field_value = getattr(value, name)
+        if binder and name == "var":
+            scope = {**scope, field_value: f"v{depth}"}
+            depth += 1
+            out.append(scope[field_value])
+        elif name == "var" or (isinstance(value, VarRef) and name == "name"):
+            out.append(scope.get(field_value, "$" + field_value))
+        else:
+            _reference_parsed_canon(field_value, scope, depth, out)
+    out.append(")")
+
+
+#: A query on a free variable other than the document: it compiles, and
+#: evaluating it raises an error naming ``$doc``.
+FREE_VARIABLE_QUERY = "for $b in $doc/bib/book return $b/title"
+
+
 def _partition(labels_by_key):
     groups = {}
     for label, key in labels_by_key.items():
@@ -636,12 +675,14 @@ class TestParsedStructureKey:
             for name, dtd in worlds.items()
             for ablation in ("default", "no-loop-merging")
         }
-        specs = queries_for_workload("bib") + queries_for_workload("auction")
+        texts = {
+            spec.key: spec.xquery
+            for spec in queries_for_workload("bib") + queries_for_workload("auction")
+        }
+        texts["FREE-doc"] = FREE_VARIABLE_QUERY
         return {
-            (spec.key, world, variant): compile_query(
-                alias_query(spec.xquery, variant), pipeline=pipeline
-            )
-            for spec in specs
+            (key, world, variant): compile_query(alias_query(text, variant), pipeline=pipeline)
+            for key, text in texts.items()
             for world, pipeline in pipelines.items()
             for variant in range(4)
         }
@@ -659,6 +700,78 @@ class TestParsedStructureKey:
     def test_ast_serialization_is_byte_identical_to_the_reference(self, entries):
         for entry in entries.values():
             out, reference = [], []
-            _canon_value(entry.optimized.parsed, {}, out)
-            _reference_canon_value(entry.optimized.parsed, {}, reference)
+            _canon_value(entry.optimized.parsed, {}, 0, out)
+            _reference_parsed_canon(entry.optimized.parsed, {}, 0, reference)
             assert "".join(out) == "".join(reference)
+
+
+class TestFreeVariables:
+    """Only variables the query binds are renamed; free ones are kept.
+
+    ``$ROOT`` (an absolute path) is the one variable the compiler streams,
+    and any other free variable is an evaluation error naming it, so two
+    queries that differ in a free name are different computations.
+    """
+
+    ABSOLUTE = "for $b in /bib/book return $b/title"
+
+    @staticmethod
+    def _key(query, pipeline):
+        return structure_key(compile_query(query, pipeline=pipeline))
+
+    def test_document_and_free_variable_paths_never_share_a_key(self, strong_pipeline):
+        keys = {
+            self._key(query, strong_pipeline)
+            for query in (
+                self.ABSOLUTE,
+                FREE_VARIABLE_QUERY,
+                "for $b in $x/bib/book return $b/title",
+                "for $b in $v0/bib/book return $b/title",
+            )
+        }
+        assert len(keys) == 4
+
+    def test_a_free_variable_query_does_not_intern_to_the_document_query(
+        self, strong_pipeline
+    ):
+        from repro.engines.flux_engine import FluxEngine
+        from repro.errors import EvaluationError
+
+        for first, second in (
+            (self.ABSOLUTE, FREE_VARIABLE_QUERY),
+            (FREE_VARIABLE_QUERY, self.ABSOLUTE),
+        ):
+            cache = PlanCache()
+            plan, _ = cache.get_or_compile(first, strong_pipeline)
+            other, from_cache = cache.get_or_compile(second, strong_pipeline)
+            assert not from_cache and other is not plan
+            assert cache.stats.interned == 0
+            assert cache.structure_count() == 2
+            engine = FluxEngine(dtd=parse_dtd(PAPER_FIGURE1_DTD), plan_cache=cache)
+            document = (
+                "<bib><book><title>T</title><author>A</author>"
+                "<publisher>P</publisher><price>1</price></book></bib>"
+            )
+            assert engine.execute(self.ABSOLUTE, document).output == "<title>T</title>"
+            with pytest.raises(EvaluationError, match=r"unbound variable \$doc"):
+                engine.execute(FREE_VARIABLE_QUERY, document)
+            assert cache.stats.hits == 2  # both ran the plans cached above
+
+    def test_renaming_follows_scope(self, strong_pipeline):
+        key = functools.partial(self._key, pipeline=strong_pipeline)
+        # Shadowing: the inner binder is a new variable whatever its name.
+        assert key(
+            "for $a in /bib/book return for $a in $a/title return $a"
+        ) == key("for $b in /bib/book return for $c in $b/title return $c")
+        # A use outside the binder's scope is the free variable of that name.
+        assert key("(for $x in /bib/book return $x/title), $x") == key(
+            "(for $y in /bib/book return $y/title), $x"
+        )
+        assert key("(for $x in /bib/book return $x/title), $x") != key(
+            "(for $y in /bib/book return $y/title), $y"
+        )
+        # The source of a ``for`` is outside its variable's scope.
+        assert key("for $x in $x/bib return $x") != key("for $y in $x/bib return $x")
+        assert key("let $t := /bib/book/title return $t") == key(
+            "let $u := /bib/book/title return $u"
+        )
