@@ -18,14 +18,18 @@ The plan is lowered once per plan to Python closures
 offers compilation to Java code.  The operators stay the explain, analysis,
 structure-key and pickle form.
 
-:meth:`PhysicalPlan.skip_trie` derives from the plan, once, which subtrees
-of the document it can ever read: the tokenizer skips the rest without
-building their events (:class:`~repro.xmlstream.parser.SkipTrie`).
+:meth:`PhysicalPlan.read_trie` derives from the plan, once, what of the
+document it can ever read — the paper's BDF as one forest of paths — and
+three views read from it: the parser's skip trie
+(:meth:`PhysicalPlan.skip_trie`; the tokenizer skips the rest without
+building their events), the buffers' projection (:func:`needed_view` of
+:func:`buffer_reads`) and, in a shared pass, each group's routing
+(:class:`~repro.service.dispatcher.PlanProfile`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.xmlstream.parser import SkipTrie
@@ -177,20 +181,21 @@ class PhysicalPlan:
     def __post_init__(self) -> None:
         self._lowered: Optional[Dict[int, "LoweredExpr"]] = None
         self._program: Optional[Callable] = None
-        self._skip_trie: object = _UNDERIVED
+        self._read_trie: object = _UNDERIVED
+        self._parser_trie: object = _UNDERIVED
 
     def __getstate__(self) -> dict:
-        # The lowered expressions, closures and skip trie are derived data
+        # The lowered expressions, closures and read tries are derived data
         # (keyed by object identity); a worker derives them again on its
         # first document.
         state = dict(self.__dict__)
-        del state["_lowered"], state["_program"], state["_skip_trie"]
+        del state["_lowered"], state["_program"], state["_read_trie"], state["_parser_trie"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lowered = self._program = None
-        self._skip_trie = _UNDERIVED
+        self._read_trie = self._parser_trie = _UNDERIVED
 
     def lowered(self) -> Dict[int, "LoweredExpr"]:
         """``id(op) -> lowered expression`` of every buffered expression of
@@ -210,23 +215,31 @@ class PhysicalPlan:
             self._program = lower_program(self)
         return self._program
 
-    def skip_trie(self) -> Optional[SkipTrie]:
-        """What the plan reads of the document, as the parser's skip trie,
-        derived once per plan; ``None`` when it may read everything.
+    def read_trie(self) -> ReadTrie:
+        """What the plan reads of the document, derived once per plan: the
+        document node's read trie (``None`` when it may read everything).
 
         Below an element a ``process-stream`` reads, the trie lists its
-        ``on`` labels and buffered labels.  A child is read whole (``None``)
-        when it is buffered, and when its handler's variable is copied,
-        rebound, or streamed by more than one ``process-stream``; a child
-        whose variable no ``process-stream`` streams has none of its own
-        children read.  Everything else is drained unread by the
-        ``process-stream`` loop, so skipping it changes no output — except
-        that a child the DTD allows only text in is listed as read: its
-        three events cost less than a skip.
+        buffered labels — whole, or the spines of the BDF's paths below
+        them — and its ``on`` labels.  An ``on`` child is read whole when
+        its handler's variable is copied, rebound, or streamed by more
+        than one ``process-stream``; a child whose variable no
+        ``process-stream`` streams has none of its own children read.
+        Below every other spine a child the DTD allows only text in is
+        :data:`TEXT`.  Everything else is drained unread by the
+        ``process-stream`` loop or left out of the buffers, so skipping it
+        changes no output.
         """
-        if self._skip_trie is _UNDERIVED:
-            self._skip_trie = _reads(DOCUMENT_VARIABLE, self.root, self.dtd)
-        return self._skip_trie  # type: ignore[return-value]
+        if self._read_trie is _UNDERIVED:
+            self._read_trie = _element_reads(DOCUMENT_VARIABLE, self.root, self.dtd)
+        return self._read_trie  # type: ignore[return-value]
+
+    def skip_trie(self) -> Optional[SkipTrie]:
+        """The parser's view of :meth:`read_trie` (:func:`_parser_view`),
+        derived once per plan; ``None`` when it may read everything."""
+        if self._parser_trie is _UNDERIVED:
+            self._parser_trie = _parser_view(self.read_trie())
+        return self._parser_trie  # type: ignore[return-value]
 
     def operator_count(self) -> int:
         return self.root.operator_count()
@@ -247,41 +260,83 @@ class PhysicalPlan:
 _UNDERIVED = object()
 
 
-def _reads(var: str, body: PlanOp, dtd: "Optional[DTD]") -> Optional[SkipTrie]:
-    """The skip trie of the element bound to ``var`` while ``body`` runs."""
-    readers: List[PlanOp] = []
-    if not _source_readers(var, body, readers):
-        return None
-    streams = [op for op in readers if type(op) is ProcessStreamOp]
-    if len(streams) < len(readers) or len(streams) > 1:
-        return None  # copied, or streamed twice
+class _TextOnly:
+    """The read-trie kind of a child that only text may fill and nobody reads."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "TEXT"
+
+
+#: A read-trie node is ``None`` (read whole), :data:`TEXT` (an unread child
+#: the DTD allows only text in), or a dict (the spine: the element and its
+#: attributes, and of its children those listed; an unlisted child is
+#: skipped).
+TEXT = _TextOnly()
+
+ReadTrie = Union[None, _TextOnly, Dict[str, "ReadTrie"]]
+
+
+def _element_reads(var: str, body: PlanOp, dtd: "Optional[DTD]") -> ReadTrie:
+    """What is read of the element bound to ``var`` while ``body`` runs."""
+    streams: List[ProcessStreamOp] = []
+    pending = [body]
+    while pending:
+        op = pending.pop()
+        kind = type(op)
+        if (kind is OnHandlerOp or kind is CopyVarOp) and op.var == var:  # type: ignore[attr-defined]
+            return None  # rebound, or copied
+        if kind is ProcessStreamOp and op.var == var:  # type: ignore[attr-defined]
+            streams.append(op)  # type: ignore[arg-type]
+        pending.extend(op.children())
     if not streams:
-        return SkipTrie()
+        return {}
     stream = streams[0]
-    if stream.buffer_whole or WHOLE_SUBTREE in stream.buffer_labels:
+    if len(streams) > 1 or stream.buffer_whole or WHOLE_SUBTREE in stream.buffer_labels:
         return None
-    trie = SkipTrie(dict.fromkeys(stream.buffer_labels))
+    node = buffer_reads(stream, dtd)
     for label, index in stream.on_index.items():
-        if label not in trie:
+        if label not in node:
             handler = stream.handlers[index]
-            trie[label] = _reads(handler.var, handler.body, dtd)
-    if dtd is not None and dtd.has_element(stream.element_type):
+            node[label] = _element_reads(handler.var, handler.body, dtd)
+    return _spine(stream.element_type, node, dtd)
+
+
+def buffer_reads(op: ProcessStreamOp, dtd: "Optional[DTD]") -> Dict[str, ReadTrie]:
+    """``label -> read trie`` of the labels ``op`` buffers: whole, or the
+    spines of ``op.buffer_paths``."""
+    node: Dict[str, ReadTrie] = dict.fromkeys(op.buffer_labels)
+    for path, whole in sorted(op.buffer_paths):  # a path sorts after its prefixes
+        parent = node
+        for name in path[:-1]:
+            parent = parent[name]  # type: ignore[assignment]
+        parent[path[-1]] = None if whole else _spine(path[-1], {}, dtd)
+    return node
+
+
+def _spine(element_type: str, node: Dict[str, ReadTrie], dtd: "Optional[DTD]") -> dict:
+    """``node`` with :data:`TEXT` for every child the DTD allows only text in."""
+    if dtd is not None and dtd.has_element(element_type):
         tables = dtd.element_tables()
-        table = tables[stream.element_type]
+        table = tables[element_type]
         for label in table.remaining[table.start] if table.remaining else ():
             child = tables[label]
             if child.remaining and not child.remaining[child.start]:
-                trie.setdefault(label, None)
-    return trie
+                node.setdefault(label, TEXT)
+    return node
 
 
-def _source_readers(var: str, op: PlanOp, readers: List[PlanOp]) -> bool:
-    """Collect the operators under ``op`` that read ``var``'s children from
-    the stream (its ``process-stream`` and ``copy`` operators); ``False``
-    when a handler below rebinds ``var``."""
-    kind = type(op)
-    if kind is OnHandlerOp and op.var == var:  # type: ignore[attr-defined]
-        return False
-    if (kind is ProcessStreamOp or kind is CopyVarOp) and op.var == var:  # type: ignore[attr-defined]
-        readers.append(op)
-    return all(_source_readers(var, child, readers) for child in op.children())
+def needed_view(node: ReadTrie) -> Optional[dict]:
+    """The read trie without its :data:`TEXT` nodes: what must be kept."""
+    if node is None or node is TEXT:
+        return None
+    return {label: needed_view(child) for label, child in node.items() if child is not TEXT}
+
+
+def _parser_view(node: ReadTrie) -> Optional[SkipTrie]:
+    """The read trie as the parser's skip trie: :data:`TEXT` nodes are read,
+    because three events cost less than a skip."""
+    if node is None or node is TEXT:
+        return None
+    return SkipTrie((label, _parser_view(child)) for label, child in node.items())

@@ -28,7 +28,7 @@ with its :class:`~repro.runtime.evaluator.StreamedEvaluator`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EvaluationError, XMLSyntaxError
 from repro.runtime.buffered import LoweredExpr
@@ -46,6 +46,8 @@ from repro.runtime.plan import (
     ProcessStreamOp,
     SequenceOp,
     TextOp,
+    buffer_reads,
+    needed_view,
 )
 from repro.runtime.xsax import OnFirstEvent, XSAXReader
 from repro.xmlstream.events import (
@@ -171,21 +173,9 @@ def _lower_on(handler: OnHandlerOp, plan: PhysicalPlan) -> Callable:
 _COPY = object()
 
 
-def _path_tries(paths: FrozenSet[Tuple[Tuple[str, ...], bool]]) -> Dict[str, dict]:
-    """``label -> trie`` of every projected label: a trie maps a child name
-    to its own trie, or to ``None`` when that child is kept whole."""
-    tries: Dict[str, dict] = {}
-    for path, whole in sorted(paths):  # a path sorts after its prefixes
-        node = tries
-        for name in path[:-1]:
-            node = node[name]
-        node[path[-1]] = None if whole else {}
-    return tries
-
-
 def _lower_process_stream(op: ProcessStreamOp, plan: PhysicalPlan) -> Callable:
     var, buffer_whole, buffer_labels = op.var, op.buffer_whole, op.buffer_labels
-    projected = _path_tries(op.buffer_paths).get
+    projected = needed_view(buffer_reads(op, plan.dtd)).get
     children: Dict[str, Tuple[int, object]] = {}
     for label, index in op.on_index.items():
         handler = op.handlers[index]

@@ -4,34 +4,28 @@ One :class:`~repro.xmlstream.parser.StreamingXMLParser` feed is fanned out
 to N per-query FluX runtimes.  The dispatcher's job is to make the shared
 scan cheaper than N independent scans *without changing any query's output
 by a single byte*.  Each registered plan contributes a
-:class:`PlanProfile` of static interest:
-
-* the projection tree of the query (as in the projection baseline engine:
-  every document-rooted path the query's paths can touch, with
-  ``keep_subtree`` marking value uses), and
-* plan-level interest extracted from the physical plan — handler dispatch
-  labels, BDF buffer labels, whole-element buffering, stream-copied
-  variables — and the element types carrying registered XSAX ``on-first``
-  conditions.
+:class:`PlanProfile` of static interest: the needed view of the plan's
+read trie (:meth:`~repro.runtime.plan.PhysicalPlan.read_trie` — every
+document-rooted path the plan reads, whole or as a spine), and the element
+types carrying its registered XSAX ``on-first`` conditions.
 
 Profiles are grouped by *plan structure* before they reach the index:
 registrations whose plans are structurally identical (same
 :func:`~repro.runtime.plan_cache.structure_key`) share one profile, one
 routing bit, and one evaluation session, however many subscribers ride on
 them.  The profiles of all groups are then merged into a single **path
-trie** (:class:`_TrieNode`) plus per-name mask tables, so a single
+trie** (:class:`_TrieNode`) plus a per-name condition mask table, so a single
 stack-machine pass (:meth:`SharedProjectionIndex.route`) computes, **per
 admitted event, a bitmask of exactly which groups need it** (bit *i* set
 means group *i*'s session receives the event) with per-event cost bounded
 by the number of *distinct* structures, not the registrant count.  Per
 group:
 
-* character data in regions that plan's buffers or copies cannot observe
-  is not routed to it;
+* character data is routed to it only inside a subtree it reads whole;
 * a whole element subtree is not routed to a plan when (a) it matches no
-  node of *that plan's* projection tree, (b) its name is not interesting
-  to that plan, and (c) its **parent's element type has no on-first
-  condition registered in that plan**;
+  node of *that plan's* needed view, (b) no ancestor is read whole by that
+  plan, and (c) its **parent's element type has no on-first condition
+  registered in that plan**;
 * an event needed by *no* plan is pruned once, for all of them (the union
   fast path of PR 1), without even being buffered.
 
@@ -46,8 +40,8 @@ condition).  For elements without conditions, delaying an always-satisfied
 handler from the arrival of a pruned child to the next forwarded event
 cannot reorder output of *safe* FluX queries (the safety check guarantees
 an on-first handler cannot fire while an earlier-indexed handler still
-expects children), so routing is invisible: each plan sees exactly the
-stream its own solo filter would have admitted.
+expects children), so routing is invisible: each plan is routed only what
+its own solo skip-trie parse delivers, plus the tags of rule-(c) children.
 
 Per-query validation is disabled inside a shared pass; the dispatcher
 validates the *unfiltered* stream once (``validate=True`` on the service),
@@ -61,91 +55,43 @@ registration, so it may be read by any number of later passes.
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.dtd.validator import StreamingValidator
 from repro.runtime.compiler import CompiledQueryPlan
-from repro.runtime.plan import (
-    CopyVarOp,
-    OnHandlerOp,
-    PlanOp,
-    ProcessStreamOp,
-)
+from repro.runtime.plan import needed_view
 from repro.service.metrics import PassMetrics
 from repro.xmlstream.events import EndElement, Event, SkippedSubtree, StartElement, Text
 from repro.xmlstream.parser import SKIP, SkipTrie
-from repro.xquery.analysis import WHOLE_SUBTREE, ProjectionNode, projection_paths
-
-
-def _walk(op: PlanOp) -> Iterable[PlanOp]:
-    yield op
-    for child in op.children():
-        for descendant in _walk(child):
-            yield descendant
 
 
 class PlanProfile:
     """Event interest of one compiled plan, derived statically.
 
-    ``keep_names``: element names whose whole subtree (children *and* text)
-    the runtime may materialize or copy — buffered labels, whole-buffered
-    scope types, and stream-copied handler labels.
-    ``interesting_names``: names that must reach the runtime (handler
-    dispatch labels, scope element types, all of ``keep_names``).
+    ``needed``: the needed view of the plan's read trie
+    (:meth:`~repro.runtime.plan.PhysicalPlan.read_trie`,
+    :func:`~repro.runtime.plan.needed_view`) — ``None`` when the plan
+    reads the whole document, else the document node's ``{label: view}``.
     ``condition_types``: element types with registered on-first conditions.
-    ``keep_everything``: conservative escape hatch — the plan copies a
-    binding the walk cannot attribute to a label (e.g. ``$ROOT`` itself),
-    so nothing may be filtered for it.
     """
 
     def __init__(self, entry: CompiledQueryPlan):
         self.entry = entry
-        self.keep_names: Set[str] = set()
-        self.interesting_names: Set[str] = set()
         self.condition_types: Set[str] = set(entry.plan.conditions.element_types())
-        self.keep_everything = False
-        self.projection: ProjectionNode = projection_paths(entry.optimized.parsed)
-
-        bindings: Dict[str, Set[str]] = {}
-        ops = list(_walk(entry.plan.root))
-        for op in ops:
-            if isinstance(op, OnHandlerOp):
-                bindings.setdefault(op.var, set()).add(op.label)
-        for op in ops:
-            if isinstance(op, ProcessStreamOp):
-                self.interesting_names.add(op.element_type)
-                self.interesting_names.update(op.on_index)
-                for label in op.buffer_labels:
-                    if label == WHOLE_SUBTREE:
-                        self.keep_everything = True
-                    else:
-                        self.keep_names.add(label)
-                if op.buffer_whole:
-                    self.keep_names.add(op.element_type)
-            elif isinstance(op, CopyVarOp):
-                labels = bindings.get(op.var)
-                if labels:
-                    self.keep_names.update(labels)
-                else:
-                    # Copy of the document ($ROOT) or of a binding outside
-                    # this walk's label attribution: keep the entire stream.
-                    self.keep_everything = True
-        self.interesting_names.update(self.keep_names)
+        self.needed: Optional[dict] = needed_view(entry.plan.read_trie())
 
 
 class _TrieNode:
-    """One document-rooted path of the merged projection trie.
+    """One document-rooted path of the merged needed views.
 
-    The per-group projection trees are folded into one trie at index
-    construction: ``mask`` is the bitmask of groups whose projection tree
-    has a node at exactly this path, ``keep_mask`` the subset whose node
-    keeps the whole subtree.  Projection trees are document-rooted, so a
-    path determines its matches for every group at once — the hot loop
-    replaces the old per-plan matched-node lists with a single child
-    lookup here, making the per-event cost independent of fleet size.
-    Immutable after construction; shared freely by the pass's frames.
+    The per-group needed views are folded into one trie at index
+    construction: ``mask`` is the bitmask of groups whose view has a node
+    at exactly this path, ``keep_mask`` the subset that reads the whole
+    subtree.  The views are document-rooted, so a path determines its
+    matches for every group at once — one child lookup here, making the
+    per-event cost independent of fleet size.  Immutable after
+    construction; shared freely by the pass's frames.
     """
 
     __slots__ = ("children", "mask", "keep_mask")
@@ -156,16 +102,17 @@ class _TrieNode:
         self.keep_mask = 0
 
 
-def _merge_projection(trie: _TrieNode, node: ProjectionNode, bit: int) -> None:
-    """Fold one group's projection tree into the merged trie."""
-    for name, child in node.children.items():
+def _merge_needed(trie: _TrieNode, needed: dict, bit: int) -> None:
+    """Fold one group's needed view into the merged trie."""
+    for name, child in needed.items():
         sub = trie.children.get(name)
         if sub is None:
             sub = trie.children[name] = _TrieNode()
         sub.mask |= bit
-        if child.keep_subtree:
+        if child is None:
             sub.keep_mask |= bit
-        _merge_projection(sub, child, bit)
+        else:
+            _merge_needed(sub, child, bit)
 
 
 class _Frame:
@@ -173,11 +120,9 @@ class _Frame:
 
     ``active`` is the bitmask of groups this element was routed to (a
     group that pruned an ancestor can never reappear below it); ``kept``
-    marks the groups whose buffers/copies can observe this region's
-    character data (keep-everything groups are folded in at the root and
-    inherited); ``node`` is the merged-trie node this element's
-    document-rooted path reached, or ``None`` once the path left every
-    group's projection tree.
+    marks the groups that read this region whole (inherited downward);
+    ``node`` is the merged-trie node this element's document-rooted path
+    reached, or ``None`` once the path left every group's needed view.
     """
 
     __slots__ = ("name", "node", "kept", "active")
@@ -202,8 +147,8 @@ class SharedProjectionIndex:
 
     Construction merges every group's static interest into shared tables
     so the hot loop never iterates the groups: a path trie over the
-    projection trees (:class:`_TrieNode`) and per-name group masks for
-    keep/interesting/condition names.  All per-event work is a handful of
+    needed views (:class:`_TrieNode`) and per-name group masks of the
+    condition types.  All per-event work is a handful of
     dict lookups and mask operations whose width is the number of
     *distinct plan structures* — registering ten thousand aliases of one
     hundred structures routes on one-hundred-bit masks.
@@ -239,32 +184,21 @@ class SharedProjectionIndex:
         self.keys: List[List[str]] = key_groups
         self._count = len(profiles)
         self.full_mask = (1 << self._count) - 1
-        self._keep_everything_mask = 0
+        #: Groups that read the whole document.
         self._root_keep_mask = 0
         root = _TrieNode()
-        keep_name_masks: Dict[str, int] = {}
-        interesting_masks: Dict[str, int] = {}
         condition_masks: Dict[str, int] = {}
         for i, profile in enumerate(profiles):
             bit = 1 << i
-            if profile.keep_everything:
-                self._keep_everything_mask |= bit
-            if profile.projection.keep_subtree:
+            if profile.needed is None:
                 self._root_keep_mask |= bit
-            _merge_projection(root, profile.projection, bit)
-            for name in profile.keep_names:
-                keep_name_masks[name] = keep_name_masks.get(name, 0) | bit
-            interesting = set(profile.interesting_names)
-            _projection_names(profile.projection, interesting)
-            for name in interesting:
-                interesting_masks[name] = interesting_masks.get(name, 0) | bit
+            else:
+                _merge_needed(root, profile.needed, bit)
             for name in profile.condition_types:
                 condition_masks[name] = condition_masks.get(name, 0) | bit
         self._root = root
-        # Per-name group masks, built once here so the event loop never
-        # reconstructs a mask: route() only reads them with .get(name, 0).
-        self._keep_name_masks = keep_name_masks
-        self._interesting_masks = interesting_masks
+        # Built once here so the event loop never reconstructs a mask:
+        # route() only reads it with .get(name, 0).
         self._condition_masks = condition_masks
         self._stack: List[_Frame] = []
         self._skip_depth = 0
@@ -313,12 +247,11 @@ class SharedProjectionIndex:
             mask = stack.pop().active if stack else self.full_mask
             metrics.events_forwarded += 1
         elif cls is Text:
-            keep_everything = self._keep_everything_mask
             if stack:
                 frame = stack[-1]
-                mask = frame.active & (frame.kept | keep_everything)
+                mask = frame.active & frame.kept
             else:
-                mask = keep_everything
+                mask = self._root_keep_mask
             if not mask:
                 metrics.text_events_dropped += 1
                 return 0
@@ -362,16 +295,11 @@ class SharedProjectionIndex:
         name = event.name
         metrics = self.metrics
         stack = self._stack
-        keep_mask_for = self._keep_name_masks.get
         if not stack:
             # The document root: the spine of every document-rooted path —
             # every group receives it.  One visit per pass.
             root_child = self._root.children.get(name)
-            kept = (
-                self._keep_everything_mask
-                | self._root_keep_mask
-                | keep_mask_for(name, 0)
-            )
+            kept = self._root_keep_mask
             if root_child is not None:
                 kept |= root_child.keep_mask
             active = self.full_mask
@@ -380,7 +308,7 @@ class SharedProjectionIndex:
             return active
         parent = stack[-1]
         parent_node = parent.node
-        kept = parent.kept | keep_mask_for(name, 0)
+        kept = parent.kept
         match = 0
         node = None
         if parent_node is not None:
@@ -388,12 +316,7 @@ class SharedProjectionIndex:
             if node is not None:
                 kept |= node.keep_mask
                 match = node.mask
-        active = parent.active & (
-            kept
-            | match
-            | self._interesting_masks.get(name, 0)
-            | self._condition_masks.get(parent.name, 0)
-        )
+        active = parent.active & (kept | match | self._condition_masks.get(parent.name, 0))
         if active:
             # One frame per retained open element (depth-bounded).
             stack.append(_Frame(name, node, kept, active))
@@ -409,80 +332,20 @@ class SharedProjectionIndex:
     # ---------------------------------------------------------- skip trie
 
     def skip_trie(self) -> Optional[SkipTrie]:
-        """The parser's skip trie: the subtrees whose content :meth:`route`
-        would prune for every group, so the parser need not build their
-        events.  Derived once per tuple of profiles (a service's passes
-        share it until its registrations change).
+        """The parser's skip trie: the union of the groups' own skip tries
+        (:meth:`~repro.runtime.plan.PhysicalPlan.skip_trie`), so the parser
+        builds no events of a subtree no group reads.
 
-        That is every subtree :meth:`_route_start` prunes, and also a child
-        forwarded only because of rule (c): the groups whose parent carries
-        a condition then receive the skipped subtree as one event, which
-        steps the parent's automaton as the start tag would
-        (:meth:`_route_skipped`).  A routing frame is determined by its
-        document-rooted path, and what
-        :meth:`_route_start` computes for a child depends only on the
-        parent's ``(trie node, kept, active)`` masks, the condition mask of
-        the parent's name and the child's name.  So one trie node stands
-        for each such state (memoized, so recursive paths make a cyclic
-        trie); names no mask table mentions share the node's default.
+        Every such subtree is one :meth:`_route_start` prunes, except a
+        child forwarded only because of rule (c): the groups whose parent
+        carries a condition then receive the skipped subtree as one event,
+        which steps the parent's automaton as the start tag would
+        (:meth:`_route_skipped`).
         """
-        return _skip_trie(self._profiles)
-
-    def _derive_skip_trie(self) -> Optional[SkipTrie]:
-        names = set(self._keep_name_masks) | set(self._interesting_masks)
-        names |= set(self._condition_masks)
-        # The document is a frame whose one child every group sees arrive.
-        kept = self._keep_everything_mask | self._root_keep_mask
-        full = self.full_mask
-        return self._frame_trie(self._root, kept, full, full, names, {})
-
-    def _frame_trie(
-        self,
-        node: Optional[_TrieNode],
-        kept: int,
-        active: int,
-        condition: int,
-        names: Set[str],
-        memo: Dict[tuple, Optional[SkipTrie]],
-    ) -> Optional[SkipTrie]:
-        """The skip trie below an element whose routing frame is
-        ``(node, kept, active)`` and whose name has condition mask
-        ``condition``."""
-        if active & kept:
-            return None  # some group keeps everything below: nothing prunes
-        key = (id(node), kept, active, condition)
-        if key in memo:
-            return memo[key]
-        trie = memo[key] = SkipTrie()
-        children = node.children if node is not None else {}
-        for name in names | set(children):
-            trie[name] = self._child_trie(node, kept, active, condition, name, names, memo)
-        trie.default = self._child_trie(node, kept, active, condition, None, names, memo)
+        trie: Optional[SkipTrie] = SkipTrie()
+        for profile in self._profiles:
+            trie = _union(trie, profile.entry.plan.skip_trie())
         return trie
-
-    def _child_trie(self, node, kept, active, condition, name, names, memo):
-        """What :meth:`_route_start` does with child ``name`` (``None``: a
-        name no table mentions) of the frame: :data:`SKIP` where no group
-        reads it, rule (c) aside."""
-        child_kept = kept | self._keep_name_masks.get(name, 0)
-        match = 0
-        child = None
-        if node is not None and name is not None:
-            child = node.children.get(name)
-            if child is not None:
-                child_kept |= child.keep_mask
-                match = child.mask
-        reads = active & (child_kept | match | self._interesting_masks.get(name, 0))
-        if not reads:
-            return SKIP
-        return self._frame_trie(
-            child,
-            child_kept,
-            reads | active & condition,
-            self._condition_masks.get(name, 0),
-            names,
-            memo,
-        )
 
     # ------------------------------------------------------------ metrics
 
@@ -518,15 +381,15 @@ class SharedProjectionIndex:
                 per_pruned[key] = forwarded - routed
 
 
-@functools.lru_cache(maxsize=8)
-def _skip_trie(profiles: Tuple[PlanProfile, ...]) -> Optional[SkipTrie]:
-    return SharedProjectionIndex(profiles)._derive_skip_trie()
-
-
-def _projection_names(node: ProjectionNode, into: Set[str]) -> None:
-    for label, child in node.children.items():
-        into.add(label)
-        _projection_names(child, into)
+def _union(a: Optional[SkipTrie], b: Optional[SkipTrie]) -> Optional[SkipTrie]:
+    """The skip trie reading what ``a`` or ``b`` reads."""
+    if a is None or b is None:
+        return None
+    union = SkipTrie(a)
+    for label, child in b.items():
+        mine = a.get(label, SKIP)
+        union[label] = child if mine is SKIP else _union(mine, child)
+    return union
 
 
 class SharedDispatcher:

@@ -362,10 +362,6 @@ class ProcessServicePool(PoolCore):
             # Release after acquiring: replacing an alias with another
             # alias of the same structure must not drop the shared plan.
             self._release_structure(displaced)
-        for metrics in self._slot_metrics:
-            if displaced is not None:
-                metrics.queries_replaced += 1
-            metrics.queries_registered += 1
         return registration
 
     def _release_structure(self, registration: RegisteredQuery) -> None:
@@ -400,8 +396,6 @@ class ProcessServicePool(PoolCore):
                     except (BrokenPipeError, OSError):
                         pass  # died under us; respawn re-ships everything
         self._release_structure(registration)
-        for metrics in self._slot_metrics:
-            metrics.queries_unregistered += 1
 
     def _worker_metrics(self) -> List[ServiceMetrics]:
         return list(self._slot_metrics)

@@ -63,6 +63,7 @@ from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.plan_cache import PlanCache, dtd_fingerprint, structure_key
 from repro.service.metrics import MetricsPublisher, PassMetrics, ServiceMetrics
 from repro.service.session import PlanStructure, RegisteredQuery, SharedPass
+from repro.xmlstream.parser import SkipTrie
 
 #: Default read granularity when a pass ingests a file-like document.
 _READ_CHUNK = 1 << 16
@@ -244,6 +245,9 @@ class QueryService(MetricsPublisher):
         #: entries leave when their last subscriber unregisters.
         self._structures: "Dict[str, PlanStructure]" = {}
         self._counter = 0
+        #: The parser's skip trie of the last pass's registration set
+        #: (:class:`~repro.service.session.SharedPass`).
+        self._skip_tries: Dict[tuple, Optional[SkipTrie]] = {}
         # Weak on purpose: the service must not keep an abandoned pass
         # alive, or its finalizer (which aborts it and frees this slot)
         # could never run.
@@ -451,6 +455,7 @@ class QueryService(MetricsPublisher):
             on_close=self._pass_closed,
             obs=self.obs,
             trace_id=trace_id,
+            skip_tries=self._skip_tries,
         )
         self._active_pass_ref = weakref.ref(shared_pass)
         return shared_pass

@@ -32,7 +32,7 @@ from repro.runtime.evaluator import EvaluatorSession
 from repro.runtime.plan_cache import structure_key
 from repro.service.dispatcher import PlanProfile, SharedDispatcher, SharedProjectionIndex
 from repro.service.metrics import PASS_STAGES, PassMetrics, record_pass_durations
-from repro.xmlstream.parser import StreamingXMLParser
+from repro.xmlstream.parser import SkipTrie, StreamingXMLParser
 
 #: Engine label stamped on results produced by a shared pass.
 SHARED_ENGINE_NAME = "flux-shared"
@@ -191,6 +191,7 @@ class SharedPass:
         on_close=None,
         obs: Optional[Observability] = None,
         trace_id: Optional[str] = None,
+        skip_tries: Optional[Dict[tuple, Optional[SkipTrie]]] = None,
     ):
         if not registrations:
             raise ValueError("a shared pass needs at least one registered query")
@@ -238,8 +239,9 @@ class SharedPass:
         try:
             for group in grouped:
                 self._runs.append(_StructureRun(group, dtd))
+            profiles = tuple(run.structure.profile for run in self._runs)
             self._index = SharedProjectionIndex(
-                (run.structure.profile for run in self._runs),
+                profiles,
                 self._metrics,
                 keys=[[reg.key for reg in run.group] for run in self._runs],
             )
@@ -247,8 +249,14 @@ class SharedPass:
             self._dispatcher = SharedDispatcher(
                 self._index, self._runs, validator=validator, chunk_size=chunk_size
             )
-            # The parser skips the subtrees the index would prune for all.
-            self._parser = StreamingXMLParser.incremental(skip=self._index.skip_trie())
+            # The parser skips the subtrees no group reads; the trie is
+            # memoized per registration set in ``skip_tries``.
+            if skip_tries is None:
+                skip_tries = {}
+            if profiles not in skip_tries:
+                skip_tries.clear()
+                skip_tries[profiles] = self._index.skip_trie()
+            self._parser = StreamingXMLParser.incremental(skip=skip_tries[profiles])
         except BaseException:
             # Construction failed after the Kth session started: close the
             # generators that did start and free the service's slot.

@@ -10,7 +10,10 @@ faces of the one pass (the sync ``QueryService`` and the asyncio
 """
 
 import asyncio
+import gc
 import threading
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,10 +22,13 @@ from hypothesis import strategies as st
 from repro.engines.flux_engine import FluxEngine
 from repro.runtime.evaluator import EvaluatorSession
 from repro.service import AsyncQueryService, PlanCache, QueryService
+from repro.service.dispatcher import PlanProfile, SharedProjectionIndex
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG
 from repro.workloads.queries import get_query, queries_for_workload
 from repro.workloads.xmark import generate_auction_site
+from repro.xmlstream.events import EndElement, SkippedSubtree, StartElement
+from repro.xmlstream.parser import StreamingXMLParser
 
 from tests.conftest import PAPER_DOCUMENT, PAPER_FIGURE1_DTD, PAPER_Q3
 
@@ -349,12 +355,13 @@ class TestFleetGroupRouting:
 class TestLoopSourceRouting:
     """The routing trie of a loop variable bound to attributes or text.
 
-    The group projection (``PlanProfile.projection``) and the buffer
-    description forest share one path walker.  A variable bound to an
-    attribute path is routed like the attribute path itself: its element is
-    a spine node, so the element's content is pruned.  A loop over
-    ``text()`` keeps the element's text even when the body never reads the
-    variable, since the number of iterations depends on it.
+    A group is routed the needed view of its plan's read trie
+    (``PlanProfile.needed``), which the buffers are projected by too.  A
+    variable bound to an attribute path is routed like the attribute path
+    itself: its element is a spine node, so the element's content is
+    pruned.  A loop over ``text()`` keeps the element's text even when the
+    body never reads the variable, since the number of iterations depends
+    on it.
     """
 
     BY_ATTRIBUTE = (
@@ -375,19 +382,15 @@ class TestLoopSourceRouting:
         from repro.service.dispatcher import PlanProfile
 
         entry = compile_query(text, pipeline=OptimizerPipeline(BIB_DTD_STRONG))
-        return PlanProfile(entry).projection.paths()
+        return PlanProfile(entry).needed
 
     def test_attribute_binding_keeps_only_the_spine(self):
-        spine = [(("bib",), False), (("bib", "book"), False)]
+        spine = {"bib": {"book": {}}}
         assert self._trie(self.BY_ATTRIBUTE) == spine
         assert self._trie(self.BY_PATH) == spine
 
     def test_text_loop_keeps_the_element_text(self):
-        assert self._trie(self.OVER_TEXT) == [
-            (("bib",), False),
-            (("bib", "book"), False),
-            (("bib", "book", "title"), True),
-        ]
+        assert self._trie(self.OVER_TEXT) == {"bib": {"book": {"title": None}}}
 
     @pytest.mark.parametrize("face", FACES)
     def test_served_like_solo_with_attribute_routing(self, bib_document, face):
@@ -405,3 +408,79 @@ class TestLoopSourceRouting:
         # The attribute binding sees what the attribute path sees: book
         # start and end tags, none of the books' content.
         assert forwarded["attr"] == forwarded["path"] < forwarded["other"]
+
+
+def _by_path(events):
+    """``Counter`` of ``(event kind, element path)`` over a well-formed stream."""
+    path, seen = [], Counter()
+    for event in events:
+        kind = type(event)
+        if kind is StartElement:
+            path.append(event.name)
+        key = tuple(path) + ((event.name,) if kind is SkippedSubtree else ())
+        seen[kind.__name__, key] += 1
+        if kind is EndElement:
+            path.pop()
+    return seen
+
+
+class TestReadTrieRouting:
+    """Each group is routed only what its own solo skip-trie parse delivers,
+    plus the tags of children its solo parse skips, which reach it for rule
+    (c) (their parent carries its on-first condition) or as the root."""
+
+    FLEET = [(BIB_DTD_STRONG, spec) for spec in queries_for_workload("bib")] + [
+        (AUCTION_DTD, spec) for spec in queries_for_workload("auction")
+    ]
+    DOCUMENTS = [
+        generate_bibliography(num_books=60, seed=1000),
+        generate_auction_site(scale=0.1, seed=1000),
+    ]
+
+    @classmethod
+    def _routed(cls, document):
+        entries = [FluxEngine(dtd).compile(spec.xquery) for dtd, spec in cls.FLEET]
+        index = SharedProjectionIndex([PlanProfile(entry) for entry in entries])
+        routed = [[] for _ in entries]
+        for event in StreamingXMLParser(document, skip=index.skip_trie()).events():
+            mask = index.route(event)
+            for i, events in enumerate(routed):
+                if mask >> i & 1:
+                    events.append(event)
+        return zip(entries, routed)
+
+    @pytest.mark.parametrize("document", range(len(DOCUMENTS)))
+    def test_no_group_is_routed_more_than_its_solo_parse(self, document):
+        text = self.DOCUMENTS[document]
+        for (_, spec), (entry, routed) in zip(self.FLEET, self._routed(text)):
+            solo = _by_path(StreamingXMLParser(text, skip=entry.plan.skip_trie()).events())
+            skipped = {path for kind, path in solo if kind == "SkippedSubtree"}
+            tags = ("StartElement", "EndElement")
+            routed_paths = _by_path(routed)
+            non_edge = Counter(
+                {
+                    (kind, path): count
+                    for (kind, path), count in routed_paths.items()
+                    if not (kind in tags and path in skipped)
+                }
+            )
+            assert not non_edge - solo, spec.key
+            assert sum(non_edge.values()) <= sum(solo.values()), spec.key
+
+    def test_a_plan_that_reads_nothing_gets_only_the_root(self):
+        for document in self.DOCUMENTS:
+            keys = [spec.key for _, spec in self.FLEET]
+            routed = {key: events for key, (_, events) in zip(keys, self._routed(document))}
+            assert len(routed["BIB-Q6"]) <= 4
+
+    def test_an_unregistered_plan_is_not_kept_alive(self, bib_document):
+        service = QueryService(BIB_DTD_STRONG)
+        service.register(get_query("BIB-Q1").xquery, key="kept")
+        service.register(get_query("BIB-Q2").xquery, key="retired")
+        retired = weakref.ref(service.registrations["retired"].entry.plan)
+        service.run_pass(bib_document)
+        service.unregister("retired")
+        service.plan_cache.clear()
+        service.run_pass(bib_document)
+        gc.collect()
+        assert retired() is None

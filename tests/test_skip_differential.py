@@ -29,6 +29,7 @@ from repro import FluxEngine, QueryService
 from repro.dtd.validator import validate_events
 from repro.errors import EvaluationError, XMLSyntaxError, XMLValidationError
 from repro.runtime.evaluator import EvaluatorSession, StreamedEvaluator
+from repro.runtime.plan import TEXT, needed_view
 from repro.service.dispatcher import SharedProjectionIndex
 from repro.workloads import generate_auction_site, generate_bibliography, queries_for_workload
 from repro.workloads.dtds import AUCTION_DTD, BIB_DTD_STRONG, BIB_DTD_WEAK
@@ -346,22 +347,57 @@ def test_large_skipped_subtree_keeps_the_parser_buffer_bounded():
 
 def test_plan_skip_tries():
     engine = FluxEngine(AUCTION_DTD)
-    trie = engine.compile(AUCTION_QUERIES[2]).plan.skip_trie()  # AUC-A3, the join
-    assert trie == {"site": {"people": None, "closed_auctions": None}}
-    assert trie.default is SKIP and trie["site"].default is SKIP
+    plan = engine.compile(AUCTION_QUERIES[2]).plan  # AUC-A3, the join
+    # The buffers are read along the BDF's paths; a child the DTD allows
+    # only text in is TEXT: left out of the buffers, read by the parser.
+    assert plan.read_trie() == {
+        "site": {
+            "people": {
+                "person": {"name": None, "emailaddress": TEXT, "phone": TEXT, "creditcard": TEXT}
+            },
+            "closed_auctions": {
+                "closed_auction": {
+                    "seller": TEXT, "buyer": {}, "itemref": TEXT, "price": None, "date": TEXT
+                }
+            },
+        }
+    }
+    assert needed_view(plan.read_trie()) == {
+        "site": {
+            "people": {"person": {"name": None}},
+            "closed_auctions": {"closed_auction": {"buyer": {}, "price": None}},
+        }
+    }
+    # The parser reads TEXT nodes whole: the buffered subtrees are
+    # delivered as they were when they were read whole.
+    trie = plan.skip_trie()
+    assert trie == {
+        "site": {
+            "people": {
+                "person": {"name": None, "emailaddress": None, "phone": None, "creditcard": None}
+            },
+            "closed_auctions": {
+                "closed_auction": {
+                    "seller": None, "buyer": {}, "itemref": None, "price": None, "date": None
+                }
+            },
+        }
+    }
+    assert trie.default is SKIP and trie["site"]["people"].default is SKIP
     # A copied binding is read whole; a whole-document copy reads everything.
     copied = FluxEngine(BIB_DTD_STRONG).compile(
         "<r>{ for $b in $ROOT/bib/book return <x>{ $b }</x> }</r>"
     )
-    assert copied.plan.skip_trie() == {"bib": {"book": None}}
-    assert FluxEngine(BIB_DTD_STRONG).compile("<r>{ $ROOT }</r>").plan.skip_trie() is None
+    assert copied.plan.read_trie() == copied.plan.skip_trie() == {"bib": {"book": None}}
+    everything = FluxEngine(BIB_DTD_STRONG).compile("<r>{ $ROOT }</r>").plan
+    assert everything.read_trie() is None and everything.skip_trie() is None
 
 
 def test_skip_trie_is_derived_not_pickled():
     plan = FluxEngine(BIB_DTD_STRONG).compile(BIB_QUERIES[0]).plan
     trie = plan.skip_trie()
     assert plan.skip_trie() is trie
-    assert "_skip_trie" not in plan.__getstate__()
+    assert "_parser_trie" not in plan.__getstate__() and "_read_trie" not in plan.__getstate__()
     shipped = pickle.loads(pickle.dumps(plan))
     assert shipped.skip_trie() == trie and shipped.skip_trie() is not trie
 
