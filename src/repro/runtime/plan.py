@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.xmlstream.parser import SkipTrie
+from repro.xmlstream.parser import SKIP, SkipTrie
 from repro.xquery.analysis import WHOLE_SUBTREE
 from repro.xquery.ast import DOCUMENT_VARIABLE, XQueryExpr
 
@@ -238,7 +238,7 @@ class PhysicalPlan:
         """The parser's view of :meth:`read_trie` (:func:`_parser_view`),
         derived once per plan; ``None`` when it may read everything."""
         if self._parser_trie is _UNDERIVED:
-            self._parser_trie = _parser_view(self.read_trie())
+            self._parser_trie = _parser_view(self.read_trie(), None, self.dtd)
         return self._parser_trie  # type: ignore[return-value]
 
     def operator_count(self) -> int:
@@ -317,14 +317,20 @@ def buffer_reads(op: ProcessStreamOp, dtd: "Optional[DTD]") -> Dict[str, ReadTri
 
 def _spine(element_type: str, node: Dict[str, ReadTrie], dtd: "Optional[DTD]") -> dict:
     """``node`` with :data:`TEXT` for every child the DTD allows only text in."""
-    if dtd is not None and dtd.has_element(element_type):
-        tables = dtd.element_tables()
-        table = tables[element_type]
-        for label in table.remaining[table.start] if table.remaining else ():
-            child = tables[label]
-            if child.remaining and not child.remaining[child.start]:
-                node.setdefault(label, TEXT)
+    for label in _allowed(element_type, dtd) or ():
+        child = dtd.element_tables()[label]  # type: ignore[union-attr]
+        if child.remaining and not child.remaining[child.start]:
+            node.setdefault(label, TEXT)
     return node
+
+
+def _allowed(element_type: Optional[str], dtd: "Optional[DTD]") -> Optional[FrozenSet[str]]:
+    """The children the DTD allows the element; ``None`` when it does not
+    list them (undeclared, ``ANY``, or no DTD)."""
+    if dtd is None or element_type is None or not dtd.has_element(element_type):
+        return None
+    table = dtd.element_tables()[element_type]
+    return table.remaining[table.start] if table.remaining else None
 
 
 def needed_view(node: ReadTrie) -> Optional[dict]:
@@ -334,9 +340,17 @@ def needed_view(node: ReadTrie) -> Optional[dict]:
     return {label: needed_view(child) for label, child in node.items() if child is not TEXT}
 
 
-def _parser_view(node: ReadTrie) -> Optional[SkipTrie]:
+def _parser_view(
+    node: ReadTrie, element_type: Optional[str], dtd: "Optional[DTD]"
+) -> Optional[SkipTrie]:
     """The read trie as the parser's skip trie: :data:`TEXT` nodes are read,
-    because three events cost less than a skip."""
+    because three events cost less than a skip, and a spine that reads
+    every child its DTD allows is read whole, which delivers the same
+    events with no trie below it."""
     if node is None or node is TEXT:
         return None
-    return SkipTrie((label, _parser_view(child)) for label, child in node.items())
+    trie = SkipTrie((label, _parser_view(child, label, dtd)) for label, child in node.items())
+    allowed = _allowed(element_type, dtd)
+    if allowed is not None and all(trie.get(label, SKIP) is None for label in allowed):
+        return None
+    return trie
