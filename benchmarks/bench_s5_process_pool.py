@@ -28,7 +28,7 @@ it costs, in both regimes:
   the single loop — holds on any hardware (sleeping needs no cores) and
   is always enforced, for both backends.
 * **crash isolation** (beyond S4): a worker process killed mid-document
-  (injected via the pool's fault marker) must surface as one error-tagged
+  (injected with a ``CrashingFeedSource``) must surface as one error-tagged
   ``ServedDocument`` carrying ``WorkerCrashError``, respawn the slot, and
   leave every other document byte-identical to solo runs.
 
@@ -44,7 +44,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.bench.feeds import LatencyFeedSource
+from repro.bench.feeds import CrashingFeedSource, LatencyFeedSource
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import WorkerCrashError
 from repro.service import ProcessServicePool, QueryService, ServicePool
@@ -65,9 +65,6 @@ CHUNK_LATENCY_SECONDS = 0.015
 
 #: Pool sizes for the CPU-bound scaling curve.
 WORKER_COUNTS = [1, 2, 4, 8]
-
-#: Fault-injection marker for the crash scenario.
-CRASH_MARKER = "S5-CRASH-INJECTION"
 
 #: CPU cores this container may actually use — the ceiling on process
 #: parallelism, and therefore on what the CPU-bound bar may honestly demand.
@@ -191,13 +188,8 @@ def _crash_isolation(dtd, specs, documents, solo) -> dict:
     """Kill a worker process mid-document; the stream must keep serving."""
     bad_index = len(documents) // 2
     stream = list(documents)
-    root_close = stream[bad_index].rstrip()[-6:]  # "</bib>" / "</site>"
-    stream[bad_index] = stream[bad_index].replace(
-        root_close, f"<!--{CRASH_MARKER}-->{root_close}"
-    )
-    with ProcessServicePool(
-        dtd, workers=4, _crash_marker=CRASH_MARKER
-    ) as pool:
+    stream[bad_index] = CrashingFeedSource(stream[bad_index])
+    with ProcessServicePool(dtd, workers=4) as pool:
         for spec in specs:
             pool.register(spec.xquery, key=spec.key)
         served = list(pool.serve(stream))

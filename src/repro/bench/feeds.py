@@ -14,11 +14,15 @@ loop).
 Both are deliberately deterministic: same text, same chunking, same
 latency schedule, so thread/process comparisons measure the backends, not
 the fixtures.
+
+:class:`CrashingFeedSource` is the process pool's fault injection: a
+recipe whose reader kills the worker process that serves it, mid-pass.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import time
 
 from repro.service.service import DocumentSource
@@ -61,3 +65,30 @@ class LatencyFeedSource(DocumentSource):
 
     def open(self) -> LatencyFeed:
         return LatencyFeed(self.text, chunks=self.chunks, latency=self.latency)
+
+
+class _CrashingFeed(LatencyFeed):
+    """A two-chunk feed that exits the process on its second read."""
+
+    def read(self, size: int = -1) -> str:
+        if self._next:  # the first chunk was handed out, and fed
+            os._exit(3)
+        return super().read(size)
+
+
+class CrashingFeedSource(DocumentSource):
+    """A document whose reader exits the serving process mid-pass.
+
+    The first read returns the first half of ``text``; the next one — once
+    the step has fed that half into an open pass — calls ``os._exit(3)``,
+    the way a segfault or OOM kill lands on a worker with the document
+    genuinely in flight.  Fault injection for
+    :class:`~repro.service.process_pool.ProcessServicePool` tests and
+    benches: served on an in-process face it ends the calling process.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def open(self) -> LatencyFeed:
+        return _CrashingFeed(self.text, chunks=2, latency=0.0)

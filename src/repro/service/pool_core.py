@@ -13,7 +13,9 @@ outcome back; everything above the transport exists once, here:
   does not fan out: every backend compiles through one shared
   :class:`~repro.runtime.plan_cache.PlanCache` in the *driving* process
   (the process backend then ships the compiled artifacts instead of
-  letting workers recompile);
+  letting workers recompile).  The pool reports ``registrations`` and
+  ``len()`` from one *registry* service, whose refcounted structure table
+  is the only registration bookkeeping the pool has;
 * **the sharding loop** — :meth:`PoolCore.serve`: demand-driven
   assignment of the next document to an idle worker slot, one completion
   awaited at a time, guarded so that one loop runs per pool and
@@ -35,9 +37,9 @@ asyncio backend).
 :class:`PoolCore` is the backend-agnostic core; :class:`ServiceBackedPool`
 specializes it for backends whose workers are in-process service objects
 (threads, asyncio).  The process backend extends :class:`PoolCore`
-directly — its workers live in other processes, so the parent mirrors
-their registrations symbolically and rebuilds their metrics from the
-results they ship back.
+directly — its workers live in other processes, so its registry is a
+parent-side service that never serves, and it rebuilds the workers'
+metrics from the results they ship back.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class PoolCore(MetricsPublisher):
 
     * :meth:`_mirror_register` / :meth:`_mirror_unregister` — apply one
       registration change to every worker mirror;
-    * :attr:`registrations` / :meth:`__len__` — the mirrored view;
+    * ``_registry`` — the service whose registration table the pool
+      reports (worker 0 in process, a parent-side table for processes);
     * :meth:`_worker_metrics` — one cumulative
       :class:`~repro.service.metrics.ServiceMetrics` per worker slot, for
       aggregation;
@@ -121,7 +124,8 @@ class PoolCore(MetricsPublisher):
         raise NotImplementedError
 
     def _mirror_unregister(self, key: str) -> None:
-        """Remove ``key`` from every worker mirror (``key`` exists)."""
+        """Remove ``key`` from every worker mirror; an unknown key raises
+        ``KeyError`` from the first mirror, before any mirror changes."""
         raise NotImplementedError
 
     def _worker_metrics(self) -> List[ServiceMetrics]:
@@ -158,11 +162,11 @@ class PoolCore(MetricsPublisher):
 
     @property
     def registrations(self) -> Dict[str, RegisteredQuery]:
-        """The mirrored registrations, by key."""
-        raise NotImplementedError
+        """The mirrored registrations, by key (the registry's view)."""
+        return self._registry.registrations
 
     def __len__(self) -> int:
-        return len(self.registrations)
+        return len(self._registry)
 
     @property
     def workers(self) -> int:
@@ -206,8 +210,6 @@ class PoolCore(MetricsPublisher):
         ``KeyError``.  Raises ``RuntimeError`` while a serve loop is
         running."""
         self._check_mutable()
-        if key not in self.registrations:
-            raise KeyError(key)
         self._mirror_unregister(key)
         if self.obs is not None:
             self.obs.log("pool.unregister", key=key)
@@ -391,6 +393,7 @@ class ServiceBackedPool(PoolCore):
             )
             for _ in range(workers)
         ]
+        self._registry = self._services[0]
 
     def _mirror_register(self, query: str, key: str) -> RegisteredQuery:
         registrations = [
@@ -399,19 +402,11 @@ class ServiceBackedPool(PoolCore):
         return registrations[0]
 
     def _mirror_unregister(self, key: str) -> None:
-        for service in self._services:
+        for service in self._services:  # the first raises for an unknown key
             service.unregister(key)
 
     def _worker_metrics(self) -> List[ServiceMetrics]:
         return [service.metrics for service in self._services]
-
-    @property
-    def registrations(self) -> Dict[str, RegisteredQuery]:
-        """The mirrored registrations, by key (worker 0's view)."""
-        return self._services[0].registrations
-
-    def __len__(self) -> int:
-        return len(self._services[0])
 
     @property
     def workers(self) -> int:

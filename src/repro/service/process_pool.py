@@ -11,20 +11,23 @@ module supplies ``_submit`` / ``_wait`` / ``_drain`` over per-worker pipes
 with the workers moved into separate *processes*, where evaluation runs
 truly in parallel on separate cores:
 
-* **compile once, ship once per structure** — the parent compiles every
-  registration through the shared
+* **compile once, ship once per structure** — the parent keeps its
+  registrations in a parent-side
+  :class:`~repro.service.service.QueryService` that never serves: it
+  compiles every registration through the shared
   :class:`~repro.runtime.plan_cache.PlanCache` (one optimizer run per
-  distinct query, exactly like the in-process pools), dedups the results
-  by :func:`~repro.runtime.plan_cache.structure_key`, and ships one
-  :class:`~repro.runtime.plan_cache.PlanArtifact` — query source + DTD
-  fingerprint + pickled plan — *per distinct structure* to each worker;
-  registrations then subscribe to shipped structures by key, so 10k
+  distinct query, exactly like the in-process pools) and refcounts the
+  results by :func:`~repro.runtime.plan_cache.structure_key`.  A
+  registration that brings a structure the table did not hold yet ships
+  its :class:`~repro.runtime.plan_cache.PlanArtifact` — query source +
+  DTD fingerprint + pickled plan — to each worker inside its ``register``
+  message; an alias sends only its key, source and structure key, so 10k
   aliases of 100 structures cost 100 artifact sends per worker, not 10k.
-  Workers rebuild each plan once with
-  :meth:`~repro.runtime.plan_cache.PlanArtifact.load_plan` and register
-  aliases against it with
-  :meth:`~repro.service.service.QueryService.register_compiled`; they
-  never parse, never optimize, and (under the default ``spawn`` start
+  Each worker hosts the same kind of table: it rebuilds a shipped plan
+  once with :meth:`~repro.runtime.plan_cache.PlanArtifact.load_plan`,
+  resolves an alias through its own structure table, and registers both
+  with :meth:`~repro.service.service.QueryService.register_compiled`; it
+  never parses, never optimizes, and (under the default ``spawn`` start
   method) provably cannot be reusing the parent's in-memory plans.
   Shipping volume is reported as ``ship_count`` / ``ship_bytes`` on
   :class:`~repro.service.metrics.PoolMetrics` (artifact sends only —
@@ -35,7 +38,7 @@ truly in parallel on separate cores:
   that *dies* (segfault, OOM kill, ``os._exit``) is detected, its
   in-flight document is delivered as an error outcome carrying
   :class:`~repro.errors.WorkerCrashError`, and the slot is respawned with
-  the full registration set re-shipped — the stream keeps serving.
+  the full registration set re-sent — the stream keeps serving.
 * **the parent mirrors what it cannot see** — each shipped-home
   :class:`~repro.service.service.ServedDocument` *is* the worker's metric
   delta: ``_fold`` adds it to the slot's mirrored service metrics and
@@ -59,18 +62,24 @@ process sentinels, so results and deaths are both events, not polls.
 :class:`~repro.service.service.QueryService` and consumes a single FIFO
 inbox carrying both control and work messages, in order::
 
-    ("plan", skey, artifact)           rebuild + stash one structure's plan
-    ("register", key, skey, source)    register an alias of a shipped plan
-    ("unregister", key)                drop a registration
-    ("drop", skey)                     discard a plan no registration uses
+    ("register", key, skey, source, artifact)  register one query; the
+                                               artifact rides along only
+                                               when structure skey is new
+    ("unregister", key)                drop a registration (the service
+                                       releases an unused structure)
     ("doc", index, document, chunk, trace)   one serve_document step,
                                              replied on the result pipe
     ("stop",)                          exit cleanly (EOF on the inbox, too)
 
-Because registration messages and documents share one ordered channel, a
-worker can never evaluate a document against a stale registration set —
-the parent flushes registration changes (allowed only between serve
-loops) before the next loop's documents enter the inbox.
+Parent and workers apply the same ``register`` / ``unregister`` sequence
+to the same kind of table, so their structure refcounts agree without
+further messages.  A fresh or respawned worker gets the parent's
+registrations as ``register`` messages in registration order, the first
+of each structure carrying its artifact.  Because registration messages
+and documents share one ordered channel, a worker can never evaluate a
+document against a stale registration set — the parent flushes
+registration changes (allowed only between serve loops) before the next
+loop's documents enter the inbox.
 
 **Document forms.**  A document may be XML text (shipped verbatim), a
 :class:`~repro.service.service.DocumentSource` (a small picklable recipe
@@ -97,17 +106,15 @@ from __future__ import annotations
 
 import io
 import multiprocessing
-import os
 import pickle
 import time
 from multiprocessing import connection
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.schema import DTD
 from repro.errors import WorkerCrashError
 from repro.obs import MemorySink, Observability, Tracer
-from repro.runtime.plan_cache import PlanArtifact, PlanCache, structure_key
+from repro.runtime.plan_cache import PlanArtifact, PlanCache
 from repro.service.metrics import PassMetrics, ServiceMetrics, record_pass_durations
 from repro.service.pool_core import PoolCore
 from repro.service.service import (
@@ -142,22 +149,10 @@ def _sanitize_exception(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _crash_if_marked(service: QueryService, document, crash_marker: str,
-                     chunk_size: int, trace_id: Optional[str]) -> None:
-    """Fault injection for tests/benches: die *mid-pass*, with the document
-    genuinely in flight, the way a segfault or OOM kill would land.  Never
-    runs unless the pool was built with a crash marker."""
-    if isinstance(document, str) and crash_marker in document:
-        shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-        shared_pass.feed(document[: len(document) // 2])
-        os._exit(3)
-
-
 def _worker_main(
     worker_id: int,
     dtd_blob: bytes,
     validate: bool,
-    crash_marker: Optional[str],
     trace: bool,
     inbox,
     results,
@@ -165,11 +160,10 @@ def _worker_main(
     """A worker process: one mirrored ``QueryService``, driven by messages.
 
     Top-level (not a closure) so the ``spawn`` start method can import it.
-    The service compiles nothing: every plan arrives as a shipped artifact
-    — once per distinct structure (``plan`` messages, stashed by structure
-    key) — and registrations subscribe to stashed plans by key
-    (``register`` messages), through ``register_compiled``.  Each served
-    document is
+    The service compiles nothing: a ``register`` message either carries
+    the shipped artifact of a structure the service does not hold yet, or
+    names a live structure of the service's own table, and either plan is
+    registered through ``register_compiled``.  Each served document is
     answered with one ``("served", index, ServedDocument, compiled_here,
     spans)`` message on this worker's own result pipe; ``compiled_here``
     (the worker's plan-cache miss counter) lets the parent *verify* the
@@ -187,11 +181,6 @@ def _worker_main(
     span_sink = MemorySink() if trace else None
     worker_obs = Observability(tracer=Tracer(span_sink)) if trace else None
     service = QueryService(dtd, validate=validate, obs=worker_obs)
-    # Shipped plans by structure key: each artifact is unpickled once and
-    # every alias registration reuses the same plan object, so the
-    # service-side dedup (structure keys are memoized on the entry) is
-    # cheap in the worker too.
-    plans: Dict[str, "CompiledQueryPlan"] = {}
     while True:
         try:
             message = inbox.recv()
@@ -200,20 +189,19 @@ def _worker_main(
         kind = message[0]
         if kind == "stop":
             break
-        if kind == "plan":
-            _, skey, artifact = message
-            plans[skey] = artifact.load_plan()
-        elif kind == "register":
-            _, key, skey, source = message
-            service.register_compiled(plans[skey], key=key, source=source)
+        if kind == "register":
+            _, key, skey, source, artifact = message
+            if artifact is not None:
+                entry = artifact.load_plan()
+            else:
+                # Read in place: the public ``structures`` view copies the
+                # table, which would make N alias registrations O(N²).
+                entry = service._structures[skey].entry
+            service.register_compiled(entry, key=key, source=source)
         elif kind == "unregister":
             service.unregister(message[1])
-        elif kind == "drop":
-            plans.pop(message[1], None)
         elif kind == "doc":
             _, index, document, chunk_size, trace_id = message
-            if crash_marker is not None:
-                _crash_if_marked(service, document, crash_marker, chunk_size, trace_id)
             try:
                 served = service.serve_document(
                     document, index, chunk_size, trace_id, worker_id
@@ -298,21 +286,14 @@ class ProcessServicePool(PoolCore):
         cache_size: int = 128,
         start_method: str = "spawn",
         obs: Optional[Observability] = None,
-        _crash_marker: Optional[str] = None,
     ):
         super().__init__(dtd, workers, plan_cache, cache_size, obs=obs)
         self.validate = validate
-        self._pipeline = OptimizerPipeline(self.dtd)
         self._ctx = multiprocessing.get_context(start_method)
-        self._crash_marker = _crash_marker
         self._dtd_blob = pickle.dumps(self.dtd, protocol=pickle.HIGHEST_PROTOCOL)
-        self._registrations: Dict[str, RegisteredQuery] = {}
-        # Structure-level dedup mirror: one live PlanStructure and one
-        # pickled artifact per distinct structure key, refcounted by the
-        # registrations subscribed to it (same discipline as
-        # QueryService's own structure table).
-        self._structures: "Dict[str, PlanStructure]" = {}
-        self._structure_artifacts: "Dict[str, PlanArtifact]" = {}
+        # The parent's registration table: compiles through the shared
+        # cache and refcounts structures; it never serves a document.
+        self._registry = QueryService(self.dtd, plan_cache=self.plan_cache)
         self._slots = [_WorkerSlot() for _ in range(workers)]
         # Parent-side mirror of each worker's cumulative pass metrics,
         # rebuilt from the PassMetrics every served document carries home.
@@ -329,73 +310,31 @@ class ProcessServicePool(PoolCore):
 
     def _mirror_register(self, query: str, key: str) -> RegisteredQuery:
         # Compile (or hit) in the parent — the only optimizer run for this
-        # query across the whole pool — then ship *per structure*: the
-        # first registration of a structure ships its artifact to every
-        # live worker, later aliases send only a tiny subscription
-        # message.  Workers spawned later get the full deduped artifact
-        # set at spawn, through the same counted path.
-        entry, from_cache = self.plan_cache.get_or_compile(query, self._pipeline)
-        skey = structure_key(entry)
-        structure = self._structures.get(skey)
-        new_structure = structure is None
-        if structure is None:
-            structure = PlanStructure(skey, entry)
-            self._structures[skey] = structure
-            self._structure_artifacts[skey] = PlanArtifact.from_plan(entry)
-        structure.refcount += 1
-        registration = RegisteredQuery(
-            key, entry, from_cache=from_cache, structure=structure, source=query
-        )
-        displaced = self._registrations.get(key)
-        self._registrations[key] = registration
+        # query across the whole pool.  A structure the table did not hold
+        # yet ships its artifact to every live worker with this register
+        # message; an alias of a live structure sends none.
+        created = self._registry.metrics.structures_registered
+        registration = self._registry.register(query, key=key)
         if self._started:
-            artifact = self._structure_artifacts[skey]
-            for slot in self._slots:
-                if slot.alive:
-                    try:
-                        if new_structure:
-                            self._ship(slot, skey, artifact)
-                        slot.inbox.send(("register", key, skey, query))
-                    except (BrokenPipeError, OSError):
-                        pass  # died under us; respawn re-ships everything
-        if displaced is not None:
-            # Release after acquiring: replacing an alias with another
-            # alias of the same structure must not drop the shared plan.
-            self._release_structure(displaced)
+            artifact = None
+            if self._registry.metrics.structures_registered != created:
+                artifact = PlanArtifact.from_plan(registration.entry)
+            self._broadcast(("register", key, registration.structure.skey, query, artifact))
         return registration
 
-    def _release_structure(self, registration: RegisteredQuery) -> None:
-        """Drop one registration's structure subscription (parent side).
-
-        The last subscriber's release discards the parent's artifact and
-        tells every live worker to discard its stashed plan.
-        """
-        structure = registration.structure
-        structure.refcount -= 1
-        if (
-            structure.refcount == 0
-            and self._structures.get(structure.skey) is structure
-        ):
-            del self._structures[structure.skey]
-            del self._structure_artifacts[structure.skey]
-            if self._started:
-                for slot in self._slots:
-                    if slot.alive:
-                        try:
-                            slot.inbox.send(("drop", structure.skey))
-                        except (BrokenPipeError, OSError):
-                            pass  # died under us; respawn re-ships everything
-
     def _mirror_unregister(self, key: str) -> None:
-        registration = self._registrations.pop(key)
+        self._registry.unregister(key)  # an unknown key raises here
         if self._started:
-            for slot in self._slots:
-                if slot.alive:
-                    try:
-                        slot.inbox.send(("unregister", key))
-                    except (BrokenPipeError, OSError):
-                        pass  # died under us; respawn re-ships everything
-        self._release_structure(registration)
+            self._broadcast(("unregister", key))
+
+    def _broadcast(self, message: tuple) -> None:
+        """Send one registration change to every live worker."""
+        for slot in self._slots:
+            if slot.alive:
+                try:
+                    self._send(slot, message)
+                except (BrokenPipeError, OSError):
+                    pass  # died under us; respawn re-sends everything
 
     def _worker_metrics(self) -> List[ServiceMetrics]:
         return list(self._slot_metrics)
@@ -404,14 +343,9 @@ class ProcessServicePool(PoolCore):
         return (self._ship_count, self._ship_bytes)
 
     @property
-    def registrations(self) -> Dict[str, RegisteredQuery]:
-        """The mirrored registrations, by key (the parent's view)."""
-        return dict(self._registrations)
-
-    @property
     def structures(self) -> "Dict[str, PlanStructure]":
-        """Live shipped structures by key (the parent's refcounted view)."""
-        return dict(self._structures)
+        """Live shipped structures by key (the parent table's refcounted view)."""
+        return self._registry.structures
 
     @property
     def workers(self) -> int:
@@ -419,21 +353,20 @@ class ProcessServicePool(PoolCore):
 
     # ------------------------------------------------------ worker fleet
 
-    def _ship(
-        self,
-        slot: _WorkerSlot,
-        skey: str,
-        artifact: PlanArtifact,
-        trace_id: Optional[str] = None,
-    ) -> None:
+    def _send(self, slot: _WorkerSlot, message: tuple,
+              trace_id: Optional[str] = None) -> None:
+        """Send one inbox message; a ``register`` carrying an artifact is
+        counted, logged and (inside a document's trace) spanned as a ship."""
         started = time.perf_counter()
-        slot.inbox.send(("plan", skey, artifact))
+        slot.inbox.send(message)
+        artifact = message[-1] if message[0] == "register" else None
+        if artifact is None:
+            return
+        skey, size = message[2], len(artifact.payload)
         self._ship_count += 1
-        self._ship_bytes += len(artifact.payload)
+        self._ship_bytes += size
         if self.obs is not None:
-            self.obs.log(
-                "pool.ship", key=skey, bytes=len(artifact.payload), trace_id=trace_id
-            )
+            self.obs.log("pool.ship", key=skey, bytes=size, trace_id=trace_id)
             # A ship span only inside a document's trace (a crash-respawn
             # re-shipment): registration-time shipping has no trace to join.
             if trace_id is not None:
@@ -442,11 +375,27 @@ class ProcessServicePool(PoolCore):
                     trace_id,
                     time.perf_counter() - started,
                     key=skey,
-                    bytes=len(artifact.payload),
+                    bytes=size,
                 )
 
-    def _spawn_slot(self, worker_id: int, trace_id: Optional[str] = None) -> None:
-        """Start (or restart) one worker process and ship it every plan."""
+    def _register_messages(self) -> List[tuple]:
+        """The ``register`` messages that rebuild the parent's table in a
+        fresh worker: every registration in order, the first of each
+        structure carrying its artifact."""
+        shipped = set()
+        messages = []
+        for key, registration in self._registry.registrations.items():
+            structure = registration.structure
+            artifact = None
+            if structure.skey not in shipped:
+                shipped.add(structure.skey)
+                artifact = PlanArtifact.from_plan(structure.entry)
+            messages.append(("register", key, structure.skey, registration.source, artifact))
+        return messages
+
+    def _spawn_slot(self, worker_id: int, messages: List[tuple],
+                    trace_id: Optional[str] = None) -> None:
+        """Start (or restart) one worker process and send it ``messages``."""
         slot = self._slots[worker_id]
         inbox_read, inbox_write = self._ctx.Pipe(duplex=False)
         results_read, results_write = self._ctx.Pipe(duplex=False)
@@ -458,7 +407,6 @@ class ProcessServicePool(PoolCore):
                 worker_id,
                 self._dtd_blob,
                 self.validate,
-                self._crash_marker,
                 self._trace_workers,
                 inbox_read,
                 results_write,
@@ -471,22 +419,17 @@ class ProcessServicePool(PoolCore):
         # result pipe then track the worker's life, not ours.
         inbox_read.close()
         results_write.close()
-        # Re-ship the deduped set: one artifact per live structure, then
-        # the alias subscriptions in registration order.
-        for skey, artifact in self._structure_artifacts.items():
-            self._ship(slot, skey, artifact, trace_id=trace_id)
-        for key, registration in self._registrations.items():
-            slot.inbox.send(
-                ("register", key, registration.structure.skey, registration.source)
-            )
+        for message in messages:
+            self._send(slot, message, trace_id=trace_id)
 
     def _ensure_started(self) -> None:
         if self._closed:
             raise RuntimeError("the process pool is closed")
         if self._started:
             return
+        messages = self._register_messages()
         for worker_id in range(len(self._slots)):
-            self._spawn_slot(worker_id)
+            self._spawn_slot(worker_id, messages)
         self._started = True
 
     def _respawn(self, worker_id: int, trace_id: Optional[str] = None) -> None:
@@ -495,7 +438,7 @@ class ProcessServicePool(PoolCore):
         started = time.perf_counter()
         slot.close_channels()
         slot.respawns += 1
-        self._spawn_slot(worker_id, trace_id=trace_id)
+        self._spawn_slot(worker_id, self._register_messages(), trace_id=trace_id)
         if self.obs is not None:
             self.obs.log(
                 "pool.respawn",

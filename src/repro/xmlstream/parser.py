@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstream.events import (
@@ -922,17 +922,3 @@ def parse_events(
 ) -> Iterator[Event]:
     """Yield streaming events for ``source`` (string or text file object)."""
     return StreamingXMLParser(source, keep_whitespace=keep_whitespace).events()
-
-
-def parse_events_with_dtd(
-    source: Union[str, io.TextIOBase], keep_whitespace: bool = False
-) -> Tuple[Iterable[Event], StreamingXMLParser]:
-    """Return ``(events, parser)`` so callers can inspect the DOCTYPE subset.
-
-    The DOCTYPE is only available once parsing has progressed past the
-    prolog; callers typically consume the first event (``StartDocument``)
-    plus the root ``StartElement`` before reading
-    :attr:`StreamingXMLParser.doctype_internal_subset`.
-    """
-    parser = StreamingXMLParser(source, keep_whitespace=keep_whitespace)
-    return parser.events(), parser

@@ -352,12 +352,6 @@ def _collect_projection(expr: XQueryExpr, env: Dict[str, Optional[ProjectionNode
         _collect_projection(child, env)
 
 
-def depends_on_variable(expr: XQueryExpr, var: str) -> bool:
-    """Whether ``expr`` references ``$var`` (its children, attributes, or the
-    node itself)."""
-    return var in free_variables(expr)
-
-
 def depends_on_children(expr: XQueryExpr, var: str) -> bool:
     """Whether ``expr`` needs anything from ``$var``'s *content* (child
     elements, text, or the whole subtree) — attribute access does not count."""

@@ -141,17 +141,6 @@ class PathExpr(XQueryExpr):
             rendered.append("/" + step.to_xquery())
         return "".join(rendered)
 
-    def first_child_label(self) -> Optional[str]:
-        """Name of the first child step, or ``None`` for attribute/text/
-        descendant first steps."""
-        if self.steps and isinstance(self.steps[0], ChildStep):
-            return self.steps[0].name
-        return None
-
-    def drop_first_step(self) -> "PathExpr":
-        """The same path re-rooted past its first step (variable unchanged)."""
-        return PathExpr(self.var, self.steps[1:])
-
 
 # -------------------------------------------------------------- composites
 

@@ -22,6 +22,7 @@ The acceptance bar for the observability layer, end to end:
 
 import pytest
 
+from repro.bench.feeds import CrashingFeedSource
 from repro.errors import WorkerCrashError
 from repro.obs import (
     MemoryLogger,
@@ -39,7 +40,6 @@ from tests.conftest import PAPER_DOCUMENT, PAPER_FIGURE1_DTD, PAPER_Q3
 TITLES_QUERY = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
 PASS_STAGES = {"pass.parse", "pass.route", "pass.evaluate", "pass.emit"}
 DURATIONS = {"repro_stage_duration_seconds", "repro_pass_duration_seconds"}
-CRASH = "CRASH-THIS-WORKER"
 
 
 def full_obs():
@@ -313,14 +313,13 @@ class TestProcessPoolObservability:
         documents = [
             generate_bibliography(num_books=4, seed=seed) for seed in (1, 2, 3)
         ]
-        documents[1] = documents[1].replace("</bib>", f"<!--{CRASH}--></bib>")
+        documents[1] = CrashingFeedSource(documents[1])
         obs, sink = full_obs()
         with ProcessServicePool(
             BIB_DTD_STRONG,
             workers=2,
             start_method="fork",
             obs=obs,
-            _crash_marker=CRASH,
         ) as pool:
             pool.register(TITLES_QUERY, key="t")
             served = list(pool.serve(documents))

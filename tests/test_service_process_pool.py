@@ -11,7 +11,7 @@ what only the process transport can do:
   structures`` — alias registrations ride on a shipped plan for free),
   and the workers report zero optimizer runs of their own;
 * **crash recovery**: a worker process dying mid-document (injected with
-  the pool's fault marker) surfaces as an error-tagged ``ServedDocument``
+  a :class:`~repro.bench.feeds.CrashingFeedSource`) surfaces as an error-tagged ``ServedDocument``
   carrying :class:`WorkerCrashError`, the slot respawns (plans re-shipped),
   and every other document — including later ones — is served
   byte-identically to a solo run.
@@ -21,12 +21,14 @@ Process spawns dominate the runtime here, so the pools stay small.
 
 import io
 import pickle
+import random
 
 import pytest
 
 from repro import errors
 
-from repro.bench.fleets import alias_query
+from repro.bench.feeds import CrashingFeedSource
+from repro.bench.fleets import FleetQuery, alias_query, run_solo
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import WorkerCrashError, XMLSyntaxError
 from repro.runtime.plan_cache import PlanCache
@@ -41,9 +43,6 @@ from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.workloads.queries import get_query
 
 TITLES_QUERY = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
-
-#: The fault-injection marker used by the crash tests.
-CRASH = "CRASH-THIS-WORKER"
 
 
 @pytest.fixture(scope="module")
@@ -196,10 +195,8 @@ class TestFaultIsolation:
         self, documents, solo_outputs
     ):
         stream = list(documents)
-        stream[2] = stream[2].replace("</bib>", f"<!--{CRASH}--></bib>")
-        with ProcessServicePool(
-            BIB_DTD_STRONG, workers=2, _crash_marker=CRASH
-        ) as pool:
+        stream[2] = CrashingFeedSource(stream[2])
+        with ProcessServicePool(BIB_DTD_STRONG, workers=2) as pool:
             register_fleet(pool)
             served = list(pool.serve(stream))
 
@@ -230,15 +227,10 @@ class TestFaultIsolation:
             assert all(outcome.ok for outcome in again)
 
     def test_every_worker_crashing_still_drains_the_stream(self, documents):
-        # Both workers die (every document carries the marker): every
+        # Both workers die (every document crashes its worker): every
         # document must come back error-tagged, each crash respawning.
-        stream = [
-            doc.replace("</bib>", f"<!--{CRASH}--></bib>")
-            for doc in documents[:3]
-        ]
-        with ProcessServicePool(
-            BIB_DTD_STRONG, workers=2, _crash_marker=CRASH
-        ) as pool:
+        stream = [CrashingFeedSource(doc) for doc in documents[:3]]
+        with ProcessServicePool(BIB_DTD_STRONG, workers=2) as pool:
             register_fleet(pool)
             served = list(pool.serve(stream))
             assert sorted(o.index for o in served) == [0, 1, 2]
@@ -310,10 +302,8 @@ class TestStructureDedupShipping:
 
     def test_crash_respawn_reships_the_deduped_set(self, documents):
         texts = self._aliases()
-        crashing = documents[0].replace("</bib>", f"<!--{CRASH}--></bib>")
-        with ProcessServicePool(
-            BIB_DTD_STRONG, workers=self.WORKERS, _crash_marker=CRASH
-        ) as pool:
+        crashing = CrashingFeedSource(documents[0])
+        with ProcessServicePool(BIB_DTD_STRONG, workers=self.WORKERS) as pool:
             for i, text in enumerate(texts):
                 pool.register(text, key=f"a{i}")
             served = list(pool.serve([crashing, documents[1]]))
@@ -350,6 +340,108 @@ class TestStructureDedupShipping:
             assert pool.metrics.ship_count == shipped + self.WORKERS
             served = list(pool.serve([documents[0]]))
             assert served[0].ok and set(served[0].results) == {"t"}
+            assert pool.worker_compilations() == {0: 0, 1: 0}
+
+
+class TestRegistrationChurn:
+    """Seeded registration churn between serve loops.
+
+    Each loop draws a few operations — register a new structure, register
+    an alias, replace a key with an alias of its own structure, replace a
+    key with another structure, unregister a structure down to zero and
+    re-register it — applies them to the pool and to a plain
+    :class:`QueryService`, then serves.  After every loop each live key
+    matches its solo run, the pool's structure table matches the plain
+    service's (keys and refcounts), and every worker received exactly one
+    artifact per structure that (re)appeared.
+    """
+
+    WORKERS = 2
+    LOOPS = 6
+    OPS_PER_LOOP = 4
+    BASES = [
+        TITLES_QUERY,
+        get_query("BIB-Q1").xquery,
+        get_query("BIB-Q2").xquery,
+        get_query("BIB-Q4").xquery,
+    ]
+
+    def test_seeded_churn_matches_plain_service_and_solo(self, documents):
+        rng = random.Random(35)
+        live = {}  # key -> (base index, alias variant)
+        fresh_keys = iter(range(1, 10_000))
+        plain = QueryService(BIB_DTD_STRONG)
+
+        def apply(pool, key, base=None, variant=0):
+            """One registration change on both sides; structures that
+            (re)appeared, by the plain service's table."""
+            before = set(plain.structures)
+            if base is None:
+                pool.unregister(key)
+                plain.unregister(key)
+                del live[key]
+            else:
+                text = alias_query(self.BASES[base], variant)
+                pool.register(text, key=key)
+                plain.register(text, key=key)
+                live[key] = (base, variant)
+            return len(set(plain.structures) - before)
+
+        def live_bases():
+            return sorted({base for base, _ in live.values()})
+
+        def draw(pool):
+            op = rng.choice(
+                ["new", "alias", "same_structure", "other_structure", "to_zero"]
+            )
+            unused = [b for b in range(len(self.BASES)) if b not in live_bases()]
+            variant = rng.randrange(1, 4)
+            if op == "new" and unused:
+                return apply(pool, f"k{next(fresh_keys)}", rng.choice(unused))
+            if op in ("new", "alias"):
+                base = rng.choice(live_bases())
+                return apply(pool, f"k{next(fresh_keys)}", base, variant)
+            key = rng.choice(sorted(live))
+            base = live[key][0]
+            if op == "same_structure":
+                return apply(pool, key, base, variant)
+            if op == "other_structure":
+                others = [b for b in range(len(self.BASES)) if b != base]
+                return apply(pool, key, rng.choice(others), variant)
+            appeared = 0
+            for doomed in sorted(k for k, (b, _) in live.items() if b == base):
+                appeared += apply(pool, doomed)
+            return appeared + apply(pool, f"k{next(fresh_keys)}", base, variant)
+
+        def check(pool, served):
+            assert {s: st.refcount for s, st in pool.structures.items()} == {
+                s: st.refcount for s, st in plain.structures.items()
+            }
+            assert set(pool.registrations) == set(live)
+            fleet = [
+                FleetQuery(key, alias_query(self.BASES[base], variant), base, variant)
+                for key, (base, variant) in live.items()
+            ]
+            for outcome in served:
+                assert outcome.ok
+                produced = {
+                    key: result.output for key, result in outcome.results.items()
+                }
+                expected = run_solo(fleet, documents[outcome.index], dtd=BIB_DTD_STRONG)
+                assert produced == expected
+
+        with ProcessServicePool(
+            BIB_DTD_STRONG, workers=self.WORKERS, start_method="fork"
+        ) as pool:
+            apply(pool, "k0", 0)
+            apply(pool, "k00", 1, 2)
+            check(pool, list(pool.serve(documents[:2])))
+            assert pool.metrics.ship_count == self.WORKERS * 2
+            for _ in range(self.LOOPS):
+                shipped = pool.metrics.ship_count
+                appeared = sum(draw(pool) for _ in range(self.OPS_PER_LOOP))
+                check(pool, list(pool.serve(documents[:2])))
+                assert pool.metrics.ship_count == shipped + self.WORKERS * appeared
             assert pool.worker_compilations() == {0: 0, 1: 0}
 
 
