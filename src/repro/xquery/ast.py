@@ -101,7 +101,7 @@ class Literal(XQueryExpr):
 
     def to_xquery(self) -> str:
         if isinstance(self.value, str):
-            escaped = self.value.replace('"', '""')
+            escaped = self.value.replace("&", "&amp;").replace('"', '""')
             return f'"{escaped}"'
         return str(self.value)
 
@@ -239,7 +239,9 @@ class ElementConstructor(XQueryExpr):
     content: XQueryExpr
 
     def to_xquery(self) -> str:
-        attrs = "".join(f' {name}="{value}"' for name, value in self.attributes)
+        attrs = "".join(
+            f' {name}="{value.translate(_ATTRIBUTE_ESCAPES)}"' for name, value in self.attributes
+        )
         if isinstance(self.content, EmptySequence):
             return f"<{self.name}{attrs}/>"
         return f"<{self.name}{attrs}>{{ {self.content.to_xquery()} }}</{self.name}>"
@@ -333,6 +335,12 @@ class FunctionCall(XQueryExpr):
 
 
 # ------------------------------------------------------------------ helpers
+
+#: What an attribute value escapes when rendered: the parser expands
+#: references and undoubles braces there.
+_ATTRIBUTE_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", '"': "&quot;", "{": "{{", "}": "}}"}
+)
 
 
 def sequence_of(items: Iterable[XQueryExpr]) -> XQueryExpr:

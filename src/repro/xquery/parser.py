@@ -30,7 +30,8 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.errors import UnsupportedFeatureError, XQuerySyntaxError
+from repro.errors import UnsupportedFeatureError, XMLSyntaxError, XQuerySyntaxError
+from repro.xmlstream.parser import resolve_entities
 from repro.xquery.ast import (
     AndExpr,
     AttributeStep,
@@ -98,14 +99,26 @@ class _Parser:
             if text[pos].isspace():
                 pos += 1
             elif text.startswith("(:", pos):
-                end = text.find(":)", pos + 2)
-                if end < 0:
-                    self._pos = pos
-                    raise self.error("unterminated XQuery comment (: ... :)")
-                pos = end + 2
+                pos = self._skip_comment(pos)
             else:
                 break
         self._pos = pos
+
+    def _skip_comment(self, start: int) -> int:
+        """Skip the comment opening at ``start``; comments nest."""
+        text, pos, depth = self._text, start, 0
+        while True:
+            opening = text.find("(:", pos)
+            closing = text.find(":)", pos)
+            if closing < 0:
+                self._pos = start
+                raise self.error("unterminated XQuery comment (: ... :)")
+            if 0 <= opening < closing:
+                depth, pos = depth + 1, opening + 2
+            else:
+                depth, pos = depth - 1, closing + 2
+                if not depth:
+                    return pos
 
     def _peek(self, offset: int = 0) -> str:
         index = self._pos + offset
@@ -354,7 +367,7 @@ class _Parser:
                 continue
             self._pos = end + 1
             break
-        return "".join(parts)
+        return _expand_references("".join(parts), start)
 
     def _parse_number(self) -> Literal:
         match = _NUMBER_RE.match(self._text, self._pos)
@@ -480,11 +493,12 @@ class _Parser:
             if end < 0:
                 raise self.error(f"unterminated value for attribute {attr_name!r}")
             value = self._text[self._pos : end]
-            if "{" in value:
+            if "{" in value.replace("{{", ""):
                 raise UnsupportedFeatureError(
                     "computed attribute values are outside the supported fragment"
                 )
-            attributes.append((attr_name, value))
+            value = value.replace("{{", "{").replace("}}", "}")
+            attributes.append((attr_name, _expand_references(value, self._pos)))
             self._pos = end + 1
         content = self._parse_constructor_content(name)
         return ElementConstructor(name, tuple(attributes), content)
@@ -492,13 +506,17 @@ class _Parser:
     def _parse_constructor_content(self, name: str) -> XQueryExpr:
         items: List[XQueryExpr] = []
         text_parts: List[str] = []
+        run_start = self._pos
 
         def flush_text() -> None:
             if text_parts:
+                # Whitespace-only runs are boundary whitespace; a reference
+                # or a doubled brace is content.
                 text = "".join(text_parts)
                 text_parts.clear()
                 if text.strip():
-                    items.append(Literal(text))
+                    text = text.replace("{{", "{").replace("}}", "}")
+                    items.append(Literal(_expand_references(text, run_start)))
 
         while True:
             if self._pos >= len(self._text):
@@ -518,15 +536,27 @@ class _Parser:
                     return sequence_of(items)
                 flush_text()
                 items.append(self._parse_constructor())
-            elif ch == "{":
+            elif ch == "{" and not self._startswith("{{"):
                 flush_text()
                 self._pos += 1
                 items.append(self.parse_expr())
                 self._skip_ws()
                 self._consume("}")
             else:
-                text_parts.append(ch)
-                self._pos += 1
+                if not text_parts:
+                    run_start = self._pos
+                step = 2 if self._startswith(ch * 2) and ch in "{}" else 1
+                text_parts.append(self._text[self._pos : self._pos + step])
+                self._pos += step
+
+
+def _expand_references(text: str, position: int) -> str:
+    """``text`` with its predefined entity and character references expanded."""
+    try:
+        return resolve_entities(text, position)
+    except XMLSyntaxError as error:
+        message = str(error).rsplit(" (at offset", 1)[0]
+        raise XQuerySyntaxError(message, error.offset) from None
 
 
 def parse_xquery(text: str) -> XQueryExpr:

@@ -1,6 +1,8 @@
 """Unit tests for the XQuery parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UnsupportedFeatureError, XQuerySyntaxError
 from repro.xquery.ast import (
@@ -22,7 +24,11 @@ from repro.xquery.ast import (
     SequenceExpr,
     TextStep,
     VarRef,
+    sequence_of,
 )
+from repro.engines.dom_engine import DomEngine
+from repro.engines.flux_engine import FluxEngine
+from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.xquery.parser import parse_xquery
 
 
@@ -239,7 +245,144 @@ class TestSequencesAndErrors:
             pytest.fail("expected XQuerySyntaxError")
 
 
+class TestLexicalRules:
+    """XQuery 1.0 references, doubled braces and nested comments."""
+
+    @pytest.mark.parametrize(
+        "query,value",
+        [
+            ('"a &lt; b"', "a < b"),
+            ('"&amp;&quot;&apos;&gt;"', "&\"'>"),
+            ("'&#65;&#x42;'", "AB"),
+            ('"say ""&amp;"""', 'say "&"'),
+        ],
+    )
+    def test_string_literal_references(self, query, value):
+        assert parse_xquery(query) == Literal(value)
+
+    def test_content_references(self):
+        assert parse_xquery("<r>a &lt; b</r>").content == Literal("a < b")
+
+    def test_attribute_value_references(self):
+        expr = parse_xquery('<a x="&lt;&#34;&amp;"/>')
+        assert expr.attributes == (("x", '<"&'),)
+
+    def test_reference_is_content_not_boundary_whitespace(self):
+        assert parse_xquery("<a>&#32;</a>").content == Literal(" ")
+        assert parse_xquery("<a> </a>").content == EmptySequence()
+
+    @pytest.mark.parametrize(
+        "query",
+        ['"a & b"', '"&bogus;"', "<a>&#xZZ;</a>", "<a>&</a>", '<a x="&"/>', "<a x='&lt'/>"],
+    )
+    def test_bad_or_bare_ampersand_rejected(self, query):
+        with pytest.raises(XQuerySyntaxError):
+            parse_xquery(query)
+
+    def test_doubled_braces_in_content(self):
+        assert parse_xquery("<a>{{x}}</a>").content == Literal("{x}")
+        expr = parse_xquery("<a>{{{ $y }}}}</a>")
+        assert expr.content == SequenceExpr((Literal("{"), VarRef("y"), Literal("}}")))
+
+    def test_doubled_braces_in_attribute_values(self):
+        assert parse_xquery('<a x="{{}}"/>').attributes == (("x", "{}"),)
+
+    def test_single_brace_in_attribute_value_still_computed(self):
+        with pytest.raises(UnsupportedFeatureError):
+            parse_xquery('<a x="{{{"/>')
+
+    def test_comments_nest(self):
+        assert parse_xquery("(: a (: b :) c :) $x") == VarRef("x")
+        assert parse_xquery("$x (: (: :) (: (: :) :) :)") == VarRef("x")
+
+    def test_unclosed_nested_comment_rejected(self):
+        with pytest.raises(XQuerySyntaxError):
+            parse_xquery("(: a (: b :) $x")
+
+    def test_renderers_escape_what_the_parser_expands(self):
+        expr = ElementConstructor(
+            "a", (("x", '&<"{}'),), Literal('&lt; "{}"')
+        )
+        assert parse_xquery(expr.to_xquery()) == expr
+
+    @pytest.mark.parametrize("engine", ["flux", "dom"])
+    def test_engines_output_expanded_references(self, engine):
+        run = (
+            FluxEngine(BIB_DTD_STRONG).execute if engine == "flux" else DomEngine().execute
+        )
+        result = run('<r x="&amp;{{}}">a &lt; b&#32;{{</r>', "<bib/>")
+        assert result.output == '<r x="&amp;{}">a &lt; b {</r>'
+
+
+_NAMES = st.sampled_from(["a", "b_1", "x-y", "c.d", "for", "text", "return", "ROOT"])
+_STRINGS = st.text(alphabet='ab &<{}"\';#', max_size=8)
+_STEPS = st.one_of(
+    st.builds(ChildStep, st.one_of(_NAMES, st.just("*"))),
+    st.builds(DescendantStep, st.one_of(_NAMES, st.sampled_from(["*", "text()"]))),
+    st.builds(AttributeStep, _NAMES),
+    st.just(TextStep()),
+)
+
+
+@st.composite
+def _asts(draw, depth=0, primary=False):
+    """An AST the parser can build: canonical sequences, primaries as
+    comparison operands, numbers whose ``str`` reads back as themselves.
+    ``primary`` asks for a node that renders without operators around it."""
+    kinds = ["var", "path", "string", "number", "empty"]
+    if depth < 3:
+        kinds += ["sequence", "element", "call", "not"]
+        if not primary:
+            kinds += ["for", "let", "if", "compare", "and", "or"]
+    kind = draw(st.sampled_from(kinds))
+    sub = lambda: draw(_asts(depth + 1))  # noqa: E731
+    if kind == "var":
+        return VarRef(draw(_NAMES))
+    if kind == "path":
+        return PathExpr(draw(_NAMES), tuple(draw(st.lists(_STEPS, min_size=1, max_size=3))))
+    if kind == "string":
+        return Literal(draw(_STRINGS))
+    if kind == "number":
+        number = draw(st.one_of(
+            st.integers(min_value=0, max_value=10**9),
+            st.from_regex(r"\A[0-9]{1,5}\.[0-9]{1,3}\Z").map(float),
+        ))
+        return Literal(number)
+    if kind == "empty":
+        return EmptySequence()
+    if kind in ("sequence", "and", "or"):
+        items = [sub() for _ in range(draw(st.integers(2, 3)))]
+        if kind == "sequence":
+            # Two items that are not empty stay a sequence when flattened.
+            return sequence_of(
+                Literal("") if isinstance(item, EmptySequence) else item for item in items
+            )
+        return (AndExpr if kind == "and" else OrExpr)(tuple(items))
+    if kind == "element":
+        attributes = tuple(draw(st.lists(st.tuples(_NAMES, _STRINGS), max_size=2)))
+        return ElementConstructor(draw(_NAMES), attributes, sequence_of([sub()]))
+    if kind == "call":
+        name = draw(st.sampled_from(FunctionCall.SUPPORTED))
+        return FunctionCall(name, tuple(sub() for _ in range(draw(st.integers(0, 2)))))
+    if kind == "not":
+        return NotExpr(sub())
+    if kind == "for":
+        where = sub() if draw(st.booleans()) else None
+        return ForExpr(draw(_NAMES), sub(), sub(), where)
+    if kind == "let":
+        return LetExpr(draw(_NAMES), sub(), sub())
+    if kind == "if":
+        return IfExpr(sub(), sub(), sub())
+    op = draw(st.sampled_from(Comparison.VALID_OPS))
+    return Comparison(op, draw(_asts(depth + 1, True)), draw(_asts(depth + 1, True)))
+
+
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_asts())
+    def test_rendered_ast_parses_to_itself(self, expr):
+        assert parse_xquery(expr.to_xquery()) == expr
+
     @pytest.mark.parametrize(
         "query",
         [
