@@ -1,8 +1,13 @@
 """Recursive-descent parser for the supported XQuery fragment.
 
-The parser is scannerless: it works directly on the query string because
-direct element constructors switch between expression syntax and XML content
-syntax, which is awkward to express with a context-free token stream.
+The parser reads the query a token at a time.  One compiled pattern,
+``_TOKEN``, skips whitespace and ``(: ... :)`` comments and matches the
+next token — a variable, a name, a number, a string literal or an
+operator — with one ``match(text, pos)``; keywords are set lookups on a
+name token.  Tokens are matched lazily at the cursor, so the parser never
+reads past the construct it is in.  Direct element constructors switch to
+XML content syntax: there the parser reads a text run at a time with a
+second pattern, ``_CONTENT``, and switches back at ``{`` and at tags.
 
 Supported syntax
 ----------------
@@ -21,6 +26,11 @@ Supported syntax
   ``empty``, ``string``, ``data``, ``true``, ``false``;
 * parenthesized sequences ``(e1, e2, ...)`` and the empty sequence ``()``.
 
+String literals, constructor content and attribute values expand the
+predefined entity and character references (``&lt;``, ``&#32;``); content
+and attribute values read ``{{`` and ``}}`` as literal braces; comments
+nest.
+
 Anything else (notably aggregation functions — outside the paper's fragment)
 raises :class:`~repro.errors.UnsupportedFeatureError`.
 """
@@ -28,7 +38,7 @@ raises :class:`~repro.errors.UnsupportedFeatureError`.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import UnsupportedFeatureError, XMLSyntaxError, XQuerySyntaxError
 from repro.xmlstream.parser import resolve_entities
@@ -49,7 +59,6 @@ from repro.xquery.ast import (
     NotExpr,
     OrExpr,
     PathExpr,
-    SequenceExpr,
     Step,
     TextStep,
     VarRef,
@@ -57,8 +66,31 @@ from repro.xquery.ast import (
     sequence_of,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w\-.]*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+_NAME = r"[A-Za-z_][\w\-.]*"
+#: Whitespace and comments.  A comment holding a nested ``(:`` (or never
+#: closed) stops the skip at its ``(:``, for ``_Parser._skip_comment``.
+_SKIP_PATTERN = r"(?:\s+|\(:(?:[^:(]|:(?!\))|\((?!:))*:\))*"
+_SKIP = re.compile(_SKIP_PATTERN).match
+#: Skip, then one token.  A variable token carries the child steps that
+#: follow it with nothing in between (``$a/b/c``; ``text()`` is not a child
+#: step).  A string literal ends at a quote no quote
+#: follows (``""`` inside is a quote); an operator is any other character
+#: but an opening comment.  No token group matches at the end of the text
+#: or at a comment the skip left.
+_TOKEN = re.compile(
+    _SKIP_PATTERN
+    + rf"(?:\$(?P<var>{_NAME}(?:/(?!text\(\)){_NAME})*)|(?P<name>{_NAME})"
+    + r"|(?P<number>\d+(?:\.\d+)?)"
+    + r"""|"(?P<dq>[^"]*(?:""[^"]*)*)"(?!")|'(?P<sq>[^']*(?:''[^']*)*)'(?!')"""
+    + r"|(?P<op>//|!=|<=|>=|:=|\((?!:)|[^\s(]))?"
+).match
+#: A text run of constructor content: up to a tag or a single ``{``.
+_CONTENT = re.compile(r"[^<{]*(?:\{\{[^<{]*)*").match
+#: Tags without attributes or comments, read in one match.
+_START_TAG = re.compile(rf"({_NAME})\s*(/?)>").match
+_END_TAG = re.compile(rf"</({_NAME})\s*>").match
+_CALL = re.compile(r"\s*\(").match
+
 _KEYWORDS = {
     "for",
     "let",
@@ -78,31 +110,72 @@ _KEYWORDS = {
     "ge",
 }
 _KEYWORD_COMPARISONS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_COMPARISONS = {op: op for op in ("=", "!=", "<", "<=", ">", ">=")}
 _AGGREGATES = {"count", "sum", "avg", "min", "max", "distinct-values"}
 
 
 class _Parser:
-    """Stateful cursor over the query text."""
+    """Cursor over the query text and the token at the cursor.
+
+    The token is matched when first asked for at a position: its kind is
+    ``"var"``, ``"name"``, ``"number"``, ``"string"``, the operator itself,
+    or ``""`` at the end.  A name's keyword (``_kw``) is the name, or what
+    precedes its first ``.`` (``for.x`` starts with the keyword ``for``).
+    """
+
+    __slots__ = ("_text", "_pos", "_at", "_kind", "_value", "_start", "_end", "_kw")
 
     def __init__(self, text: str):
         self._text = text
         self._pos = 0
+        self._at = -1
 
     # ------------------------------------------------------------ plumbing
 
     def error(self, message: str) -> XQuerySyntaxError:
-        return XQuerySyntaxError(message, self._pos)
+        return XQuerySyntaxError(message, self._start if self._at == self._pos else self._pos)
 
-    def _skip_ws(self) -> None:
-        text, pos = self._text, self._pos
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-            elif text.startswith("(:", pos):
-                pos = self._skip_comment(pos)
-            else:
-                break
+    def _peek(self) -> str:
+        pos = self._pos
+        if self._at == pos:
+            return self._kind
+        text = self._text
+        match = _TOKEN(text, pos)
+        kind = match.lastgroup
+        while kind is None and text.startswith("(:", match.end()):
+            match = _TOKEN(text, self._skip_comment(match.end()))
+            kind = match.lastgroup
+        self._at = pos
+        self._kw = None
+        if kind is None:
+            self._kind = ""
+            self._start = self._end = match.end()
+            return ""
+        start, end = match.span(kind)
+        value = text[start:end]
+        if kind == "name":
+            keyword = value if value in _KEYWORDS else value.partition(".")[0]
+            if keyword in _KEYWORDS:
+                self._kw = keyword
+        elif kind == "op":
+            kind = value
+        elif kind == "var":
+            start -= 1
+        elif kind != "number":
+            quote = text[start - 1]
+            value = _expand_references(value.replace(quote * 2, quote), start)
+            kind, start, end = "string", start - 1, end + 1
+        self._kind, self._value, self._start, self._end = kind, value, start, end
+        return kind
+
+    def _skip(self) -> int:
+        """Move the cursor over whitespace and comments; return it."""
+        text = self._text
+        pos = _SKIP(text, self._pos).end()
+        while text.startswith("(:", pos):
+            pos = _SKIP(text, self._skip_comment(pos)).end()
         self._pos = pos
+        return pos
 
     def _skip_comment(self, start: int) -> int:
         """Skip the comment opening at ``start``; comments nest."""
@@ -111,8 +184,7 @@ class _Parser:
             opening = text.find("(:", pos)
             closing = text.find(":)", pos)
             if closing < 0:
-                self._pos = start
-                raise self.error("unterminated XQuery comment (: ... :)")
+                raise XQuerySyntaxError("unterminated XQuery comment (: ... :)", start)
             if 0 <= opening < closing:
                 depth, pos = depth + 1, opening + 2
             else:
@@ -120,293 +192,213 @@ class _Parser:
                 if not depth:
                     return pos
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _startswith(self, token: str) -> bool:
-        return self._text.startswith(token, self._pos)
-
-    def _consume(self, token: str) -> None:
-        if not self._startswith(token):
-            raise self.error(f"expected {token!r}")
-        self._pos += len(token)
-
-    def _try_consume(self, token: str) -> bool:
-        if self._startswith(token):
-            self._pos += len(token)
+    def _accept(self, op: str) -> bool:
+        if self._peek() == op:
+            self._pos = self._end
             return True
         return False
 
-    def _at_keyword(self, keyword: str) -> bool:
-        self._skip_ws()
-        if not self._startswith(keyword):
-            return False
-        end = self._pos + len(keyword)
-        if end < len(self._text) and (self._text[end].isalnum() or self._text[end] in "_-"):
-            return False
-        return True
+    def _expect(self, op: str) -> None:
+        if not self._accept(op):
+            raise self.error(f"expected {op!r}")
 
-    def _consume_keyword(self, keyword: str) -> None:
-        if not self._at_keyword(keyword):
+    def _accept_keyword(self, keyword: str) -> bool:
+        if self._peek() == "name" and self._kw == keyword:
+            self._pos = self._start + len(keyword)
+            return True
+        return False
+
+    def _expect_keyword(self, keyword: str) -> None:
+        if not self._accept_keyword(keyword):
             raise self.error(f"expected keyword {keyword!r}")
-        self._pos += len(keyword)
 
-    def _try_keyword(self, keyword: str) -> bool:
-        if self._at_keyword(keyword):
-            self._pos += len(keyword)
-            return True
-        return False
-
-    def _parse_name(self) -> str:
-        self._skip_ws()
-        match = _NAME_RE.match(self._text, self._pos)
-        if not match:
+    def _name(self) -> str:
+        if self._peek() != "name":
             raise self.error("expected a name")
-        self._pos = match.end()
-        return match.group(0)
+        self._pos = self._end
+        return self._value
 
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self._pos >= len(self._text)
+    def _variable(self) -> str:
+        """The variable at the cursor, without the steps its token carries."""
+        if self._peek() != "var":
+            self._expect("$")
+            return self._name()
+        var = self._value.partition("/")[0]
+        self._pos = self._start + 1 + len(var)
+        return var
 
     # ----------------------------------------------------------- top level
 
     def parse_query(self) -> XQueryExpr:
         expr = self.parse_expr()
-        if not self.at_end():
+        if self._peek():
             raise self.error("unexpected trailing text after the query")
         return expr
 
     def parse_expr(self) -> XQueryExpr:
         """Expr := ExprSingle ("," ExprSingle)*"""
         items = [self.parse_expr_single()]
-        self._skip_ws()
-        while self._try_consume(","):
+        while self._accept(","):
             items.append(self.parse_expr_single())
-            self._skip_ws()
         return sequence_of(items) if len(items) > 1 else items[0]
 
     def parse_expr_single(self) -> XQueryExpr:
-        self._skip_ws()
-        if self._at_keyword("for"):
-            return self._parse_flwr()
-        if self._at_keyword("let"):
-            return self._parse_let()
-        if self._at_keyword("if"):
-            return self._parse_if()
+        if self._peek() == "name":
+            keyword = self._kw
+            if keyword == "for":
+                return self._parse_flwr()
+            if keyword == "let":
+                return self._parse_let()
+            if keyword == "if":
+                return self._parse_if()
         return self._parse_or()
 
     # --------------------------------------------------------------- FLWR
 
     def _parse_flwr(self) -> XQueryExpr:
-        self._consume_keyword("for")
+        self._expect_keyword("for")
         bindings: List[Tuple[str, XQueryExpr]] = []
         while True:
-            self._skip_ws()
-            self._consume("$")
-            var = self._parse_name()
-            self._consume_keyword("in")
-            source = self.parse_expr_single()
-            bindings.append((var, source))
-            self._skip_ws()
-            if self._try_consume(","):
-                continue
+            var = self._variable()
+            self._expect_keyword("in")
+            bindings.append((var, self.parse_expr_single()))
             # XQuery also allows chaining additional `for` clauses directly.
-            if self._try_keyword("for"):
-                continue
-            break
-        where: Optional[XQueryExpr] = None
-        if self._try_keyword("where"):
-            where = self.parse_expr_single()
-        self._consume_keyword("return")
-        body = self.parse_expr_single()
+            if not (self._accept(",") or self._accept_keyword("for")):
+                break
+        where = self.parse_expr_single() if self._accept_keyword("where") else None
+        self._expect_keyword("return")
+        expr = self.parse_expr_single()
         # Multiple bindings nest left-to-right; the where clause attaches to
         # the innermost loop (it may reference every bound variable).
-        expr: XQueryExpr = body
-        for index in range(len(bindings) - 1, -1, -1):
-            var, source = bindings[index]
-            loop_where = where if index == len(bindings) - 1 else None
-            expr = ForExpr(var=var, source=source, body=expr, where=loop_where)
+        for var, source in reversed(bindings):
+            expr = ForExpr(var, source, expr, where)
+            where = None
         return expr
 
     def _parse_let(self) -> XQueryExpr:
-        self._consume_keyword("let")
+        self._expect_keyword("let")
         bindings: List[Tuple[str, XQueryExpr]] = []
         while True:
-            self._skip_ws()
-            self._consume("$")
-            var = self._parse_name()
-            self._skip_ws()
-            self._consume(":=")
-            value = self.parse_expr_single()
-            bindings.append((var, value))
-            self._skip_ws()
-            if not self._try_consume(","):
+            var = self._variable()
+            self._expect(":=")
+            bindings.append((var, self.parse_expr_single()))
+            if not self._accept(","):
                 break
-        self._consume_keyword("return")
-        body = self.parse_expr_single()
-        expr: XQueryExpr = body
+        self._expect_keyword("return")
+        expr = self.parse_expr_single()
         for var, value in reversed(bindings):
-            expr = LetExpr(var=var, value=value, body=expr)
+            expr = LetExpr(var, value, expr)
         return expr
 
     def _parse_if(self) -> XQueryExpr:
-        self._consume_keyword("if")
-        self._skip_ws()
-        self._consume("(")
+        self._expect_keyword("if")
+        self._expect("(")
         condition = self.parse_expr()
-        self._skip_ws()
-        self._consume(")")
-        self._consume_keyword("then")
+        self._expect(")")
+        self._expect_keyword("then")
         then_branch = self.parse_expr_single()
-        self._consume_keyword("else")
-        else_branch = self.parse_expr_single()
-        return IfExpr(condition, then_branch, else_branch)
+        self._expect_keyword("else")
+        return IfExpr(condition, then_branch, self.parse_expr_single())
 
     # ---------------------------------------------------------- operators
 
     def _parse_or(self) -> XQueryExpr:
-        operands = [self._parse_and()]
-        while self._try_keyword("or"):
-            operands.append(self._parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return OrExpr(tuple(operands))
-
-    def _parse_and(self) -> XQueryExpr:
-        operands = [self._parse_comparison()]
-        while self._try_keyword("and"):
-            operands.append(self._parse_comparison())
-        if len(operands) == 1:
-            return operands[0]
-        return AndExpr(tuple(operands))
+        """Or := And ("or" And)*, And := Comparison ("and" Comparison)*"""
+        disjuncts: List[XQueryExpr] = []
+        conjuncts = [self._parse_comparison()]
+        while True:
+            keyword = self._kw if self._peek() == "name" else None
+            if keyword == "and":
+                self._pos = self._start + 3
+                conjuncts.append(self._parse_comparison())
+                continue
+            disjuncts.append(conjuncts[0] if len(conjuncts) == 1 else AndExpr(tuple(conjuncts)))
+            if keyword != "or":
+                return disjuncts[0] if len(disjuncts) == 1 else OrExpr(tuple(disjuncts))
+            self._pos = self._start + 2
+            conjuncts = [self._parse_comparison()]
 
     def _parse_comparison(self) -> XQueryExpr:
         left = self._parse_primary()
-        self._skip_ws()
-        op = self._match_comparison_operator()
-        if op is None:
+        kind = self._peek()
+        op = _COMPARISONS.get(kind)
+        if op is not None:
+            self._pos = self._end
+        elif kind == "name" and self._kw in _KEYWORD_COMPARISONS:
+            op = _KEYWORD_COMPARISONS[self._kw]
+            self._pos = self._start + 2
+        else:
             return left
-        right = self._parse_primary()
-        return Comparison(op, left, right)
-
-    def _match_comparison_operator(self) -> Optional[str]:
-        self._skip_ws()
-        for keyword, symbol in _KEYWORD_COMPARISONS.items():
-            if self._at_keyword(keyword):
-                self._pos += len(keyword)
-                return symbol
-        for symbol in ("!=", "<=", ">=", "=", "<", ">"):
-            if self._startswith(symbol):
-                self._pos += len(symbol)
-                return symbol
-        return None
+        return Comparison(op, left, self._parse_primary())
 
     # ------------------------------------------------------------ primary
 
     def _parse_primary(self) -> XQueryExpr:
-        self._skip_ws()
-        ch = self._peek()
-        if ch == "":
-            raise self.error("unexpected end of query")
-        if ch == "$":
-            return self._parse_path(self._parse_variable_root())
-        if ch == "(":
-            return self._parse_parenthesized()
-        if ch == "{":
+        kind = self._peek()
+        if kind == "var":
+            self._pos = self._end
+            var, *names = self._value.split("/")
+            return self._parse_path(var, [ChildStep(name) for name in names])
+        if kind == "$":
+            return self._parse_path(self._variable(), [])
+        if kind == "name":
+            return self._parse_named()
+        if kind == "/" or kind == "//":
+            return self._parse_path(DOCUMENT_VARIABLE, [])
+        if kind == "string" or kind == "number":
+            value = self._value
+            self._pos = self._end
+            if kind == "number":
+                value = float(value) if "." in value else int(value)
+            return Literal(value)
+        if kind == "<":
+            self._pos = self._end
+            return self._parse_constructor()
+        if kind == "(":
+            self._pos = self._end
+            if self._accept(")"):
+                return EmptySequence()
+            expr = self.parse_expr()
+            self._expect(")")
+            return expr
+        if kind == "{":
             # Tolerated extension: a braced expression outside a constructor
             # (the paper writes e.g. ``return { $a }``) is treated like a
             # parenthesized expression.
-            self._consume("{")
+            self._pos = self._end
             expr = self.parse_expr()
-            self._skip_ws()
-            self._consume("}")
+            self._expect("}")
             return expr
-        if ch in "\"'":
-            return Literal(self._parse_string_literal())
-        if ch.isdigit():
-            return self._parse_number()
-        if ch == "<":
-            return self._parse_constructor()
-        if ch == "/":
-            return self._parse_path(VarRef(DOCUMENT_VARIABLE), absolute=True)
-        match = _NAME_RE.match(self._text, self._pos)
-        if match:
-            return self._parse_named(match.group(0))
-        raise self.error(f"unexpected character {ch!r}")
+        if not kind:
+            raise self.error("unexpected end of query")
+        if kind == '"' or kind == "'":
+            raise self.error("unterminated string literal")
+        raise self.error(f"unexpected character {kind[0]!r}")
 
-    def _parse_variable_root(self) -> VarRef:
-        self._consume("$")
-        return VarRef(self._parse_name())
-
-    def _parse_parenthesized(self) -> XQueryExpr:
-        self._consume("(")
-        self._skip_ws()
-        if self._try_consume(")"):
-            return EmptySequence()
-        expr = self.parse_expr()
-        self._skip_ws()
-        self._consume(")")
-        return expr
-
-    def _parse_string_literal(self) -> str:
-        quote = self._peek()
-        self._pos += 1
-        start = self._pos
-        parts: List[str] = []
-        while True:
-            end = self._text.find(quote, self._pos)
-            if end < 0:
-                raise self.error("unterminated string literal")
-            parts.append(self._text[self._pos : end])
-            # A doubled quote is an escaped quote character.
-            if self._text.startswith(quote * 2, end):
-                parts.append(quote)
-                self._pos = end + 2
-                continue
-            self._pos = end + 1
-            break
-        return _expand_references("".join(parts), start)
-
-    def _parse_number(self) -> Literal:
-        match = _NUMBER_RE.match(self._text, self._pos)
-        if not match:
-            raise self.error("malformed number literal")
-        self._pos = match.end()
-        text = match.group(0)
-        return Literal(float(text) if "." in text else int(text))
-
-    def _parse_named(self, name: str) -> XQueryExpr:
+    def _parse_named(self) -> XQueryExpr:
+        name = self._value
         if name in _KEYWORDS:
             raise self.error(f"unexpected keyword {name!r}")
-        after = self._pos + len(name)
-        rest = self._text[after:].lstrip()
-        if rest.startswith("("):
-            self._pos = after
-            return self._parse_function_call(name)
-        raise self.error(
-            f"bare name {name!r} is not a valid expression "
-            f"(paths must be rooted at a variable or start with '/')"
-        )
-
-    def _parse_function_call(self, name: str) -> XQueryExpr:
+        # Whitespace may separate a function name from its "(", and so may
+        # a comment, which is only checked while reading the arguments.
+        if not _CALL(self._text, self._end):
+            raise self.error(
+                f"bare name {name!r} is not a valid expression "
+                f"(paths must be rooted at a variable or start with '/')"
+            )
+        self._pos = self._end
         if name in _AGGREGATES:
             raise UnsupportedFeatureError(
                 f"aggregation function {name}() is outside the supported XQuery "
                 f"fragment (the paper's engine does not cover aggregation)"
             )
-        self._skip_ws()
-        self._consume("(")
+        self._expect("(")
         arguments: List[XQueryExpr] = []
-        self._skip_ws()
-        if not self._try_consume(")"):
+        if not self._accept(")"):
             arguments.append(self.parse_expr_single())
-            self._skip_ws()
-            while self._try_consume(","):
+            while self._accept(","):
                 arguments.append(self.parse_expr_single())
-                self._skip_ws()
-            self._consume(")")
+            self._expect(")")
         if name == "not":
             if len(arguments) != 1:
                 raise self.error("not() takes exactly one argument")
@@ -414,7 +406,7 @@ class _Parser:
         if name == "doc" or name == "document":
             # doc("...") denotes the (single) input document; path steps may
             # follow the call directly.
-            return self._parse_path(VarRef(DOCUMENT_VARIABLE))
+            return self._parse_path(DOCUMENT_VARIABLE, [])
         if name not in FunctionCall.SUPPORTED:
             raise UnsupportedFeatureError(
                 f"function {name}() is outside the supported XQuery fragment"
@@ -423,131 +415,112 @@ class _Parser:
 
     # --------------------------------------------------------------- paths
 
-    def _parse_path(self, root: XQueryExpr, absolute: bool = False) -> XQueryExpr:
-        steps: List[Step] = []
+    def _parse_path(self, var: str, steps: List[Step]) -> XQueryExpr:
         while True:
-            if absolute and not steps:
-                # We are positioned at the leading '/'.
-                pass
-            self._skip_ws()
-            if self._startswith("//"):
-                self._pos += 2
-                steps.append(DescendantStep(self._parse_step_name()))
-                continue
-            if self._peek() == "/":
-                self._pos += 1
-                step = self._parse_step()
-                steps.append(step)
-                continue
-            break
-        if isinstance(root, VarRef):
-            if not steps:
-                return root
-            return PathExpr(root.name, tuple(steps))
-        raise self.error("paths may only be rooted at variables or '/'")
+            kind = self._peek()
+            if kind == "/":
+                self._pos = self._end
+                if self._accept("@"):
+                    steps.append(AttributeStep(self._name()))
+                    continue
+                name = self._step_name()
+                steps.append(TextStep() if name == "text()" else ChildStep(name))
+            elif kind == "//":
+                self._pos = self._end
+                steps.append(DescendantStep(self._step_name()))
+            else:
+                return PathExpr(var, tuple(steps)) if steps else VarRef(var)
 
-    def _parse_step(self) -> Step:
-        self._skip_ws()
-        if self._peek() == "@":
-            self._pos += 1
-            return AttributeStep(self._parse_name())
-        if self._startswith("text()"):
-            self._pos += len("text()")
-            return TextStep()
-        if self._peek() == "*":
-            self._pos += 1
-            return ChildStep("*")
-        return ChildStep(self._parse_step_name())
-
-    def _parse_step_name(self) -> str:
-        self._skip_ws()
-        if self._peek() == "*":
-            self._pos += 1
+    def _step_name(self) -> str:
+        if self._accept("*"):
             return "*"
-        if self._startswith("text()"):
-            self._pos += len("text()")
+        name = self._name()
+        if name == "text" and self._text.startswith("()", self._pos):
+            self._pos += 2
             return "text()"
-        return self._parse_name()
+        return name
 
     # --------------------------------------------------------- constructor
 
     def _parse_constructor(self) -> XQueryExpr:
-        self._consume("<")
-        name = self._parse_name()
+        """The constructor whose ``<`` the cursor just passed."""
+        text = self._text
+        tag = _START_TAG(text, self._pos)
+        if tag:
+            name = tag.group(1)
+            self._pos = tag.end()
+            if tag.group(2):
+                return ElementConstructor(name, (), EmptySequence())
+            return ElementConstructor(name, (), self._parse_content(name))
+        name = self._name()
         attributes: List[Tuple[str, str]] = []
         while True:
-            self._skip_ws()
-            if self._try_consume("/>"):
+            pos = self._skip()
+            if text.startswith("/>", pos):
+                self._pos = pos + 2
                 return ElementConstructor(name, tuple(attributes), EmptySequence())
-            if self._try_consume(">"):
-                break
-            attr_name = self._parse_name()
-            self._skip_ws()
-            self._consume("=")
-            self._skip_ws()
-            quote = self._peek()
-            if quote not in "\"'":
-                raise self.error(f"attribute {attr_name!r} value must be a quoted literal")
+            if text.startswith(">", pos):
+                self._pos = pos + 1
+                return ElementConstructor(name, tuple(attributes), self._parse_content(name))
+            attribute = self._name()
+            if not text.startswith("=", self._skip()):
+                raise self.error("expected '='")
             self._pos += 1
-            end = self._text.find(quote, self._pos)
+            start = self._skip() + 1
+            quote = text[start - 1 : start]
+            if quote != '"' and quote != "'":
+                raise self.error(f"attribute {attribute!r} value must be a quoted literal")
+            end = text.find(quote, start)
             if end < 0:
-                raise self.error(f"unterminated value for attribute {attr_name!r}")
-            value = self._text[self._pos : end]
+                raise self.error(f"unterminated value for attribute {attribute!r}")
+            value = text[start:end]
             if "{" in value.replace("{{", ""):
                 raise UnsupportedFeatureError(
                     "computed attribute values are outside the supported fragment"
                 )
-            value = value.replace("{{", "{").replace("}}", "}")
-            attributes.append((attr_name, _expand_references(value, self._pos)))
+            attributes.append((attribute, _content_text(value, start)))
             self._pos = end + 1
-        content = self._parse_constructor_content(name)
-        return ElementConstructor(name, tuple(attributes), content)
 
-    def _parse_constructor_content(self, name: str) -> XQueryExpr:
+    def _parse_content(self, name: str) -> XQueryExpr:
+        text = self._text
         items: List[XQueryExpr] = []
-        text_parts: List[str] = []
-        run_start = self._pos
-
-        def flush_text() -> None:
-            if text_parts:
-                # Whitespace-only runs are boundary whitespace; a reference
-                # or a doubled brace is content.
-                text = "".join(text_parts)
-                text_parts.clear()
-                if text.strip():
-                    text = text.replace("{{", "{").replace("}}", "}")
-                    items.append(Literal(_expand_references(text, run_start)))
-
         while True:
-            if self._pos >= len(self._text):
+            start = self._pos
+            end = _CONTENT(text, start).end()
+            if end == len(text):
+                self._pos = end
                 raise self.error(f"unterminated element constructor <{name}>")
-            ch = self._peek()
-            if ch == "<":
-                if self._startswith("</"):
-                    flush_text()
-                    self._consume("</")
-                    closing = self._parse_name()
-                    if closing != name:
-                        raise self.error(
-                            f"closing tag </{closing}> does not match <{name}>"
-                        )
-                    self._skip_ws()
-                    self._consume(">")
-                    return sequence_of(items)
-                flush_text()
-                items.append(self._parse_constructor())
-            elif ch == "{" and not self._startswith("{{"):
-                flush_text()
-                self._pos += 1
+            # Whitespace-only runs are boundary whitespace; a reference or
+            # a doubled brace is content.
+            run = text[start:end]
+            if run.strip():
+                items.append(Literal(_content_text(run, start)))
+            self._pos = end + 1
+            if text[end] == "{":
                 items.append(self.parse_expr())
-                self._skip_ws()
-                self._consume("}")
+                self._expect("}")
+            elif text[end + 1 : end + 2] != "/":
+                items.append(self._parse_constructor())
             else:
-                if not text_parts:
-                    run_start = self._pos
-                step = 2 if self._startswith(ch * 2) and ch in "{}" else 1
-                text_parts.append(self._text[self._pos : self._pos + step])
-                self._pos += step
+                tag = _END_TAG(text, end)
+                if tag and tag.group(1) == name:
+                    self._pos = tag.end()
+                    return sequence_of(items)
+                self._pos = end + 2
+                closing = self._name()
+                if closing != name:
+                    raise self.error(f"closing tag </{closing}> does not match <{name}>")
+                if not text.startswith(">", self._skip()):
+                    raise self.error("expected '>'")
+                self._pos += 1
+                return sequence_of(items)
+
+
+def _content_text(raw: str, position: int) -> str:
+    """Constructor content or an attribute value, braces undoubled."""
+    if "{" in raw or "}" in raw:
+        raw = raw.replace("{{", "{").replace("}}", "}")
+    return _expand_references(raw, position) if "&" in raw else raw
 
 
 def _expand_references(text: str, position: int) -> str:
