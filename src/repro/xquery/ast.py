@@ -336,11 +336,8 @@ class FunctionCall(XQueryExpr):
 
 # ------------------------------------------------------------------ helpers
 
-#: What an attribute value escapes when rendered: the parser expands
-#: references and undoubles braces there.
-_ATTRIBUTE_ESCAPES = str.maketrans(
-    {"&": "&amp;", "<": "&lt;", '"': "&quot;", "{": "{{", "}": "}}"}
-)
+#: Rendered attribute values escape what the parser expands or undoubles.
+_ATTRIBUTE_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", '"': "&quot;", "{": "{{", "}": "}}"})
 
 
 def sequence_of(items: Iterable[XQueryExpr]) -> XQueryExpr:

@@ -73,10 +73,10 @@ _SKIP_PATTERN = r"(?:\s+|\(:(?:[^:(]|:(?!\))|\((?!:))*:\))*"
 _SKIP = re.compile(_SKIP_PATTERN).match
 #: Skip, then one token.  A variable token carries the child steps that
 #: follow it with nothing in between (``$a/b/c``; ``text()`` is not a child
-#: step).  A string literal ends at a quote no quote
-#: follows (``""`` inside is a quote); an operator is any other character
-#: but an opening comment.  No token group matches at the end of the text
-#: or at a comment the skip left.
+#: step).  A string literal ends at a quote no quote follows (``""`` inside
+#: is a quote); an operator is any other character but an opening comment.
+#: No token group matches at the end of the text or at a comment the skip
+#: left.
 _TOKEN = re.compile(
     _SKIP_PATTERN
     + rf"(?:\$(?P<var>{_NAME}(?:/(?!text\(\)){_NAME})*)|(?P<name>{_NAME})"
@@ -86,30 +86,11 @@ _TOKEN = re.compile(
 ).match
 #: A text run of constructor content: up to a tag or a single ``{``.
 _CONTENT = re.compile(r"[^<{]*(?:\{\{[^<{]*)*").match
-#: Tags without attributes or comments, read in one match.
-_START_TAG = re.compile(rf"({_NAME})\s*(/?)>").match
-_END_TAG = re.compile(rf"</({_NAME})\s*>").match
 _CALL = re.compile(r"\s*\(").match
 
-_KEYWORDS = {
-    "for",
-    "let",
-    "in",
-    "where",
-    "return",
-    "if",
-    "then",
-    "else",
-    "and",
-    "or",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-}
 _KEYWORD_COMPARISONS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_KEYWORDS = {"for", "let", "in", "where", "return", "if", "then", "else", "and", "or",
+             *_KEYWORD_COMPARISONS}
 _COMPARISONS = {op: op for op in ("=", "!=", "<", "<=", ">", ">=")}
 _AGGREGATES = {"count", "sum", "avg", "min", "max", "distinct-values"}
 
@@ -136,6 +117,7 @@ class _Parser:
         return XQuerySyntaxError(message, self._start if self._at == self._pos else self._pos)
 
     def _peek(self) -> str:
+        """Kind of the token at the cursor (matched once per position)."""
         pos = self._pos
         if self._at == pos:
             return self._kind
@@ -161,7 +143,7 @@ class _Parser:
             kind = value
         elif kind == "var":
             start -= 1
-        elif kind != "number":
+        elif kind != "number":  # a string literal; a doubled quote is a quote
             quote = text[start - 1]
             value = _expand_references(value.replace(quote * 2, quote), start)
             kind, start, end = "string", start - 1, end + 1
@@ -170,8 +152,10 @@ class _Parser:
 
     def _skip(self) -> int:
         """Move the cursor over whitespace and comments; return it."""
-        text = self._text
-        pos = _SKIP(text, self._pos).end()
+        text, pos = self._text, self._pos
+        if not (text[pos : pos + 1].isspace() or text.startswith("(:", pos)):
+            return pos
+        pos = _SKIP(text, pos).end()
         while text.startswith("(:", pos):
             pos = _SKIP(text, self._skip_comment(pos)).end()
         self._pos = pos
@@ -237,10 +221,13 @@ class _Parser:
 
     def parse_expr(self) -> XQueryExpr:
         """Expr := ExprSingle ("," ExprSingle)*"""
-        items = [self.parse_expr_single()]
+        expr = self.parse_expr_single()
+        if self._peek() != ",":
+            return expr
+        items = [expr]
         while self._accept(","):
             items.append(self.parse_expr_single())
-        return sequence_of(items) if len(items) > 1 else items[0]
+        return sequence_of(items)
 
     def parse_expr_single(self) -> XQueryExpr:
         if self._peek() == "name":
@@ -304,8 +291,11 @@ class _Parser:
 
     def _parse_or(self) -> XQueryExpr:
         """Or := And ("or" And)*, And := Comparison ("and" Comparison)*"""
+        expr = self._parse_comparison()
+        if self._peek() != "name" or (self._kw != "and" and self._kw != "or"):
+            return expr
         disjuncts: List[XQueryExpr] = []
-        conjuncts = [self._parse_comparison()]
+        conjuncts = [expr]
         while True:
             keyword = self._kw if self._peek() == "name" else None
             if keyword == "and":
@@ -444,15 +434,8 @@ class _Parser:
 
     def _parse_constructor(self) -> XQueryExpr:
         """The constructor whose ``<`` the cursor just passed."""
-        text = self._text
-        tag = _START_TAG(text, self._pos)
-        if tag:
-            name = tag.group(1)
-            self._pos = tag.end()
-            if tag.group(2):
-                return ElementConstructor(name, (), EmptySequence())
-            return ElementConstructor(name, (), self._parse_content(name))
         name = self._name()
+        text = self._text
         attributes: List[Tuple[str, str]] = []
         while True:
             pos = self._skip()
@@ -502,10 +485,6 @@ class _Parser:
             elif text[end + 1 : end + 2] != "/":
                 items.append(self._parse_constructor())
             else:
-                tag = _END_TAG(text, end)
-                if tag and tag.group(1) == name:
-                    self._pos = tag.end()
-                    return sequence_of(items)
                 self._pos = end + 2
                 closing = self._name()
                 if closing != name:
