@@ -91,7 +91,7 @@ _CALL = re.compile(r"\s*\(").match
 _KEYWORD_COMPARISONS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _KEYWORDS = {"for", "let", "in", "where", "return", "if", "then", "else", "and", "or",
              *_KEYWORD_COMPARISONS}
-_COMPARISONS = {op: op for op in ("=", "!=", "<", "<=", ">", ">=")}
+_COMPARISONS = set(Comparison.VALID_OPS)
 _AGGREGATES = {"count", "sum", "avg", "min", "max", "distinct-values"}
 
 
@@ -298,25 +298,22 @@ class _Parser:
         conjuncts = [expr]
         while True:
             keyword = self._kw if self._peek() == "name" else None
-            if keyword == "and":
-                self._pos = self._start + 3
-                conjuncts.append(self._parse_comparison())
-                continue
-            disjuncts.append(conjuncts[0] if len(conjuncts) == 1 else AndExpr(tuple(conjuncts)))
-            if keyword != "or":
-                return disjuncts[0] if len(disjuncts) == 1 else OrExpr(tuple(disjuncts))
-            self._pos = self._start + 2
-            conjuncts = [self._parse_comparison()]
+            if keyword != "and":
+                disjuncts.append(conjuncts[0] if len(conjuncts) == 1 else AndExpr(tuple(conjuncts)))
+                if keyword != "or":
+                    return disjuncts[0] if len(disjuncts) == 1 else OrExpr(tuple(disjuncts))
+                conjuncts = []
+            self._pos = self._start + len(keyword)
+            conjuncts.append(self._parse_comparison())
 
     def _parse_comparison(self) -> XQueryExpr:
         left = self._parse_primary()
-        kind = self._peek()
-        op = _COMPARISONS.get(kind)
-        if op is not None:
+        op = self._peek()
+        if op in _COMPARISONS:
             self._pos = self._end
-        elif kind == "name" and self._kw in _KEYWORD_COMPARISONS:
+        elif op == "name" and self._kw in _KEYWORD_COMPARISONS:
             op = _KEYWORD_COMPARISONS[self._kw]
-            self._pos = self._start + 2
+            self._pos = self._start + len(self._kw)
         else:
             return left
         return Comparison(op, left, self._parse_primary())
